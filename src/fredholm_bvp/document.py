@@ -23,6 +23,7 @@ sample files next to it.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,15 +51,29 @@ class DocumentError(ValueError):
 # scalar slots: a number now, or an expression in eps resolved later
 
 
+def _finite(parts, path: str) -> complex:
+    """complex(*parts), which must be finite.
+
+    JSON parsing accepts NaN, Infinity and integers beyond the float range.
+    """
+    try:
+        value = complex(*parts)
+    except OverflowError:
+        value = complex("inf")
+    if not cmath.isfinite(value):
+        raise DocumentError("numbers must be finite, not NaN, Infinity or out of range", path)
+    return value
+
+
 def _parse_scalar_slot(raw, path: str, eps_ok: bool):
     if isinstance(raw, bool):
         raise DocumentError("expected a number, got a boolean", path)
     if isinstance(raw, (int, float)):
-        return complex(raw)
+        return _finite((raw,), path)
     if isinstance(raw, list):
         if len(raw) != 2 or not all(isinstance(x, (int, float)) for x in raw):
             raise DocumentError("complex scalars are [re, im] pairs of numbers", path)
-        return complex(raw[0], raw[1])
+        return _finite(raw, path)
     if isinstance(raw, str):
         if not eps_ok:
             raise DocumentError(
@@ -183,6 +198,7 @@ def _complex_array_to_json(arr: np.ndarray):
 
 
 def _parse_complex_array(raw, path: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Nested lists of finite numbers (table samples, constant values)."""
     out = np.empty(shape, dtype=complex)
     if len(shape) == 0:
         out[()] = _parse_scalar_slot(raw, path, eps_ok=False)
@@ -240,7 +256,9 @@ def _parse_function(raw, path: str, shape: tuple[int, ...], eps_ok: bool) -> Fun
     nodes_raw = _require(raw, "nodes", path)
     if not isinstance(nodes_raw, list) or len(nodes_raw) < 2:
         raise DocumentError("table nodes must be a list of at least two numbers", f"{path}.nodes")
-    nodes = np.asarray([float(t) for t in nodes_raw])
+    if not all(type(t) in (int, float) for t in nodes_raw):
+        raise DocumentError("table nodes must be numbers", f"{path}.nodes")
+    nodes = np.asarray([_finite((t,), f"{path}.nodes[{i}]").real for i, t in enumerate(nodes_raw)])
     samples_raw = _require(raw, "samples", path)
     if not isinstance(samples_raw, list) or not samples_raw:
         raise DocumentError("table samples must be a non-empty list (one entry per order)",

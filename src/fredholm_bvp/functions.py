@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import expressions as ex
-from .grid import Grid, differentiate_samples, interpolate_at
+from .grid import Grid, differentiate_samples, interpolate
 
 
 class ArrayFunction:
@@ -124,12 +124,7 @@ class TabulatedFunction(ArrayFunction):
         return self._by_order[order]
 
     def eval(self, ts, order: int = 0) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        values = self._order_samples(order)
-        out = np.empty((ts.size, *self.shape), dtype=complex)
-        for i, t in enumerate(ts):
-            out[i] = interpolate_at(self.grid, values, float(t))
-        return out
+        return interpolate(self.grid, self._order_samples(order), ts)
 
 
 def as_array_function(obj, shape: tuple[int, ...] | None = None) -> ArrayFunction:

@@ -60,7 +60,10 @@ class Grid:
         steps = np.diff(nodes)
         if np.any(steps <= 0):
             raise ValueError("grid nodes must be strictly increasing")
-        if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
+        # rounding moves each node by about an ulp of the endpoints, at any
+        # node count, so the steps may differ by a few of those ulps
+        ulp = np.spacing(max(abs(self.interval.a), abs(self.interval.b)))
+        if not np.allclose(steps, steps[0], rtol=1e-12, atol=8 * ulp):
             raise ValueError("grid must be uniform")
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
@@ -277,6 +280,38 @@ def sobolev_norm_samples(samples: np.ndarray, p: LebesgueExponent, grid: Grid) -
 
 # ---------------------------------------------------------------------------
 # interpolation and finite differences on uniform grids
+
+
+def interpolate(grid: Grid, values: np.ndarray, ts) -> np.ndarray:
+    """``interpolate_at`` for many points at once: shape (len(ts), ...).
+
+    Same stencils, node rule and arithmetic order, so the results are
+    equal; a single point is cheaper through ``interpolate_at``.
+    """
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    a, b = grid.interval.a, grid.interval.b
+    outside = ~((ts >= a) & (ts <= b))
+    if outside.any():
+        raise ValueError(f"point {ts[outside][0]} outside the interval [{a}, {b}]")
+    nearest = np.clip(np.rint((ts - a) / grid.step).astype(int), 0, grid.count - 1)
+    at_node = np.abs(grid.nodes[nearest] - ts) <= 1e-12 * max(1.0, abs(a), abs(b))
+    if at_node.all():
+        return values[nearest]
+    if grid.count < 4:
+        raise ValueError("off-node interpolation needs at least four nodes")
+    lo = np.clip(np.floor((ts - a) / grid.step).astype(int) - 1, 0, grid.count - 4)
+    stencil = lo[:, None] + np.arange(4)
+    knots = grid.nodes[stencil]
+    trailing = (slice(None),) + (None,) * (values.ndim - 1)
+    result = np.zeros((ts.size, *values.shape[1:]), dtype=np.result_type(values, float))
+    for i in range(4):
+        weight = np.ones(ts.size)
+        for j in range(4):
+            if j != i:
+                weight *= (ts - knots[:, j]) / (knots[:, i] - knots[:, j])
+        result = result + weight[trailing] * values[stencil[:, i]]
+    result[at_node] = values[nearest[at_node]]
+    return result
 
 
 def interpolate_at(grid: Grid, values: np.ndarray, t: float) -> np.ndarray:

@@ -11,9 +11,14 @@ the inhomogeneous equation.
 
 Integration is classical fixed-step RK4 on the companion first-order
 system, with the step equal to the grid step so trajectory samples land
-exactly on the nodes.  Derivative orders r..n+r are not differentiated
-numerically: order r comes from the equation itself and higher orders
-from the Leibniz-differentiated equation, which only needs coefficient
+exactly on the nodes.  One RK4 step of a linear system is a matrix,
+x_{i+1} = P_i x_i: the P_i are formed by batched products, applied in
+one pass and the stored states checked once for blow-up.  A forcing f
+is an extra companion column acting on [x; 1], exactly RK4 of the
+forced system, so fundamental set and particular solutions share one
+kernel.  Derivative orders r..n+r are not differentiated numerically:
+order r comes from the equation itself and higher orders from the
+Leibniz-differentiated equation, which only needs coefficient
 derivatives up to order n.
 """
 
@@ -90,58 +95,60 @@ class FundamentalSet:
 
 def _coefficient_tables(coeffs: CoefficientSet, ts: np.ndarray, orders: int) -> list[list[np.ndarray]]:
     """A_d^{(q)} evaluated at ``ts`` for d = 0..r-1, q = 0..orders."""
-    return [
-        [coeffs.by_order[d].eval(ts, order=q) for q in range(orders + 1)]
-        for d in range(coeffs.r)
-    ]
+    return [[fn.eval(ts, order=q) for q in range(orders + 1)] for fn in coeffs.by_order]
 
 
-def _companion_rhs(a_values: list[np.ndarray], state: np.ndarray, m: int, forcing: np.ndarray | None):
-    """Right-hand side of the companion system at one time point.
+def _top_rows(coeffs: CoefficientSet, ts: np.ndarray, f: ArrayFunction | None) -> np.ndarray:
+    """Order-(r-1) block rows [-A_0, ..., -A_{r-1} (, f)] of C at ``ts``."""
+    blocks = [-fn.eval(ts) for fn in coeffs.by_order]
+    if f is not None:
+        blocks.append(f.eval(ts)[:, :, None])
+    return np.concatenate(blocks, axis=2)
 
-    ``state`` has shape (r*m, w); block j holds the order-j derivative.
-    """
-    r = len(a_values)
-    top = -sum(a_values[d] @ state[d * m : (d + 1) * m] for d in range(r))
-    if forcing is not None:
-        top = top + forcing
-    if r == 1:
-        return top
-    return np.concatenate([state[m:], top], axis=0)
+
+def _companion(coeffs: CoefficientSet, top: np.ndarray) -> np.ndarray:
+    """Companion matrices with top rows ``top``; forced: [[C, F], [0, 0]]."""
+    c = np.tile(np.eye(top.shape[2], k=coeffs.m, dtype=complex), (top.shape[0], 1, 1))
+    c[:, (coeffs.r - 1) * coeffs.m : coeffs.r * coeffs.m] = top
+    return c
+
+
+_BATCH = 256  # grid intervals per batch: a few MB of temporaries at r*m = 16
 
 
 def _integrate(coeffs: CoefficientSet, grid: Grid, initial: np.ndarray,
-               forcing_nodes: np.ndarray | None = None,
-               forcing_mid: np.ndarray | None = None) -> np.ndarray:
-    """Fixed-step RK4 for the companion system; returns (nodes, r*m, w)."""
-    m, r = coeffs.m, coeffs.r
+               f: ArrayFunction | None = None) -> np.ndarray:
+    """Fixed-step RK4 on the companion system; returns (nodes, rows, w).
+
+    Each step x_{i+1} = P_i x_i applies a propagator built from the
+    stages k1..k4 taken as matrices, in batches of grid intervals.
+    """
     h = grid.step
-    a_nodes = [coeffs.by_order[d].eval(grid.nodes) for d in range(r)]
-    a_mid = [coeffs.by_order[d].eval(grid.midpoints) for d in range(r)]
+    eye = np.eye(initial.shape[0])
     states = np.empty((grid.count, *initial.shape), dtype=complex)
     states[0] = initial
-    state = initial.astype(complex)
-    # blow-up is detected explicitly below, so intermediate overflow
-    # warnings from numpy are redundant
+    top_nodes = _top_rows(coeffs, grid.nodes, f)
+    top_mid = _top_rows(coeffs, grid.midpoints, f)
+    # blow-up is detected once below, so overflow warnings are redundant
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(grid.count - 1):
-            an = [a[i] for a in a_nodes]
-            am = [a[i] for a in a_mid]
-            an1 = [a[i + 1] for a in a_nodes]
-            fn = forcing_nodes[i] if forcing_nodes is not None else None
-            fm = forcing_mid[i] if forcing_mid is not None else None
-            fn1 = forcing_nodes[i + 1] if forcing_nodes is not None else None
-            k1 = _companion_rhs(an, state, m, fn)
-            k2 = _companion_rhs(am, state + 0.5 * h * k1, m, fm)
-            k3 = _companion_rhs(am, state + 0.5 * h * k2, m, fm)
-            k4 = _companion_rhs(an1, state + h * k3, m, fn1)
-            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(state.view(float))):
-                raise FloatingPointError(
-                    f"integration blew up between nodes {i} and {i + 1} "
-                    f"(t = {grid.nodes[i]:.6g}); coefficients too stiff for the grid"
-                )
-            states[i + 1] = state
+        for lo in range(0, grid.count - 1, _BATCH):
+            hi = min(lo + _BATCH, grid.count - 1)
+            c_nodes = _companion(coeffs, top_nodes[lo : hi + 1])
+            c_mid = _companion(coeffs, top_mid[lo:hi])
+            k1 = c_nodes[:-1]
+            k2 = c_mid @ (eye + 0.5 * h * k1)
+            k3 = c_mid @ (eye + 0.5 * h * k2)
+            k4 = c_nodes[1:] @ (eye + h * k3)
+            props = eye + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            for i, p in enumerate(props, start=lo):
+                np.matmul(p, states[i], out=states[i + 1])
+    finite = np.isfinite(states).all(axis=(1, 2))
+    if not finite.all():
+        i = max(int(np.argmin(finite)) - 1, 0)
+        raise FloatingPointError(
+            f"integration blew up between nodes {i} and {i + 1} "
+            f"(t = {grid.nodes[i]:.6g}); coefficients too stiff for the grid"
+        )
     return states
 
 
@@ -186,8 +193,7 @@ def fundamental_set(coeffs: CoefficientSet, grid: Grid) -> FundamentalSet:
     derivative orders 0..n+r.
     """
     m, r = coeffs.m, coeffs.r
-    size = r * m
-    states = _integrate(coeffs, grid, np.eye(size, dtype=complex))
+    states = _integrate(coeffs, grid, np.eye(r * m, dtype=complex))
     a_tables = _coefficient_tables(coeffs, grid.nodes, coeffs.n)
     members = []
     max_residual = 0.0
@@ -213,16 +219,9 @@ def particular_solution(coeffs: CoefficientSet, f, grid: Grid,
     """
     m, r = coeffs.m, coeffs.r
     f = as_array_function(f, (m,))
-    if initial_state is None:
-        initial = np.zeros((r * m, 1), dtype=complex)
-    else:
-        initial = np.asarray(initial_state, dtype=complex).reshape(r * m, 1)
-    f_nodes = f.eval(grid.nodes)
-    f_mid = f.eval(grid.midpoints)
-    states = _integrate(
-        coeffs, grid, initial,
-        forcing_nodes=f_nodes[:, :, None], forcing_mid=f_mid[:, :, None],
-    )
+    seed = np.zeros(r * m) if initial_state is None else initial_state
+    augmented = np.append(np.asarray(seed, dtype=complex).reshape(r * m), 1.0)
+    states = _integrate(coeffs, grid, augmented[:, None], f)
     low = np.stack([states[:, j * m : (j + 1) * m, 0] for j in range(r)])
     a_tables = _coefficient_tables(coeffs, grid.nodes, coeffs.n)
     f_tables = [f.eval(grid.nodes, order=s) for s in range(coeffs.n + 1)]

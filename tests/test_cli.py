@@ -173,3 +173,9 @@ def test_emit_json_float_formatting():
 def test_emit_json_rejects_unknown_types():
     with pytest.raises(TypeError):
         emit_json({"x": object()})
+
+
+def test_solve_at_twenty_thousand_nodes(capsys):
+    code, out, err = run(capsys, "solve", TWO_POINT, "--nodes", "20001")
+    assert code == 0, err
+    assert "20001" in out

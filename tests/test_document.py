@@ -202,3 +202,36 @@ def test_table_coefficient_must_span_interval():
     doc = load_document(raw)
     with pytest.raises(DocumentError, match="span"):
         document_problem(doc)
+
+
+def test_non_finite_scalar_rejected_with_path():
+    # JSON parsing accepts the NaN and Infinity tokens; the document must not
+    text = json.dumps(minimal_document())
+    nan_coefficient = text.replace('"values": [[0, 0], [0, 0]]', '"values": [[0, NaN], [0, 0]]')
+    with pytest.raises(DocumentError, match=r"\$\.coefficients\[0\]\.values\[0\]\[1\]: .*finite"):
+        load_document(nan_coefficient)
+    raw = minimal_document()
+    raw["rhs"]["c"] = [[1.0, float("inf")], [0.0, 0.0]]
+    with pytest.raises(DocumentError, match=r"\$\.rhs\.c\[0\]: .*finite"):
+        load_document(json.dumps(raw))
+    raw["rhs"]["c"] = [[1.0, 0.0], [10**400, 0.0]]
+    with pytest.raises(DocumentError, match=r"\$\.rhs\.c\[1\]: .*range"):
+        load_document(json.dumps(raw))
+
+
+def test_non_finite_table_sample_rejected_with_path():
+    raw = minimal_document(coefficients=[
+        {"kind": "table", "nodes": [0.0, 0.25, 0.5, 0.75, 1.0],
+         "samples": [[[[0, 0], [0, 0]]] * 2 + [[[0, 0], [0, float("-inf")]]] + [[[0, 0], [0, 0]]] * 2]}
+    ])
+    with pytest.raises(DocumentError,
+                       match=r"\$\.coefficients\[0\]\.samples\[0\]\[2\]\[1\]\[1\]: .*finite"):
+        load_document(json.dumps(raw))
+    raw["coefficients"][0]["samples"][0][2][1][1] = 0
+    raw["coefficients"][0]["nodes"][2] = float("nan")
+    with pytest.raises(DocumentError, match=r"\$\.coefficients\[0\]\.nodes\[2\]: .*finite"):
+        load_document(json.dumps(raw))
+    for bad_node in ("0.5", True):
+        raw["coefficients"][0]["nodes"][2] = bad_node
+        with pytest.raises(DocumentError, match=r"\$\.coefficients\[0\]\.nodes: .*numbers"):
+            load_document(json.dumps(raw))

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import UNIT
-from fredholm_bvp import ConstantFunction, ExpressionFunction, Grid, PolynomialFunction, TabulatedFunction
+from fredholm_bvp import ConstantFunction, ExpressionFunction, Grid, Interval, PolynomialFunction, TabulatedFunction
 from fredholm_bvp.expressions import parse_expression
 from fredholm_bvp.functions import as_array_function
+from fredholm_bvp.grid import interpolate_at
 
 
 def test_constant_function_orders():
@@ -63,3 +64,29 @@ def test_as_array_function_shape_check():
     assert fn.shape == (2, 2)
     with pytest.raises(ValueError):
         as_array_function(np.eye(3), (2, 2))
+
+
+@pytest.mark.parametrize("a,b,count", [(0.0, 1.0, 41), (1.0, 2.0, 401), (-3.0, 7.5, 6)])
+def test_table_eval_matches_pointwise_interpolation(a, b, count):
+    grid = Grid.uniform(Interval(a, b), count)
+    rng = np.random.default_rng(count)
+    samples = rng.normal(size=(2, count, 2, 3)) + 1j * rng.normal(size=(2, count, 2, 3))
+    table = TabulatedFunction(grid, samples)
+    ts = np.concatenate([grid.nodes, grid.midpoints, rng.uniform(a, b, 200),
+                         [a, b, a + 1e-13, b - 1e-13, grid.nodes[1] + 1e-14]])
+    for order in (0, 1, 2):
+        values = table.eval(ts, order=order)
+        for t, value in zip(ts, values):
+            expected = interpolate_at(grid, table._order_samples(order), float(t))
+            assert np.abs(value - expected).max() <= 1e-15 * np.abs(expected).max()
+    np.testing.assert_array_equal(table.eval(grid.nodes), samples[0])
+    with pytest.raises(ValueError, match="outside"):
+        table.eval(np.array([a, b + 0.1]))
+
+
+def test_table_with_three_nodes_only_evaluates_at_nodes():
+    grid = Grid.uniform(UNIT, 3)
+    table = TabulatedFunction(grid, np.arange(3.0).reshape(1, 3, 1))
+    np.testing.assert_array_equal(table.eval(grid.nodes)[:, 0], [0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="four nodes"):
+        table.eval(np.array([0.25]))

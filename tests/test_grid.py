@@ -29,6 +29,23 @@ def test_grid_construction():
         Grid.uniform(UNIT, 1)
 
 
+@pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 2.0)])
+@pytest.mark.parametrize("count", [4505, 7113, 10001, 100001, 1000001])
+def test_uniform_grid_accepted_at_large_counts(a, b, count):
+    # linspace rounding moves nodes by about an ulp of the endpoints; a
+    # step check relative to the step itself rejected these counts
+    grid = Grid.uniform(Interval(a, b), count)
+    assert grid.count == count
+    assert grid.nodes[0] == a and grid.nodes[-1] == b
+
+
+def test_non_uniform_nodes_rejected_on_shifted_interval():
+    nodes = np.linspace(1.0, 2.0, 101)
+    nodes[50] += 1e-9
+    with pytest.raises(ValueError, match="uniform"):
+        Grid(Interval(1.0, 2.0), nodes)
+
+
 def test_exponent_conjugates():
     assert LebesgueExponent(1.0).conjugate == math.inf
     assert LebesgueExponent(math.inf).conjugate == 1.0

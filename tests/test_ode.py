@@ -6,6 +6,7 @@ from fredholm_bvp import (
     CoefficientSet,
     ConstantFunction,
     Grid,
+    Interval,
     PolynomialFunction,
     TabulatedFunction,
     combine_homogeneous,
@@ -164,7 +165,108 @@ def test_random_seed_changes_particular_but_not_equation():
 
 
 def test_blow_up_raises_diagnostic():
+    # y' = 1e8 y with h = 0.01: one RK4 step multiplies by about
+    # (h * 1e8)^4 / 24 = 4.2e22, so the state is 1e294 at node 13 and
+    # overflows at node 14, far from any rounding ambiguity
     grid = Grid.uniform(UNIT, 101)
     coeffs = CoefficientSet(1, 1, 0, (np.array([[-1e8]]),))
-    with pytest.raises(FloatingPointError):
+    message = r"integration blew up between nodes 13 and 14 \(t = 0\.13\)"
+    with pytest.raises(FloatingPointError, match=message):
         fundamental_set(coeffs, grid)
+    with pytest.raises(FloatingPointError, match=message):
+        particular_solution(coeffs, np.array([1.0]), grid)
+
+
+# ---------------------------------------------------------------------------
+# agreement with a plain per-step RK4 on the companion system
+
+
+def reference_rk4(coeffs, grid, initial, f=None):
+    """Classical RK4, one step at a time; states (nodes, r*m, width)."""
+    m, r = coeffs.m, coeffs.r
+    a_nodes = [fn.eval(grid.nodes) for fn in coeffs.by_order]
+    a_mid = [fn.eval(grid.midpoints) for fn in coeffs.by_order]
+    zero = np.zeros((grid.count, m))
+    f_nodes, f_mid = (zero, zero[1:]) if f is None else (f.eval(grid.nodes), f.eval(grid.midpoints))
+
+    def rhs(a, forcing, x):
+        top = forcing[:, None] - sum(a[d] @ x[d * m : (d + 1) * m] for d in range(r))
+        return np.concatenate([x[m:], top])
+
+    h, x = grid.step, np.asarray(initial, dtype=complex)
+    states = [x]
+    for i in range(grid.count - 1):
+        an, am, an1 = [a[i] for a in a_nodes], [a[i] for a in a_mid], [a[i + 1] for a in a_nodes]
+        k1 = rhs(an, f_nodes[i], x)
+        k2 = rhs(am, f_mid[i], x + 0.5 * h * k1)
+        k3 = rhs(am, f_mid[i], x + 0.5 * h * k2)
+        k4 = rhs(an1, f_nodes[i + 1], x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(x)
+    return np.stack(states)
+
+
+def _coefficient(kind, rng, m, table_grid):
+    base = random_complex(rng, m, m) * (0.6 / m)
+    if kind == "constant":
+        return base
+    wiggle = random_complex(rng, m, m) * (0.4 / m)
+    if kind == "expression":
+        entries = np.empty((m, m), dtype=object)
+        for i, j in np.ndindex(m, m):
+            c0, c1, c2 = float(base[i, j].real), float(wiggle[i, j].real), float(wiggle[i, j].imag)
+            entries[i, j] = parse_expression(f"{c0!r} + ({c1!r})*sin(3*t) + ({c2!r})*t^2")
+        return ExpressionFunction(entries)
+    ts = table_grid.nodes[:, None, None]
+    return TabulatedFunction(table_grid, (base + wiggle * np.cos(2 * ts))[None])
+
+
+def assert_relative(actual, expected, rtol):
+    assert np.abs(actual - expected).max() <= rtol * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("kind", ["constant", "expression", "table"])
+@pytest.mark.parametrize("r,m", [(1, 1), (2, 2), (1, 4), (4, 4), (2, 8)])
+def test_kernel_agrees_with_per_step_rk4(kind, r, m):
+    interval = Interval(0.5, 1.7)
+    grid = Grid.uniform(interval, 121)
+    rng = np.random.default_rng(10 * r + m)
+    table_grid = Grid.uniform(interval, 41)
+    coeffs = CoefficientSet(r, m, 1, tuple(_coefficient(kind, rng, m, table_grid) for _ in range(r)))
+    size = r * m
+
+    expected = reference_rk4(coeffs, grid, np.eye(size))
+    fset = fundamental_set(coeffs, grid)
+    for i, member in enumerate(fset.members):
+        for j in range(r):
+            assert_relative(member.samples[j], expected[:, j * m : (j + 1) * m, i * m : (i + 1) * m],
+                            1e-12)
+
+    f = ExpressionFunction(np.array([parse_expression(f"cos({k + 1}*t) + {k}") for k in range(m)],
+                                    dtype=object))
+    seed = random_complex(rng, size)
+    expected = reference_rk4(coeffs, grid, seed[:, None], f)
+    y = particular_solution(coeffs, f, grid, initial_state=seed)
+    for j in range(r):
+        assert_relative(y.samples[j], expected[:, j * m : (j + 1) * m, 0], 1e-12)
+
+
+@pytest.mark.parametrize("r,m", [(1, 1), (2, 2), (1, 4)])
+def test_node_count_sweep_to_1e5(r, m):
+    # oracle: with constant coefficients the companion state is
+    # exp(C (t - a)) x(a); refining the grid 100-fold must not lose
+    # accuracy to rounding, on an interval that does not start at 0
+    interval = Interval(1.0, 2.0)
+    rng = np.random.default_rng(20 + r * m)
+    blocks = [random_complex(rng, m, m) * (0.5 / m) for _ in range(r)]
+    companion = np.zeros((r * m, r * m), dtype=complex)
+    companion[: (r - 1) * m, m:] = np.eye((r - 1) * m)
+    companion[(r - 1) * m :] = -np.concatenate(blocks, axis=1)
+    oracle = matrix_exp(companion, interval.length).value
+    coeffs = CoefficientSet(r, m, 0, tuple(blocks))
+    for count in (1001, 10001, 100001):
+        grid = Grid.uniform(interval, count)
+        fset = fundamental_set(coeffs, grid)
+        assert fset.members[0].samples.shape[1] == count
+        final = np.concatenate([member.samples[0, -1] for member in fset.members], axis=1)
+        assert np.abs(final - oracle[:m]).max() <= 1e-10
