@@ -9,9 +9,11 @@ over eps-indexed families of problems.
 
 from .boundary import BoundaryOperator, IntegralTerm, PointTerm, point_evaluation
 from .characteristic import (
+    Analysis,
     CharacteristicMatrix,
     ProblemSpec,
     SolvabilityReport,
+    analyze,
     build_characteristic_matrix,
     characteristic_from_blocks,
     cokernel_directions,
@@ -67,11 +69,12 @@ from .ode import (
     particular_solution,
     residual_stack,
 )
-from .solver import IllConditionedWarning, NotWellPosedError, discrepancy, solve, solve_detailed
+from .solver import IllConditionedWarning, NotWellPosedError, discrepancy, solve, solve_detailed, superpose
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "Analysis",
     "ArrayFunction",
     "BoundaryOperator",
     "CharacteristicMatrix",
@@ -99,6 +102,7 @@ __all__ = [
     "RightHandSide",
     "SolvabilityReport",
     "TabulatedFunction",
+    "analyze",
     "build_characteristic_matrix",
     "characteristic_convergence",
     "characteristic_from_blocks",
@@ -129,5 +133,6 @@ __all__ = [
     "solvability_report",
     "solve",
     "solve_detailed",
+    "superpose",
     "symbolic_derivative",
 ]

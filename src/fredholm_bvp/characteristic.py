@@ -17,7 +17,9 @@ perturbations, so fragile ranks deserve a warning, not silence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,13 +81,19 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class CharacteristicMatrix:
-    """The assembled q x (r*m) matrix with its rank analysis."""
+    """The assembled q x (r*m) matrix with its rank analysis.
+
+    ``u`` and ``vh`` are the unitary factors of the one full SVD,
+    ``entries = u[:, :k] @ diag(singular_values) @ vh[:k]``; the kernel
+    and cokernel directions are read off them.
+    """
 
     entries: np.ndarray
-    blocks: tuple[np.ndarray, ...]
     singular_values: np.ndarray
     rank_tolerance: float
     numerical_rank: int
+    u: np.ndarray
+    vh: np.ndarray
     diagnostics: tuple[str, ...] = ()
 
     @property
@@ -112,12 +120,26 @@ class SolvabilityReport:
     diagnostics: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _analyze_entries(entries: np.ndarray, rank_tolerance: float | None) -> CharacteristicMatrix:
-    q, size = entries.shape
-    singular_values = np.linalg.svd(entries, compute_uv=False)
+class Analysis(NamedTuple):
+    """One problem's fundamental set, characteristic matrix and report."""
+
+    fundamental: FundamentalSet
+    matrix: CharacteristicMatrix
+    report: SolvabilityReport
+
+
+def characteristic_from_blocks(blocks, rank_tolerance: float | None = None) -> CharacteristicMatrix:
+    """Assemble and analyze the matrix from q x m blocks [BY_1], ..., [BY_r].
+
+    An explicit ``rank_tolerance`` must be finite and non-negative.
+    """
+    if rank_tolerance is not None and not (math.isfinite(rank_tolerance) and rank_tolerance >= 0):
+        raise ValueError(f"rank tolerance must be finite and non-negative, got {rank_tolerance}")
+    entries = np.hstack([np.asarray(b, dtype=complex) for b in blocks])
+    u, singular_values, vh = np.linalg.svd(entries)
     sigma_max = float(singular_values[0]) if singular_values.size else 0.0
     if rank_tolerance is None:
-        rank_tolerance = sigma_max * max(q, size) * RANK_TOLERANCE_FACTOR
+        rank_tolerance = sigma_max * max(entries.shape) * RANK_TOLERANCE_FACTOR
     rank = int(np.sum(singular_values > rank_tolerance))
     diagnostics = []
     if 0 < rank < singular_values.size:
@@ -128,29 +150,14 @@ def _analyze_entries(entries: np.ndarray, rank_tolerance: float | None) -> Chara
                 "rank-fragile: singular-value gap at the cutoff is below "
                 f"{FRAGILE_GAP:g} (sigma_{rank}={accepted:.3e}, sigma_{rank + 1}={rejected:.3e})"
             )
-    blocks = ()  # filled by the caller when block structure is known
     return CharacteristicMatrix(
         entries=entries,
-        blocks=blocks,
         singular_values=singular_values,
         rank_tolerance=float(rank_tolerance),
         numerical_rank=rank,
+        u=u,
+        vh=vh,
         diagnostics=tuple(diagnostics),
-    )
-
-
-def characteristic_from_blocks(blocks, rank_tolerance: float | None = None) -> CharacteristicMatrix:
-    """Assemble and analyze the matrix from q x m blocks [BY_1], ..., [BY_r]."""
-    blocks = tuple(np.asarray(b, dtype=complex) for b in blocks)
-    entries = np.hstack(blocks)
-    analyzed = _analyze_entries(entries, rank_tolerance)
-    return CharacteristicMatrix(
-        entries=analyzed.entries,
-        blocks=blocks,
-        singular_values=analyzed.singular_values,
-        rank_tolerance=analyzed.rank_tolerance,
-        numerical_rank=analyzed.numerical_rank,
-        diagnostics=analyzed.diagnostics,
     )
 
 
@@ -165,6 +172,13 @@ def build_characteristic_matrix(problem: ProblemSpec, grid: Grid,
     """Integrate the fundamental set and apply the boundary operator."""
     fset = fundamental_set(problem.coefficients, grid)
     return characteristic_from_fundamental(problem, fset, rank_tolerance)
+
+
+def analyze(problem: ProblemSpec, grid: Grid, rank_tolerance: float | None = None) -> Analysis:
+    """Fundamental set, characteristic matrix and solvability report of a problem."""
+    fset = fundamental_set(problem.coefficients, grid)
+    matrix = characteristic_from_fundamental(problem, fset, rank_tolerance)
+    return Analysis(fset, matrix, solvability_report(matrix, problem))
 
 
 def solvability_report(matrix: CharacteristicMatrix, problem: ProblemSpec) -> SolvabilityReport:
@@ -193,23 +207,9 @@ def solvability_report(matrix: CharacteristicMatrix, problem: ProblemSpec) -> So
 
 def kernel_directions(matrix: CharacteristicMatrix) -> list[np.ndarray]:
     """Orthonormal basis of the numerical null space (length = dim kernel)."""
-    _, singular_values, vh = np.linalg.svd(matrix.entries)
-    directions = []
-    size = matrix.entries.shape[1]
-    for i in range(size):
-        sigma = singular_values[i] if i < singular_values.size else 0.0
-        if sigma <= matrix.rank_tolerance:
-            directions.append(vh[i].conj())
-    return directions
+    return [row.conj() for row in matrix.vh[matrix.numerical_rank:]]
 
 
 def cokernel_directions(matrix: CharacteristicMatrix) -> list[np.ndarray]:
     """Orthonormal basis of the orthogonal complement of the range."""
-    u, singular_values, _ = np.linalg.svd(matrix.entries)
-    directions = []
-    q = matrix.entries.shape[0]
-    for i in range(q):
-        sigma = singular_values[i] if i < singular_values.size else 0.0
-        if sigma <= matrix.rank_tolerance:
-            directions.append(u[:, i])
-    return directions
+    return [matrix.u[:, i] for i in range(matrix.numerical_rank, matrix.u.shape[1])]

@@ -13,12 +13,7 @@ import sys
 
 import numpy as np
 
-from .characteristic import (
-    ProblemSpec,
-    build_characteristic_matrix,
-    kernel_directions,
-    solvability_report,
-)
+from .characteristic import ProblemSpec, analyze, build_characteristic_matrix, kernel_directions
 from .boundary import BoundaryOperator, IntegralTerm, PointTerm
 from .closed_forms import oracle_characteristic
 from .document import DocumentError, document_family, document_multipoint, document_problem, load_document
@@ -120,8 +115,7 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 def _analysis_documents(problem: ProblemSpec, grid: Grid, rank_tol):
-    matrix = build_characteristic_matrix(problem, grid, rank_tol)
-    report = solvability_report(matrix, problem)
+    _, matrix, report = analyze(problem, grid, rank_tol)
     directions = kernel_directions(matrix)
     doc = {
         "problem": {

@@ -482,12 +482,16 @@ def load_document(source) -> ProblemDocument:
         schedule_raw = fam_raw.get("schedule", list(DEFAULT_EPSILONS))
         if not isinstance(schedule_raw, list) or not schedule_raw:
             raise DocumentError("schedule must be a non-empty list", "$.family.schedule")
-        schedule = tuple(float(e) for e in schedule_raw)
-        if any(e <= 0 for e in schedule) or any(
-            later >= earlier for later, earlier in zip(schedule[1:], schedule)
-        ):
-            raise DocumentError("schedule must be positive and strictly decreasing",
-                                "$.family.schedule")
+        entries = []
+        for i, e in enumerate(schedule_raw):
+            if type(e) not in (int, float):
+                raise DocumentError("schedule entries must be numbers",
+                                    f"$.family.schedule[{i}]")
+            entries.append(_finite((e,), f"$.family.schedule[{i}]").real)
+        try:
+            schedule = ProblemFamily.checked_schedule(entries)
+        except ValueError as err:
+            raise DocumentError(str(err), "$.family.schedule") from None
         fam_coeffs = None
         if fam_raw.get("coefficients") is not None:
             fc = fam_raw["coefficients"]

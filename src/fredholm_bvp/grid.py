@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 DEFAULT_NODE_COUNT = 1001
 
@@ -370,18 +369,15 @@ def differentiate_samples(values: np.ndarray, step: float) -> np.ndarray:
 def resample(stack: DerivativeStack, new_grid: Grid) -> DerivativeStack:
     """Transfer a stack to another grid over the same interval.
 
-    Cubic-spline interpolation per derivative order; endpoint samples
-    are reproduced exactly.
+    Each derivative order goes through ``interpolate``: the local
+    4-point (cubic Lagrange) rule, exact at nodes the grids share, so
+    the endpoint samples are reproduced exactly.  The source grid needs
+    at least four nodes.
     """
     if stack.grid.interval != new_grid.interval:
         raise ValueError("target grid spans a different interval")
-    if np.array_equal(stack.grid.nodes, new_grid.nodes):
-        return DerivativeStack(new_grid, stack.samples)
-    orders = stack.max_order + 1
-    out = np.empty((orders, new_grid.count, stack.dimension), dtype=complex)
-    for k in range(orders):
-        spline = CubicSpline(stack.grid.nodes, stack.samples[k], axis=0)
-        out[k] = spline(new_grid.nodes)
-        out[k, 0] = stack.samples[k, 0]
-        out[k, -1] = stack.samples[k, -1]
-    return DerivativeStack(new_grid, out)
+    if stack.grid.count < 4:
+        raise ValueError("resampling needs a source grid of at least four nodes")
+    return DerivativeStack(new_grid, np.stack([
+        interpolate(stack.grid, samples, new_grid.nodes) for samples in stack.samples
+    ]))

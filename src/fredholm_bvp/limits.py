@@ -25,21 +25,18 @@ with the selection rule depending on whether p is finite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .boundary import BoundaryOperator, PointTerm
-from .characteristic import (
-    ProblemSpec,
-    build_characteristic_matrix,
-    characteristic_from_fundamental,
-    solvability_report,
-)
+from .characteristic import ProblemSpec, analyze, build_characteristic_matrix
 from .grid import DerivativeStack, Grid, Interval, LebesgueExponent, lp_norm, sobolev_norm, vector_magnitude
-from .ode import CoefficientSet, RightHandSide, combine_homogeneous, fundamental_set, particular_solution
-from .solver import NotWellPosedError, discrepancy
+from .ode import CoefficientSet, RightHandSide
+from .solver import discrepancy, superpose
 
 DEFAULT_EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4)
 VANISH_ABS_TOL = 1e-6
@@ -107,12 +104,17 @@ class ProblemFamily:
     direction: str = "parameter"  # or "sequence" for k -> infinity readings
 
     def __post_init__(self):
-        eps = tuple(float(e) for e in self.epsilons)
-        if not eps or any(e <= 0 for e in eps):
-            raise ValueError("epsilon schedule must be positive")
+        object.__setattr__(self, "epsilons", self.checked_schedule(self.epsilons))
+
+    @staticmethod
+    def checked_schedule(epsilons) -> tuple[float, ...]:
+        """The schedule as floats; it must be finite, positive and strictly decreasing."""
+        eps = tuple(float(e) for e in epsilons)
+        if not eps or not all(0 < e < math.inf for e in eps):
+            raise ValueError("epsilon schedule must be finite and positive")
         if any(later >= earlier for later, earlier in zip(eps[1:], eps)):
             raise ValueError("epsilon schedule must be strictly decreasing")
-        object.__setattr__(self, "epsilons", eps)
+        return eps
 
     def at(self, eps: float) -> ProblemSpec:
         if eps == 0:
@@ -126,14 +128,16 @@ class ProblemFamily:
             raise ValueError("family members must share the integrability exponent")
         return member
 
+    @cached_property
+    def members(self) -> tuple[ProblemSpec, ...]:
+        """The problem at each scheduled eps, in schedule order, built once."""
+        return tuple(self.at(eps) for eps in self.epsilons)
+
 
 def check_condition_0(problem: ProblemSpec, grid: Grid,
                       rank_tolerance: float | None = None) -> bool:
     """True iff the limit problem is square with a nonsingular matrix."""
-    if problem.q != problem.state_size:
-        return False
-    matrix = build_characteristic_matrix(problem, grid, rank_tolerance)
-    return matrix.numerical_rank == problem.state_size
+    return analyze(problem, grid, rank_tolerance).report.well_posed
 
 
 def coefficient_distances(problem_eps: ProblemSpec, problem_zero: ProblemSpec,
@@ -153,8 +157,7 @@ def coefficient_distances(problem_eps: ProblemSpec, problem_zero: ProblemSpec,
 
 def check_condition_I(family: ProblemFamily, grid: Grid) -> ConditionReport:
     """Coefficient convergence tables, one per derivative order d."""
-    rows = [coefficient_distances(family.at(eps), family.at_zero, grid)
-            for eps in family.epsilons]
+    rows = [coefficient_distances(member, family.at_zero, grid) for member in family.members]
     tables = []
     for d in range(family.at_zero.r):
         tables.append(TrendTable.vanishing(
@@ -209,8 +212,7 @@ def check_condition_II(family: ProblemFamily, grid: Grid,
         probes = probes + list(extra_probes)
     reference = [zero.boundary.apply(probe) for probe in probes]
     columns = [[] for _ in probes]
-    for eps in family.epsilons:
-        member = family.at(eps)
+    for member in family.members:
         for i, probe in enumerate(probes):
             columns[i].append(vector_magnitude(member.boundary.apply(probe) - reference[i]))
     tables = tuple(
@@ -225,9 +227,9 @@ def characteristic_convergence(family: ProblemFamily, grid: Grid,
     """Entrywise-max distance of the characteristic matrices per eps."""
     limit = build_characteristic_matrix(family.at_zero, grid, rank_tolerance)
     values = []
-    for eps in family.epsilons:
-        member = build_characteristic_matrix(family.at(eps), grid, rank_tolerance)
-        values.append(float(np.abs(member.entries - limit.entries).max()))
+    for member in family.members:
+        entries = build_characteristic_matrix(member, grid, rank_tolerance).entries
+        values.append(float(np.abs(entries - limit.entries).max()))
     return TrendTable.vanishing("characteristic matrix", family.epsilons, values)
 
 
@@ -251,15 +253,11 @@ def semicontinuity_check(family: ProblemFamily, grid: Grid,
     The threshold is the largest scheduled eps below which (inclusive)
     every scheduled value satisfies both inequalities.
     """
-    zero = family.at_zero
-    limit_matrix = build_characteristic_matrix(zero, grid, rank_tolerance)
-    limit_report = solvability_report(limit_matrix, zero)
+    limit_report = analyze(family.at_zero, grid, rank_tolerance).report
     rows = []
     ok = []
-    for eps in family.epsilons:
-        member = family.at(eps)
-        matrix = build_characteristic_matrix(member, grid, rank_tolerance)
-        report = solvability_report(matrix, member)
+    for eps, member in zip(family.epsilons, family.members):
+        report = analyze(member, grid, rank_tolerance).report
         rows.append((eps, report.dim_kernel, report.dim_cokernel))
         ok.append(report.dim_kernel <= limit_report.dim_kernel
                   and report.dim_cokernel <= limit_report.dim_cokernel)
@@ -597,16 +595,8 @@ def convergence_experiment(family: ProblemFamily, grid: Grid,
     zero = family.at_zero
     if zero.rhs is None:
         raise ValueError("the limit problem needs a right-hand side for the experiment")
-    fset_zero = fundamental_set(zero.coefficients, grid)
-    matrix_zero = characteristic_from_fundamental(zero, fset_zero, rank_tolerance)
-    report_zero = solvability_report(matrix_zero, zero)
-    if not report_zero.well_posed:
-        raise NotWellPosedError(report_zero, matrix_zero)
-
-    y_particular = particular_solution(zero.coefficients, zero.rhs.f, grid)
-    weights = np.linalg.solve(matrix_zero.entries,
-                              zero.rhs.c - zero.boundary.apply(y_particular))
-    y_zero = y_particular + combine_homogeneous(fset_zero, weights)
+    limit = analyze(zero, grid, rank_tolerance)
+    y_zero, _ = superpose(zero, limit)
 
     condition_I = check_condition_I(family, grid)
     condition_II = check_condition_II(family, grid, extra_probes)
@@ -615,13 +605,11 @@ def convergence_experiment(family: ProblemFamily, grid: Grid,
     matrix_values = []
     errors = []
     ratios = []
-    for eps in family.epsilons:
-        member = family.at(eps)
-        fset = fundamental_set(member.coefficients, grid)
-        matrix = characteristic_from_fundamental(member, fset, rank_tolerance)
-        report = solvability_report(matrix, member)
-        distances = tuple(coefficient_distances(member, zero, grid))
-        matrix_distance = float(np.abs(matrix.entries - matrix_zero.entries).max())
+    for i, (eps, member) in enumerate(zip(family.epsilons, family.members)):
+        analysis = analyze(member, grid, rank_tolerance)
+        report = analysis.report
+        distances = tuple(table.values[i] for table in condition_I.tables)
+        matrix_distance = float(np.abs(analysis.matrix.entries - limit.matrix.entries).max())
         matrix_values.append(matrix_distance)
         flags = []
         error = None
@@ -630,9 +618,7 @@ def convergence_experiment(family: ProblemFamily, grid: Grid,
         if member.rhs is not None:
             disc = discrepancy(member, y_zero)
         if report.well_posed and member.rhs is not None:
-            y_p = particular_solution(member.coefficients, member.rhs.f, grid)
-            w = np.linalg.solve(matrix.entries, member.rhs.c - member.boundary.apply(y_p))
-            y_eps = y_p + combine_homogeneous(fset, w)
+            y_eps, _ = superpose(member, analysis)
             error = sobolev_norm(y_eps - y_zero, zero.exponent)
             errors.append(error)
             if disc is not None and disc > RATIO_FLOOR * (1.0 + error):

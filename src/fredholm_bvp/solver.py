@@ -15,15 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristic import (
-    CharacteristicMatrix,
-    ProblemSpec,
-    SolvabilityReport,
-    characteristic_from_fundamental,
-    solvability_report,
-)
+from .characteristic import Analysis, CharacteristicMatrix, ProblemSpec, SolvabilityReport, analyze
 from .grid import DerivativeStack, Grid, sobolev_norm, vector_magnitude
-from .ode import combine_homogeneous, fundamental_set, particular_solution, residual_stack
+from .ode import combine_homogeneous, particular_solution, residual_stack
 
 CONDITION_WARN_THRESHOLD = 1e12
 
@@ -56,16 +50,29 @@ class SolveResult:
     max_residual: float
 
 
+def superpose(problem: ProblemSpec, analysis: Analysis,
+              initial_state: np.ndarray | None = None) -> tuple[DerivativeStack, np.ndarray]:
+    """Solution y_p + sum_i Y_i xi_i of an analyzed problem, and its weights xi.
+
+    Raises NotWellPosedError, with the report attached, when the
+    analysis found the problem not well posed.
+    """
+    if problem.rhs is None:
+        raise ValueError("problem has no right-hand side to solve against")
+    fset, matrix, report = analysis
+    if not report.well_posed:
+        raise NotWellPosedError(report, matrix)
+    y_p = particular_solution(problem.coefficients, problem.rhs.f, fset.grid, initial_state)
+    weights = np.linalg.solve(matrix.entries, problem.rhs.c - problem.boundary.apply(y_p))
+    return y_p + combine_homogeneous(fset, weights), weights
+
+
 def solve_detailed(problem: ProblemSpec, grid: Grid, rank_tolerance: float | None = None,
                    initial_state: np.ndarray | None = None) -> SolveResult:
     """solve() returning the characteristic matrix and report as well."""
-    if problem.rhs is None:
-        raise ValueError("problem has no right-hand side to solve against")
-    fset = fundamental_set(problem.coefficients, grid)
-    matrix = characteristic_from_fundamental(problem, fset, rank_tolerance)
-    report = solvability_report(matrix, problem)
-    if not report.well_posed:
-        raise NotWellPosedError(report, matrix)
+    analysis = analyze(problem, grid, rank_tolerance)
+    solution, weights = superpose(problem, analysis, initial_state)
+    matrix = analysis.matrix
     if matrix.condition_number > CONDITION_WARN_THRESHOLD:
         warnings.warn(
             f"characteristic matrix condition number {matrix.condition_number:.3e} "
@@ -73,16 +80,12 @@ def solve_detailed(problem: ProblemSpec, grid: Grid, rank_tolerance: float | Non
             IllConditionedWarning,
             stacklevel=2,
         )
-    y_p = particular_solution(problem.coefficients, problem.rhs.f, grid, initial_state)
-    defect = problem.rhs.c - problem.boundary.apply(y_p)
-    weights = np.linalg.solve(matrix.entries, defect)
-    solution = y_p + combine_homogeneous(fset, weights)
     return SolveResult(
         solution=solution,
         matrix=matrix,
-        report=report,
+        report=analysis.report,
         weights=weights,
-        max_residual=fset.max_residual,
+        max_residual=analysis.fundamental.max_residual,
     )
 
 

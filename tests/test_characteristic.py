@@ -12,8 +12,10 @@ from fredholm_bvp import (
     LebesgueExponent,
     PointTerm,
     ProblemSpec,
+    analyze,
     build_characteristic_matrix,
     characteristic_from_blocks,
+    cokernel_directions,
     combine_homogeneous,
     fundamental_set,
     kernel_directions,
@@ -229,3 +231,48 @@ def test_condition_number():
     assert matrix.condition_number == pytest.approx(4.0)
     singular = characteristic_from_blocks([np.diag([1.0, 0.0])])
     assert singular.condition_number == np.inf
+
+
+def test_one_svd_per_matrix(monkeypatch):
+    # analysis, kernel and cokernel all read the one factorisation
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    rng = np.random.default_rng(28)
+    m = 2
+    problem = one_point_problem(random_complex(rng, m, m) * 0.4,
+                                [random_complex(rng, m, 1) @ random_complex(rng, 1, m)])
+    _, matrix, report = analyze(problem, Grid.uniform(UNIT, 201))
+    assert len(kernel_directions(matrix)) == report.dim_kernel == 1
+    assert len(cokernel_directions(matrix)) == report.dim_cokernel == 1
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("rows,cols,rank", [(4, 6, 2), (6, 4, 3), (5, 5, 5), (3, 3, 0)])
+def test_stored_factors_match_values_only_svd(rows, cols, rank):
+    rng = np.random.default_rng(29 + rows + cols + rank)
+    entries = random_complex(rng, rows, rank) @ random_complex(rng, rank, cols)
+    matrix = characteristic_from_blocks([entries])
+    reference = np.linalg.svd(entries, compute_uv=False)
+    scale = max(reference[0], 1.0)
+    np.testing.assert_allclose(matrix.singular_values, reference, rtol=0, atol=1e-14 * scale)
+    assert matrix.numerical_rank == rank
+    # the kernel and cokernel bases are orthonormal and annihilated by M and M^H
+    kernel = np.array(kernel_directions(matrix)).reshape(-1, cols)
+    cokernel = np.array(cokernel_directions(matrix)).reshape(-1, rows)
+    assert kernel.shape[0] == cols - rank and cokernel.shape[0] == rows - rank
+    np.testing.assert_allclose(kernel.conj() @ kernel.T, np.eye(cols - rank), atol=1e-12)
+    np.testing.assert_allclose(cokernel.conj() @ cokernel.T, np.eye(rows - rank), atol=1e-12)
+    assert np.abs(entries @ kernel.T).max(initial=0.0) <= 1e-12 * scale
+    assert np.abs(cokernel.conj() @ entries).max(initial=0.0) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, -1e-300, float("nan"), float("inf"), float("-inf")])
+def test_rank_tolerance_must_be_finite_and_non_negative(tolerance):
+    with pytest.raises(ValueError, match="rank tolerance"):
+        characteristic_from_blocks([np.zeros((2, 2))], rank_tolerance=tolerance)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -179,3 +182,35 @@ def test_solve_at_twenty_thousand_nodes(capsys):
     code, out, err = run(capsys, "solve", TWO_POINT, "--nodes", "20001")
     assert code == 0, err
     assert "20001" in out
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+def test_rank_tolerance_must_be_finite_and_non_negative(tmp_path, capsys, tolerance):
+    # every boundary matrix zero: the characteristic matrix is exactly 0
+    raw = json.loads(Path(TWO_POINT).read_text())
+    for point in raw["boundary"]["points"]:
+        point["matrix"] = [[0, 0]] * 4
+    path = tmp_path / "zero-boundary.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "analyze", str(path), "--nodes", "201",
+                         "--rank-tol", tolerance)
+    assert code == 1
+    assert out == ""
+    assert "rank tolerance must be finite and non-negative" in err
+    code, out, _ = run(capsys, "analyze", str(path), "--nodes", "201", "--rank-tol", "0")
+    assert code == 2
+    assert "numerical rank: 0" in out
+
+
+def test_family_eps_schedule_nan_exit_one(capsys):
+    code, _, err = run(capsys, "family", SPLITTING, "--nodes", "201", "--eps-schedule", "nan")
+    assert code == 1
+    assert "finite and positive" in err
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, fredholm_bvp, fredholm_bvp.cli; print('scipy' in sys.modules)"
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
+    assert result.stdout.strip() == "False"

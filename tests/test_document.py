@@ -235,3 +235,19 @@ def test_non_finite_table_sample_rejected_with_path():
         raw["coefficients"][0]["nodes"][2] = bad_node
         with pytest.raises(DocumentError, match=r"\$\.coefficients\[0\]\.nodes: .*numbers"):
             load_document(json.dumps(raw))
+
+
+@pytest.mark.parametrize("entry,message", [
+    (None, "numbers"), ("0.1", "numbers"), (True, "numbers"),
+    (float("nan"), "finite"), (float("inf"), "finite"),
+])
+def test_schedule_entry_rejected_with_path(entry, message):
+    raw = minimal_document(family={"schedule": [0.5, entry]})
+    with pytest.raises(DocumentError, match=rf"\$\.family\.schedule\[1\]: .*{message}"):
+        load_document(json.dumps(raw))
+
+
+@pytest.mark.parametrize("schedule", [[0.01, 0.1], [0.1, 0.1], [0.1, -0.01], [0]])
+def test_schedule_order_rejected_with_path(schedule):
+    with pytest.raises(DocumentError, match=r"\$\.family\.schedule: .*epsilon schedule"):
+        load_document(minimal_document(family={"schedule": schedule}))

@@ -127,6 +127,15 @@ def test_resample_sine_accuracy():
     assert np.abs(out.samples[0, :, 0] - np.sin(fine.nodes)).max() <= 1e-8
 
 
+@pytest.mark.parametrize("count", [2, 3])
+def test_resample_needs_four_source_nodes(count):
+    coarse = Grid.uniform(UNIT, count)
+    stack = scalar_stack(coarse, [lambda ts: 2 * ts - 1])
+    for target in (coarse, Grid.uniform(UNIT, 11)):
+        with pytest.raises(ValueError, match="four nodes"):
+            resample(stack, target)
+
+
 def test_resample_interval_mismatch():
     grid = Grid.uniform(UNIT, 11)
     other = Grid.uniform(Interval(0.0, 2.0), 11)

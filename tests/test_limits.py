@@ -24,6 +24,7 @@ from fredholm_bvp import (
     point_evaluation,
     semicontinuity_check,
 )
+from fredholm_bvp import limits
 from fredholm_bvp.grid import P2, PINF
 from fredholm_bvp.limits import DEFAULT_EPSILONS, tends_to_zero
 
@@ -72,6 +73,9 @@ def test_schedule_validation():
         ProblemFamily(zero, lambda e: zero, epsilons=(1e-2, 1e-1))
     with pytest.raises(ValueError):
         ProblemFamily(zero, lambda e: zero, epsilons=())
+    for bad in ((float("nan"),), (1e-1, float("nan")), (float("inf"), 1e-1), (1e-1, 0.0)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ProblemFamily(zero, lambda e: zero, epsilons=bad)
 
 
 def test_vanishing_rule():
@@ -373,6 +377,29 @@ def test_experiment_linear_coefficient_family():
         (errors[i] / errors[i + 1] for i in range(3)),
     ):
         assert err_ratio == pytest.approx(eps_ratio, rel=0.3)
+
+
+def test_experiment_builds_each_member_once(monkeypatch):
+    family = coefficient_family(A0, E, lambda e: e, epsilons=(1e-2, 1e-4, 1e-6))
+    built = []
+    distances = []
+    original_distances = limits.coefficient_distances
+
+    def generator(eps):
+        built.append(eps)
+        return family.generator(eps)
+
+    def counting_distances(*args):
+        distances.append(args)
+        return original_distances(*args)
+
+    counted = ProblemFamily(family.at_zero, generator, epsilons=family.epsilons)
+    expected = convergence_experiment(family, GRID)
+    monkeypatch.setattr(limits, "coefficient_distances", counting_distances)
+    report = convergence_experiment(counted, GRID)
+    assert built == list(family.epsilons)
+    assert len(distances) == len(family.epsilons)
+    assert report.to_document() == expected.to_document()
 
 
 def _splitting_problem_family(extra_series=(), epsilons=(1e-2, 1e-4, 1e-7)):
