@@ -41,7 +41,6 @@ from .grid import (
     Grid,
     Interval,
     LebesgueExponent,
-    MatrixTrajectory,
     lp_norm,
     resample,
     sobolev_norm,
@@ -91,7 +90,6 @@ __all__ = [
     "LebesgueExponent",
     "LimitReport",
     "MatrixFunctionResult",
-    "MatrixTrajectory",
     "MultipointFamily",
     "MultipointSeries",
     "NotWellPosedError",

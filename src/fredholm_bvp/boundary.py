@@ -1,7 +1,8 @@
 """Boundary operators: point-derivative terms plus an integral term.
 
 An operator maps a solution stack to a complex vector of length q (the
-number of scalar boundary conditions).  It is a finite sum of terms
+number of scalar boundary conditions), or a block stack of vectors
+side by side to one such vector per column.  It is a finite sum of terms
 ``matrix @ y^(d)(t_k)`` with d strictly below the stack's top order,
 optionally plus ``integral of kernel(t) @ y^(top)(t) dt``.  The same
 representation covers one-point canonical conditions, two-point and
@@ -21,14 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import ArrayFunction, as_array_function
-from .grid import (
-    DerivativeStack,
-    Grid,
-    Interval,
-    LebesgueExponent,
-    MatrixTrajectory,
-    vector_magnitude,
-)
+from .grid import DerivativeStack, Grid, Interval, LebesgueExponent, interpolate, vector_magnitude
 
 # Worst-case Lebesgue constant of the local 4-point cubic interpolation
 # used for off-node point evaluation (attained near the grid ends).
@@ -95,11 +89,7 @@ class BoundaryOperator:
         if self.integral_term is not None and self.integral_term.kernel.shape[0] != self.codomain:
             raise ValueError("integral kernel row count does not match the codomain")
 
-    @property
-    def max_point_order(self) -> int:
-        return max((term.order for term in self.point_terms), default=-1)
-
-    def _check_stack(self, stack) -> None:
+    def _check_stack(self, stack: DerivativeStack) -> None:
         for term in self.point_terms:
             if term.order >= stack.max_order:
                 raise ValueError(
@@ -110,25 +100,31 @@ class BoundaryOperator:
                 raise ValueError("point-term matrix column count does not match the stack")
 
     def apply(self, stack: DerivativeStack) -> np.ndarray:
-        """Value of the operator on a derivative stack; a C^q vector."""
+        """Value of the operator on a derivative stack, shape (q, *columns).
+
+        A vector stack gives a C^q vector, a block stack one such vector
+        per column.  Each derivative order is interpolated once, at all
+        the points of its terms; the terms are summed in their given
+        order with ``einsum``, which keeps each column of a block
+        bit-identical to the operator applied to that column alone.
+        """
         self._check_stack(stack)
-        result = np.zeros(self.codomain, dtype=complex)
+        points: dict[int, list[float]] = {}
         for term in self.point_terms:
-            result += term.matrix @ stack.value_at(term.order, term.point)
+            points.setdefault(term.order, []).append(term.point)
+        values = {order: iter(interpolate(stack.grid, stack.samples[order], ts))
+                  for order, ts in points.items()}
+        result = np.zeros((self.codomain, *stack.samples.shape[3:]), dtype=complex)
+        for term in self.point_terms:
+            result += np.einsum("qm,m...->q...", term.matrix, next(values[term.order]))
         if self.integral_term is not None:
             kernel = self.integral_term.kernel.eval(stack.grid.nodes)
-            integrand = np.einsum("nqm,nm->nq", kernel, stack.samples[stack.max_order])
-            result += np.trapezoid(integrand, dx=stack.grid.step, axis=0)
+            integrand = np.einsum("nqm,nm...->nq...", kernel, stack.samples[stack.max_order])
+            # the trapezoid rule summed node after node at any width, where a
+            # plain sum would reorder a one-column sum pairwise
+            trapezoids = stack.grid.step * (integrand[1:] + integrand[:-1]) / 2.0
+            result += np.cumsum(trapezoids, axis=0)[-1]
         return result
-
-    def apply_to_matrix(self, trajectory: MatrixTrajectory) -> np.ndarray:
-        """Column-wise action on an m x m trajectory; a q x m matrix.
-
-        Shares the code path of ``apply`` so the two agree exactly.
-        """
-        self._check_stack(trajectory)
-        columns = [self.apply(trajectory.column(j)) for j in range(trajectory.dimension)]
-        return np.stack(columns, axis=1)
 
     def validate(self, problem) -> list[str]:
         """Diagnostics against a problem: determinacy, ranges, dimensions."""

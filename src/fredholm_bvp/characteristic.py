@@ -1,11 +1,12 @@
 """Characteristic matrix assembly and Fredholm bookkeeping.
 
-The characteristic matrix of a problem is the q x (r*m) block matrix
-whose i-th block is the boundary operator applied column-wise to the
-i-th fundamental trajectory.  Its numerical rank determines the kernel
-and cokernel dimensions of the boundary-value problem itself, which is
-what makes desk-scale solvability analysis possible: an infinite-
-dimensional question reduces to the SVD of one small matrix.
+The characteristic matrix of a problem is the q x (r*m) matrix
+[BY_1 ... BY_r]: the boundary operator applied to the fundamental
+matrix, one column per column of [Y_1 ... Y_r].  Its numerical rank
+determines the kernel and cokernel dimensions of the boundary-value
+problem itself, which is what makes desk-scale solvability analysis
+possible: an infinite-dimensional question reduces to the SVD of one
+small matrix.
 
 Rank decisions need an explicit cutoff.  The default tolerance is
 ``sigma_max * max(q, r*m) * 1e-10``, far above integrator error for
@@ -163,8 +164,8 @@ def characteristic_from_blocks(blocks, rank_tolerance: float | None = None) -> C
 
 def characteristic_from_fundamental(problem: ProblemSpec, fset: FundamentalSet,
                                     rank_tolerance: float | None = None) -> CharacteristicMatrix:
-    blocks = [problem.boundary.apply_to_matrix(member) for member in fset.members]
-    return characteristic_from_blocks(blocks, rank_tolerance)
+    """B applied once to the whole fundamental matrix [Y_1 ... Y_r]."""
+    return characteristic_from_blocks([problem.boundary.apply(fset.stack)], rank_tolerance)
 
 
 def build_characteristic_matrix(problem: ProblemSpec, grid: Grid,

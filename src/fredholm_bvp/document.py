@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,6 +64,13 @@ def _finite(parts, path: str) -> complex:
     if not cmath.isfinite(value):
         raise DocumentError("numbers must be finite, not NaN, Infinity or out of range", path)
     return value
+
+
+def _real(raw, path: str) -> float:
+    """A finite real JSON number."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise DocumentError("expected a number; strings, booleans and null are not numbers", path)
+    return _finite((raw,), path).real
 
 
 def _parse_scalar_slot(raw, path: str, eps_ok: bool):
@@ -385,11 +393,13 @@ def _parse_boundary(raw, path: str, m: int, top_order: int,
             raise DocumentError("expected a point-term object", ppath)
         location = _parse_scalar_slot(_require(item, "t", ppath), f"{ppath}.t", eps_ok)
         order_raw = _require(item, "order", ppath)
-        if isinstance(order_raw, float) and not order_raw.is_integer():
-            raise DocumentError(
-                f"fractional derivative order {order_raw} is not supported "
-                "(integer orders only)", f"{ppath}.order")
-        order = _integer(int(order_raw), f"{ppath}.order", 0)
+        if isinstance(order_raw, float) and math.isfinite(order_raw):
+            if not order_raw.is_integer():
+                raise DocumentError(
+                    f"fractional derivative order {order_raw} is not supported "
+                    "(integer orders only)", f"{ppath}.order")
+            order_raw = int(order_raw)
+        order = _integer(order_raw, f"{ppath}.order", 0)
         if order > top_order - 1:
             raise DocumentError(
                 f"order {order} out of range 0..{top_order - 1}", f"{ppath}.order")
@@ -439,10 +449,11 @@ def load_document(source) -> ProblemDocument:
     interval_raw = _require(raw, "interval", "$")
     if not isinstance(interval_raw, dict):
         raise DocumentError("expected an object with 'a' and 'b'", "$.interval")
+    a = _real(_require(interval_raw, "a", "$.interval"), "$.interval.a")
+    b = _real(_require(interval_raw, "b", "$.interval"), "$.interval.b")
     try:
-        interval = Interval(float(_require(interval_raw, "a", "$.interval")),
-                            float(_require(interval_raw, "b", "$.interval")))
-    except (TypeError, ValueError) as err:
+        interval = Interval(a, b)
+    except ValueError as err:
         raise DocumentError(str(err), "$.interval") from None
 
     orders_raw = _require(raw, "orders", "$")
@@ -452,8 +463,11 @@ def load_document(source) -> ProblemDocument:
     m = _integer(_require(orders_raw, "m", "$.orders"), "$.orders.m", 1)
     n = _integer(_require(orders_raw, "n", "$.orders"), "$.orders.n", 0)
 
+    exponent_raw = _require(raw, "exponent", "$")
+    if exponent_raw != "inf":  # the one string the schema allows
+        exponent_raw = _real(exponent_raw, "$.exponent")
     try:
-        exponent = LebesgueExponent.parse(_require(raw, "exponent", "$"))
+        exponent = LebesgueExponent.parse(exponent_raw)
     except ValueError as err:
         raise DocumentError(str(err), "$.exponent") from None
 
@@ -482,12 +496,7 @@ def load_document(source) -> ProblemDocument:
         schedule_raw = fam_raw.get("schedule", list(DEFAULT_EPSILONS))
         if not isinstance(schedule_raw, list) or not schedule_raw:
             raise DocumentError("schedule must be a non-empty list", "$.family.schedule")
-        entries = []
-        for i, e in enumerate(schedule_raw):
-            if type(e) not in (int, float):
-                raise DocumentError("schedule entries must be numbers",
-                                    f"$.family.schedule[{i}]")
-            entries.append(_finite((e,), f"$.family.schedule[{i}]").real)
+        entries = [_real(e, f"$.family.schedule[{i}]") for i, e in enumerate(schedule_raw)]
         try:
             schedule = ProblemFamily.checked_schedule(entries)
         except ValueError as err:

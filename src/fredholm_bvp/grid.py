@@ -173,16 +173,19 @@ def lp_norm(values: np.ndarray, p: LebesgueExponent, grid: Grid) -> float:
 
 
 class DerivativeStack:
-    """Vector-valued function with derivative samples of orders 0..max_order.
+    """Function with derivative samples of orders 0..max_order.
 
-    ``samples[k, i]`` is the order-k derivative at node i, a complex
-    vector of length ``dimension``.  Instances are immutable.
+    ``samples[k, i]`` is the order-k derivative at node i: a complex
+    vector of length ``dimension``, or a block of such vectors side by
+    side, shape ``(dimension, *columns)``.  The fundamental set is one
+    such block, ``[Y_1 ... Y_r]`` with r*m columns.  Instances are
+    immutable.
     """
 
     def __init__(self, grid: Grid, samples: np.ndarray):
         samples = np.asarray(samples, dtype=complex)
-        if samples.ndim != 3:
-            raise ValueError("stack samples must have shape (orders, nodes, dimension)")
+        if samples.ndim < 3:
+            raise ValueError("stack samples must have shape (orders, nodes, dimension, *columns)")
         if samples.shape[1] != grid.count:
             raise ValueError("stack node count does not match the grid")
         samples = samples.copy()
@@ -212,13 +215,6 @@ class DerivativeStack:
             raise ValueError("callable output dimension mismatch")
         return cls(grid, samples)
 
-    def order(self, k: int) -> np.ndarray:
-        return self.samples[k]
-
-    def value_at(self, order: int, t: float) -> np.ndarray:
-        """Order-``order`` derivative at ``t``; cubic interpolation off-node."""
-        return interpolate_at(self.grid, self.samples[order], t)
-
     def __add__(self, other: "DerivativeStack") -> "DerivativeStack":
         if self.grid is not other.grid and not np.array_equal(self.grid.nodes, other.grid.nodes):
             raise ValueError("stacks live on different grids")
@@ -235,46 +231,9 @@ class DerivativeStack:
     __rmul__ = __mul__
 
 
-class MatrixTrajectory:
-    """Matrix-valued analog of DerivativeStack; samples (orders, nodes, m, m)."""
-
-    def __init__(self, grid: Grid, samples: np.ndarray):
-        samples = np.asarray(samples, dtype=complex)
-        if samples.ndim != 4:
-            raise ValueError("trajectory samples must have shape (orders, nodes, m, m)")
-        if samples.shape[1] != grid.count:
-            raise ValueError("trajectory node count does not match the grid")
-        samples = samples.copy()
-        samples.flags.writeable = False
-        self.grid = grid
-        self.samples = samples
-
-    @property
-    def dimension(self) -> int:
-        return self.samples.shape[2]
-
-    @property
-    def max_order(self) -> int:
-        return self.samples.shape[0] - 1
-
-    def order(self, k: int) -> np.ndarray:
-        return self.samples[k]
-
-    def value_at(self, order: int, t: float) -> np.ndarray:
-        return interpolate_at(self.grid, self.samples[order], t)
-
-    def column(self, j: int) -> DerivativeStack:
-        return DerivativeStack(self.grid, self.samples[:, :, :, j])
-
-
-def sobolev_norm(stack: DerivativeStack | MatrixTrajectory, p: LebesgueExponent) -> float:
+def sobolev_norm(stack: DerivativeStack, p: LebesgueExponent) -> float:
     """Sum over derivative orders of the order-wise Lebesgue norms."""
     return sum(lp_norm(stack.samples[k], p, stack.grid) for k in range(stack.max_order + 1))
-
-
-def sobolev_norm_samples(samples: np.ndarray, p: LebesgueExponent, grid: Grid) -> float:
-    """sobolev_norm for a raw (orders, nodes, ...) sample array."""
-    return sum(lp_norm(samples[k], p, grid) for k in range(samples.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +241,12 @@ def sobolev_norm_samples(samples: np.ndarray, p: LebesgueExponent, grid: Grid) -
 
 
 def interpolate(grid: Grid, values: np.ndarray, ts) -> np.ndarray:
-    """``interpolate_at`` for many points at once: shape (len(ts), ...).
+    """Node samples evaluated at points of the interval: shape (len(ts), ...).
 
-    Same stencils, node rule and arithmetic order, so the results are
-    equal; a single point is cheaper through ``interpolate_at``.
+    Exact at nodes (within 1e-12 of the interval's scale); elsewhere the
+    local 4-point (cubic Lagrange) rule, which preserves the O(step^4)
+    accuracy of stored samples.  ``values`` has the node axis first and
+    any trailing axes; points outside the interval raise ``ValueError``.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     a, b = grid.interval.a, grid.interval.b
@@ -310,31 +271,6 @@ def interpolate(grid: Grid, values: np.ndarray, ts) -> np.ndarray:
                 weight *= (ts - knots[:, j]) / (knots[:, i] - knots[:, j])
         result = result + weight[trailing] * values[stencil[:, i]]
     result[at_node] = values[nearest[at_node]]
-    return result
-
-
-def interpolate_at(grid: Grid, values: np.ndarray, t: float) -> np.ndarray:
-    """Evaluate node samples at an arbitrary point of the interval.
-
-    Exact at nodes; elsewhere a local 4-point (cubic Lagrange) rule,
-    which preserves the O(step^4) accuracy of stored samples.
-    """
-    if not grid.interval.contains(t):
-        raise ValueError(f"point {t} outside the interval [{grid.interval.a}, {grid.interval.b}]")
-    idx = grid.node_index(t)
-    if idx is not None:
-        return values[idx]
-    h = grid.step
-    base = int(np.floor((t - grid.interval.a) / h))
-    lo = min(max(base - 1, 0), grid.count - 4)
-    ts = grid.nodes[lo : lo + 4]
-    result = np.zeros_like(values[0])
-    for i in range(4):
-        weight = 1.0
-        for j in range(4):
-            if j != i:
-                weight *= (t - ts[j]) / (ts[i] - ts[j])
-        result = result + weight * values[lo + i]
     return result
 
 

@@ -2,8 +2,8 @@
 
 A family assigns a problem to every parameter value eps in a decreasing
 schedule, plus the limit problem at eps = 0.  The same abstraction
-serves sequences indexed k -> infinity (set the direction flag); the
-checks only care about the ordered schedule.
+serves sequences indexed k -> infinity, read as eps = 1/k; the checks
+only care about the ordered schedule.
 
 What is verified, per family:
 
@@ -101,7 +101,6 @@ class ProblemFamily:
     at_zero: ProblemSpec
     generator: Callable[[float], ProblemSpec]
     epsilons: tuple[float, ...] = DEFAULT_EPSILONS
-    direction: str = "parameter"  # or "sequence" for k -> infinity readings
 
     def __post_init__(self):
         object.__setattr__(self, "epsilons", self.checked_schedule(self.epsilons))
@@ -166,11 +165,13 @@ def check_condition_I(family: ProblemFamily, grid: Grid) -> ConditionReport:
     return ConditionReport("condition-I", tuple(tables), all(t.passed for t in tables))
 
 
-def default_probes(grid: Grid, dimension: int, max_order: int) -> list[DerivativeStack]:
-    """Smooth probe stacks: {1, t, t^2, sin t, cos t} x coordinate vectors."""
+def default_probes(grid: Grid, dimension: int, max_order: int) -> DerivativeStack:
+    """Smooth probes {1, t, t^2, sin t, cos t} x coordinate vectors, as one block.
+
+    Column ``i * dimension + j`` is profile i along coordinate j.
+    """
     ts = grid.nodes
     zero = np.zeros_like(ts)
-    one = np.ones_like(ts)
 
     def poly_rows(degree):
         rows = []
@@ -188,15 +189,13 @@ def default_probes(grid: Grid, dimension: int, max_order: int) -> list[Derivativ
         table = [np.sin(ts), np.cos(ts), -np.sin(ts), -np.cos(ts)]
         return [table[(start + k) % 4] for k in range(max_order + 1)]
 
-    profiles = [poly_rows(0), poly_rows(1), poly_rows(2), trig_rows(0), trig_rows(1)]
-    probes = []
-    for rows in profiles:
-        scalar = np.stack(rows)
-        for j in range(dimension):
-            samples = np.zeros((max_order + 1, grid.count, dimension), dtype=complex)
-            samples[:, :, j] = scalar
-            probes.append(DerivativeStack(grid, samples))
-    return probes
+    profiles = np.stack([np.stack(rows) for rows in (
+        poly_rows(0), poly_rows(1), poly_rows(2), trig_rows(0), trig_rows(1)
+    )], axis=-1)
+    samples = np.zeros((max_order + 1, grid.count, dimension, 5, dimension), dtype=complex)
+    for j in range(dimension):
+        samples[:, :, j, :, j] = profiles
+    return DerivativeStack(grid, samples.reshape(max_order + 1, grid.count, dimension, -1))
 
 
 def check_condition_II(family: ProblemFamily, grid: Grid,
@@ -204,20 +203,23 @@ def check_condition_II(family: ProblemFamily, grid: Grid,
     """Boundary-value convergence on the probe set, table per probe.
 
     The default polynomial/trigonometric probes are always evaluated;
-    user probes extend the set.
+    user probes extend the set as further columns of the one probe
+    block, which each operator is applied to once.
     """
     zero = family.at_zero
-    probes = default_probes(grid, zero.m, zero.coefficients.max_order)
-    if extra_probes:
-        probes = probes + list(extra_probes)
-    reference = [zero.boundary.apply(probe) for probe in probes]
-    columns = [[] for _ in probes]
-    for member in family.members:
-        for i, probe in enumerate(probes):
-            columns[i].append(vector_magnitude(member.boundary.apply(probe) - reference[i]))
+    defaults = default_probes(grid, zero.m, zero.coefficients.max_order).samples
+    shape = defaults.shape[:3]
+    for extra in extra_probes or ():
+        if extra.samples.shape[:3] != shape or not np.array_equal(extra.grid.nodes, grid.nodes):
+            raise ValueError("extra probes need the grid and the derivative orders of the default probes")
+    probes = DerivativeStack(grid, np.concatenate(
+        [defaults] + [extra.samples.reshape(*shape, -1) for extra in extra_probes or ()], axis=3))
+    reference = zero.boundary.apply(probes)
+    rows = [[vector_magnitude(column) for column in (member.boundary.apply(probes) - reference).T]
+            for member in family.members]
     tables = tuple(
         TrendTable.vanishing(f"probe {i}", family.epsilons, column)
-        for i, column in enumerate(columns)
+        for i, column in enumerate(zip(*rows))
     )
     return ConditionReport("condition-II", tables, all(t.passed for t in tables))
 

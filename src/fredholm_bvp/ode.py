@@ -30,13 +30,7 @@ from math import comb
 import numpy as np
 
 from .functions import ArrayFunction, as_array_function
-from .grid import (
-    DerivativeStack,
-    Grid,
-    MatrixTrajectory,
-    differentiate_samples,
-    entrywise_magnitude,
-)
+from .grid import DerivativeStack, Grid, differentiate_samples
 
 
 @dataclass(frozen=True)
@@ -81,16 +75,21 @@ class RightHandSide:
 
 @dataclass(frozen=True)
 class FundamentalSet:
-    """The trajectories Y_1..Y_r with derivative orders 0..n+r.
+    """The fundamental matrix [Y_1 ... Y_r] with derivative orders 0..n+r.
 
-    ``max_residual`` is the reported integration tolerance: the largest
-    node-wise defect between a 4th-order finite difference of the
-    order-(r-1) samples and the stored order-r samples.
+    ``stack`` is one block stack of samples (n+r+1, nodes, m, r*m), with
+    Y_i in columns i*m .. (i+1)*m.  ``max_residual`` is the reported
+    integration tolerance: the largest node-wise defect of any member
+    between a 4th-order finite difference of the order-(r-1) samples and
+    the stored order-r samples.
     """
 
-    members: tuple[MatrixTrajectory, ...]
-    grid: Grid
+    stack: DerivativeStack
     max_residual: float
+
+    @property
+    def grid(self) -> Grid:
+        return self.stack.grid
 
 
 def _coefficient_tables(coeffs: CoefficientSet, ts: np.ndarray, orders: int) -> list[list[np.ndarray]]:
@@ -156,7 +155,7 @@ def _lower_order_part(a_tables, y_orders: np.ndarray, s: int) -> np.ndarray:
     """sum_d sum_{q<=s} binom(s,q) A_d^{(q)} y^{(d+s-q)} at all nodes.
 
     ``y_orders[k]`` holds the order-k samples, known at least up to
-    r-1+s; works for vector (nodes, m) and matrix (nodes, m, m) samples.
+    r-1+s; works for vector (nodes, m) and block (nodes, m, w) samples.
     """
     total = None
     for d, derivs in enumerate(a_tables):
@@ -167,7 +166,7 @@ def _lower_order_part(a_tables, y_orders: np.ndarray, s: int) -> np.ndarray:
 
 
 def _matvec(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Node-wise product A(t) y(t) for vector or matrix samples y."""
+    """Node-wise product A(t) y(t) for vector or block samples y."""
     if y.ndim == 2:
         return np.einsum("nij,nj->ni", a, y)
     return a @ y
@@ -187,26 +186,20 @@ def _extend_orders(coeffs: CoefficientSet, a_tables, low_orders: np.ndarray,
 
 
 def fundamental_set(coeffs: CoefficientSet, grid: Grid) -> FundamentalSet:
-    """Integrate the r homogeneous matrix problems on the grid.
+    """Integrate the r homogeneous matrix problems on the grid at once.
 
     Member i starts from Y_i^{(j-1)}(a) = delta_{ij} I and carries
     derivative orders 0..n+r.
     """
-    m, r = coeffs.m, coeffs.r
+    m, r, count = coeffs.m, coeffs.r, grid.count
     states = _integrate(coeffs, grid, np.eye(r * m, dtype=complex))
-    a_tables = _coefficient_tables(coeffs, grid.nodes, coeffs.n)
-    members = []
+    low = states.reshape(count, r, m, r * m).transpose(1, 0, 2, 3)
+    samples = _extend_orders(coeffs, _coefficient_tables(coeffs, grid.nodes, coeffs.n), low)
     max_residual = 0.0
-    for i in range(r):
-        low = np.stack(
-            [states[:, j * m : (j + 1) * m, i * m : (i + 1) * m] for j in range(r)]
-        )
-        samples = _extend_orders(coeffs, a_tables, low)
-        members.append(MatrixTrajectory(grid, samples))
-        if grid.count >= 5:
-            defect = differentiate_samples(samples[r - 1], grid.step) - samples[r]
-            max_residual = max(max_residual, float(entrywise_magnitude(defect).max()))
-    return FundamentalSet(tuple(members), grid, max_residual)
+    if count >= 5:
+        defect = differentiate_samples(samples[r - 1], grid.step) - samples[r]
+        max_residual = float(np.abs(defect).reshape(count, m, r, m).sum(axis=(1, 3)).max())
+    return FundamentalSet(DerivativeStack(grid, samples), max_residual)
 
 
 def particular_solution(coeffs: CoefficientSet, f, grid: Grid,
@@ -231,14 +224,8 @@ def particular_solution(coeffs: CoefficientSet, f, grid: Grid,
 
 def combine_homogeneous(fset: FundamentalSet, weights: np.ndarray) -> DerivativeStack:
     """The homogeneous solution sum_i Y_i w_i for a weight vector in C^{rm}."""
-    m = fset.members[0].dimension
-    r = len(fset.members)
-    weights = np.asarray(weights, dtype=complex).reshape(r, m)
-    samples = sum(
-        np.einsum("onij,j->oni", member.samples, weights[i])
-        for i, member in enumerate(fset.members)
-    )
-    return DerivativeStack(fset.grid, samples)
+    weights = np.asarray(weights, dtype=complex).reshape(-1)
+    return DerivativeStack(fset.grid, np.einsum("onij,j->oni", fset.stack.samples, weights))
 
 
 def residual_stack(coeffs: CoefficientSet, y: DerivativeStack, f=None,

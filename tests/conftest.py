@@ -51,3 +51,34 @@ def random_stack(grid, rng, dimension, max_order):
 
 def random_complex(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def members(fset):
+    """Y_1..Y_r as separate stacks: the column blocks of the fundamental stack."""
+    samples, m = fset.stack.samples, fset.stack.dimension
+    return [DerivativeStack(fset.grid, samples[..., i : i + m]) for i in range(0, samples.shape[-1], m)]
+
+
+def interpolate_at(grid, values: np.ndarray, t: float) -> np.ndarray:
+    """Evaluate node samples at an arbitrary point of the interval.
+
+    Exact at nodes; elsewhere a local 4-point (cubic Lagrange) rule,
+    which preserves the O(step^4) accuracy of stored samples.
+    """
+    if not grid.interval.contains(t):
+        raise ValueError(f"point {t} outside the interval [{grid.interval.a}, {grid.interval.b}]")
+    idx = grid.node_index(t)
+    if idx is not None:
+        return values[idx]
+    h = grid.step
+    base = int(np.floor((t - grid.interval.a) / h))
+    lo = min(max(base - 1, 0), grid.count - 4)
+    ts = grid.nodes[lo : lo + 4]
+    result = np.zeros_like(values[0])
+    for i in range(4):
+        weight = 1.0
+        for j in range(4):
+            if j != i:
+                weight *= (t - ts[j]) / (ts[i] - ts[j])
+        result = result + weight * values[lo + i]
+    return result

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import UNIT, random_complex
+from conftest import UNIT, members, random_complex
 from fredholm_bvp import (
     BoundaryOperator,
     CoefficientSet,
@@ -338,7 +338,7 @@ def test_ac10_numerics_hygiene():
         for count in (33, 65, 129):
             grid = Grid.uniform(UNIT, count)
             fset = fundamental_set(CoefficientSet(1, 2, 0, (a,)), grid)
-            errors.append(np.abs(fset.members[0].samples[0, -1] - oracle).max())
+            errors.append(np.abs(members(fset)[0].samples[0, -1] - oracle).max())
         for coarse, fine in zip(errors, errors[1:]):
             assert 12.0 <= coarse / fine <= 20.0
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import UNIT, random_complex, random_stack, scalar_stack
+from conftest import UNIT, members, random_complex, random_stack, scalar_stack
 from fredholm_bvp import (
     BoundaryOperator,
     CoefficientSet,
@@ -16,7 +16,7 @@ from fredholm_bvp import (
     point_evaluation,
     sobolev_norm,
 )
-from fredholm_bvp.grid import P1, P2, PINF, vector_magnitude
+from fredholm_bvp.grid import P1, P2, PINF, interpolate, vector_magnitude
 
 
 def constant_stack(grid, vector, max_order=1):
@@ -62,9 +62,9 @@ def test_off_node_point_uses_interpolation():
 def test_apply_to_matrix_on_identity_trajectory():
     grid = Grid.uniform(UNIT, 101)
     coeffs = CoefficientSet(1, 2, 1, (np.zeros((2, 2)),))
-    member = fundamental_set(coeffs, grid).members[0]
+    member = members(fundamental_set(coeffs, grid))[0]
     op = point_evaluation(0.0, np.eye(2))
-    np.testing.assert_array_equal(op.apply_to_matrix(member), np.eye(2))
+    np.testing.assert_array_equal(op.apply(member), np.eye(2))
 
 
 def test_multipoint_higher_orders_drop_out_on_identity():
@@ -72,13 +72,13 @@ def test_multipoint_higher_orders_drop_out_on_identity():
     grid = Grid.uniform(UNIT, 101)
     rng = np.random.default_rng(9)
     coeffs = CoefficientSet(1, 2, 2, (np.zeros((2, 2)),))
-    member = fundamental_set(coeffs, grid).members[0]
+    member = members(fundamental_set(coeffs, grid))[0]
     order0 = [random_complex(rng, 2, 2) for _ in range(3)]
     junk = [random_complex(rng, 2, 2) for _ in range(3)]
     terms = [PointTerm(p, 0, mat) for p, mat in zip((0.0, 0.4, 1.0), order0)]
     terms += [PointTerm(p, d, mat) for p, d, mat in zip((0.2, 0.7, 0.9), (1, 2, 1), junk)]
     op = BoundaryOperator(2, tuple(terms))
-    np.testing.assert_allclose(op.apply_to_matrix(member), sum(order0), atol=1e-12)
+    np.testing.assert_allclose(op.apply(member), sum(order0), atol=1e-12)
 
 
 def test_first_derivative_at_left_endpoint():
@@ -87,9 +87,9 @@ def test_first_derivative_at_left_endpoint():
     rng = np.random.default_rng(10)
     a = random_complex(rng, 2, 2) * 0.4
     coeffs = CoefficientSet(1, 2, 1, (a,))
-    member = fundamental_set(coeffs, grid).members[0]
+    member = members(fundamental_set(coeffs, grid))[0]
     op = point_evaluation(0.0, np.eye(2), order=1)
-    np.testing.assert_allclose(op.apply_to_matrix(member), -a, atol=1e-7)
+    np.testing.assert_allclose(op.apply(member), -a, atol=1e-7)
 
 
 def test_top_order_point_term_rejected():
@@ -167,14 +167,14 @@ def test_apply_to_matrix_agrees_with_columns_exactly():
     rng = np.random.default_rng(12)
     a = random_complex(rng, 2, 2) * 0.3
     coeffs = CoefficientSet(1, 2, 1, (a,))
-    member = fundamental_set(coeffs, grid).members[0]
+    member = members(fundamental_set(coeffs, grid))[0]
     op = BoundaryOperator(2, (
         PointTerm(0.0, 0, random_complex(rng, 2, 2)),
         PointTerm(0.77, 1, random_complex(rng, 2, 2)),
     ), IntegralTerm(random_complex(rng, 2, 2)))
-    result = op.apply_to_matrix(member)
+    result = op.apply(member)
     for j in range(2):
-        np.testing.assert_array_equal(result[:, j], op.apply(member.column(j)))
+        np.testing.assert_array_equal(result[:, j], op.apply(DerivativeStack(grid, member.samples[..., j])))
 
 
 def test_continuity_bound_empirical():
@@ -201,3 +201,52 @@ def test_continuity_bound_longer_interval():
     for _ in range(5):
         stack = random_stack(grid, rng, 1, 1)
         assert vector_magnitude(op.apply(stack)) <= constant * sobolev_norm(stack, P2)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_apply_on_vector_block_and_probe_stacks_matches_columns_exactly(q):
+    # off-node points, repeated orders and an integral term; every column
+    # of a block result is the one-column apply, bit for bit
+    from fredholm_bvp.limits import default_probes
+
+    grid = Grid.uniform(UNIT, 97)
+    rng = np.random.default_rng(30 + q)
+    op = BoundaryOperator(q, (
+        PointTerm(0.0, 0, random_complex(rng, q, 2)),
+        PointTerm(0.3141, 1, random_complex(rng, q, 2)),
+        PointTerm(1.0, 1, random_complex(rng, q, 2)),
+        PointTerm(0.5, 0, random_complex(rng, q, 2)),
+        PointTerm(0.3141, 0, random_complex(rng, q, 2)),
+    ), IntegralTerm(random_complex(rng, q, 2)))
+    vector = random_stack(grid, rng, 2, 2)
+    assert op.apply(vector).shape == (q,)
+    blocks = [
+        DerivativeStack(grid, random_complex(rng, 3, grid.count, 2, 5)),
+        DerivativeStack(grid, random_complex(rng, 3, grid.count, 2, 2, 3)),
+        default_probes(grid, 2, 2),
+    ]
+    for block in blocks:
+        result = op.apply(block)
+        assert result.shape == (q, *block.samples.shape[3:])
+        for index in np.ndindex(*block.samples.shape[3:]):
+            column = DerivativeStack(grid, block.samples[(Ellipsis, *index)])
+            np.testing.assert_array_equal(result[(slice(None), *index)], op.apply(column))
+
+
+def test_apply_interpolates_each_order_once(monkeypatch):
+    from fredholm_bvp import boundary
+
+    calls = []
+
+    def counting(grid, values, ts):
+        calls.append(len(ts))
+        return interpolate(grid, values, ts)
+
+    monkeypatch.setattr(boundary, "interpolate", counting)
+    grid = Grid.uniform(UNIT, 101)
+    rng = np.random.default_rng(33)
+    orders = (0, 1, 0, 0, 1)
+    op = BoundaryOperator(2, tuple(PointTerm(0.2 * k + 0.01, d, random_complex(rng, 2, 2))
+                                   for k, d in enumerate(orders)))
+    op.apply(DerivativeStack(grid, random_complex(rng, 3, grid.count, 2, 4)))
+    assert sorted(calls) == [2, 3]

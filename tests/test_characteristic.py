@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import UNIT, random_complex
+from conftest import UNIT, interpolate_at, members, random_complex
 from fredholm_bvp import (
     BoundaryOperator,
     CoefficientSet,
@@ -23,9 +25,11 @@ from fredholm_bvp import (
     residual_stack,
     solvability_report,
 )
+from fredholm_bvp.characteristic import characteristic_from_fundamental
 from fredholm_bvp.grid import vector_magnitude
 
 P2 = LebesgueExponent(2.0)
+SAMPLES = Path(__file__).resolve().parent.parent / "docs" / "samples"
 
 
 def one_point_problem(a, alphas, interval=UNIT):
@@ -276,3 +280,54 @@ def test_stored_factors_match_values_only_svd(rows, cols, rank):
 def test_rank_tolerance_must_be_finite_and_non_negative(tolerance):
     with pytest.raises(ValueError, match="rank tolerance"):
         characteristic_from_blocks([np.zeros((2, 2))], rank_tolerance=tolerance)
+
+
+def _column_by_column(problem, fset):
+    """The characteristic matrix as assembled before block application:
+    per member, per column, one scalar interpolation per point term."""
+    grid, op = fset.grid, problem.boundary
+    columns = []
+    for member in members(fset):
+        for j in range(member.dimension):
+            column = member.samples[..., j]
+            value = np.zeros(op.codomain, dtype=complex)
+            for term in op.point_terms:
+                value += term.matrix @ interpolate_at(grid, column[term.order], term.point)
+            if op.integral_term is not None:
+                kernel = op.integral_term.kernel.eval(grid.nodes)
+                integrand = np.einsum("nqm,nm->nq", kernel, column[-1])
+                value += np.trapezoid(integrand, dx=grid.step, axis=0)
+            columns.append(value)
+    return np.stack(columns, axis=1)
+
+
+def _reference_problems():
+    from fredholm_bvp.cli import _BUILTINS
+    from fredholm_bvp.document import document_family, document_problem, load_document
+
+    problems = [(name, _BUILTINS[name]()[1]) for name in ("ex1", "ex2", "ex3", "ex4", "ex5")]
+    for path in sorted(SAMPLES.glob("*.json")):
+        doc = load_document(path)
+        problems.append((path.stem, document_problem(doc)))
+        if doc.family is not None:
+            family = document_family(doc)
+            problems += [(f"{path.stem}@{eps}", member)
+                         for eps, member in zip(family.epsilons, family.members)]
+    return problems
+
+
+@pytest.mark.parametrize("count", [101, 997, 1001])
+def test_block_application_matches_column_by_column_reference(count):
+    # 997 nodes put the samples' interior boundary points off the grid
+    problems = _reference_problems()
+    assert len(problems) > 8
+    for name, problem in problems:
+        grid = Grid.uniform(problem.interval, count)
+        fset = fundamental_set(problem.coefficients, grid)
+        matrix = characteristic_from_fundamental(problem, fset)
+        reference = characteristic_from_blocks([_column_by_column(problem, fset)])
+        sigma_max = reference.singular_values[0]
+        assert np.abs(matrix.entries - reference.entries).max() <= 1e-15 * sigma_max, name
+        assert matrix.numerical_rank == reference.numerical_rank, name
+        ours, theirs = solvability_report(matrix, problem), solvability_report(reference, problem)
+        assert (ours.dim_kernel, ours.dim_cokernel) == (theirs.dim_kernel, theirs.dim_cokernel), name

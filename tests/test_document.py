@@ -251,3 +251,42 @@ def test_schedule_entry_rejected_with_path(entry, message):
 def test_schedule_order_rejected_with_path(schedule):
     with pytest.raises(DocumentError, match=r"\$\.family\.schedule: .*epsilon schedule"):
         load_document(minimal_document(family={"schedule": schedule}))
+
+
+@pytest.mark.parametrize("field,value,path", [
+    ("exponent", True, r"\$\.exponent"),
+    ("exponent", "2", r"\$\.exponent"),
+    ("exponent", "infinity", r"\$\.exponent"),
+    ("exponent", None, r"\$\.exponent"),
+    ("a", "0.0", r"\$\.interval\.a"),
+    ("b", False, r"\$\.interval\.b"),
+])
+def test_non_number_endpoint_or_exponent_rejected_with_path(field, value, path):
+    # only the string "inf" stands for a number, and only as the exponent
+    raw = minimal_document()
+    if field == "exponent":
+        raw["exponent"] = value
+    else:
+        raw["interval"][field] = value
+    with pytest.raises(DocumentError, match=rf"^{path}: .*not numbers"):
+        load_document(raw)
+
+
+def test_non_finite_exponent_rejected_with_path():
+    text = json.dumps(minimal_document(exponent=2)).replace('"exponent": 2', '"exponent": Infinity')
+    with pytest.raises(DocumentError, match=r"^\$\.exponent: .*finite"):
+        load_document(text)
+
+
+@pytest.mark.parametrize("order", [True, "0", "x", None, float("nan"), [0]])
+def test_non_integer_point_order_rejected_with_path(order):
+    raw = minimal_document()
+    raw["boundary"]["points"][0]["order"] = order
+    with pytest.raises(DocumentError, match=r"^\$\.boundary\.points\[0\]\.order: expected an integer"):
+        load_document(json.dumps(raw))
+
+
+def test_integral_valued_float_order_still_loads():
+    raw = minimal_document()
+    raw["boundary"]["points"][0]["order"] = 0.0
+    assert load_document(raw).boundary.points[0].order == 0

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import UNIT
+from conftest import UNIT, interpolate_at
 from fredholm_bvp import ConstantFunction, ExpressionFunction, Grid, Interval, PolynomialFunction, TabulatedFunction
 from fredholm_bvp.expressions import parse_expression
 from fredholm_bvp.functions import as_array_function
-from fredholm_bvp.grid import interpolate_at
 
 
 def test_constant_function_orders():

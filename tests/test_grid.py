@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import UNIT, random_stack, scalar_stack
+from conftest import UNIT, interpolate_at, random_stack, scalar_stack
 from fredholm_bvp import DerivativeStack, Grid, Interval, LebesgueExponent, lp_norm, resample, sobolev_norm
-from fredholm_bvp.grid import P1, P2, PINF, differentiate_samples
+from fredholm_bvp.grid import P1, P2, PINF, differentiate_samples, interpolate
 
 
 def test_interval_validation():
@@ -217,7 +217,29 @@ def test_fourth_order_stencil_accuracy():
 def test_value_at_interpolation():
     grid = Grid.uniform(UNIT, 101)
     stack = scalar_stack(grid, [np.sin])
-    assert stack.value_at(0, 0.5)[0] == pytest.approx(np.sin(0.5), abs=1e-15)
-    assert stack.value_at(0, 0.505)[0] == pytest.approx(np.sin(0.505), abs=1e-9)
+    assert interpolate(grid, stack.samples[0], 0.5)[0, 0] == pytest.approx(np.sin(0.5), abs=1e-15)
+    assert interpolate(grid, stack.samples[0], 0.505)[0, 0] == pytest.approx(np.sin(0.505), abs=1e-9)
     with pytest.raises(ValueError):
-        stack.value_at(0, 1.5)
+        interpolate(grid, stack.samples[0], 1.5)
+
+
+@pytest.mark.parametrize("count", [4, 5, 101])
+def test_interpolate_matches_scalar_reference(count):
+    # the vectorised rule against the one-point reference: nodes,
+    # midpoints, points within 1e-14 of a node, and both ends
+    interval = Interval(-0.5, 2.0)
+    grid = Grid.uniform(interval, count)
+    rng = np.random.default_rng(count)
+    values = rng.normal(size=(count, 2, 3)) + 1j * rng.normal(size=(count, 2, 3))
+    near = np.concatenate([grid.nodes[1:-1] - 1e-14, grid.nodes[1:-1] + 1e-14])
+    ts = np.concatenate([grid.nodes, grid.midpoints, near, [interval.a, interval.b],
+                         rng.uniform(interval.a, interval.b, 50)])
+    result = interpolate(grid, values, ts)
+    assert result.shape == (ts.size, 2, 3)
+    for t, value in zip(ts, result):
+        np.testing.assert_array_equal(value, interpolate_at(grid, values, float(t)))
+    for outside in (interval.a - 1e-9, interval.b + 1e-9, 7.0):
+        with pytest.raises(ValueError, match="outside"):
+            interpolate(grid, values, [interval.a, outside])
+        with pytest.raises(ValueError, match="outside"):
+            interpolate_at(grid, values, outside)

@@ -6,6 +6,7 @@ from fredholm_bvp import (
     BoundaryOperator,
     CoefficientSet,
     ConstantFunction,
+    DerivativeStack,
     Grid,
     MultipointFamily,
     MultipointSeries,
@@ -25,7 +26,7 @@ from fredholm_bvp import (
     semicontinuity_check,
 )
 from fredholm_bvp import limits
-from fredholm_bvp.grid import P2, PINF
+from fredholm_bvp.grid import P2, PINF, vector_magnitude
 from fredholm_bvp.limits import DEFAULT_EPSILONS, tends_to_zero
 
 GRID = Grid.uniform(UNIT, 201)
@@ -452,7 +453,7 @@ def test_condition_II_user_probes_extend_defaults():
 
     family = boundary_family(lambda eps: identity_boundary(2))
     base = check_condition_II(family, GRID)
-    extra = default_probes(GRID, 2, 2)[:1]
+    extra = [DerivativeStack(GRID, default_probes(GRID, 2, 2).samples[..., 0])]
     extended = check_condition_II(family, GRID, extra_probes=extra)
     assert len(extended.tables) == len(base.tables) + 1
 
@@ -511,3 +512,53 @@ def test_strong_convergence_implies_semicontinuity():
         if cond_i and cond_ii:
             report = semicontinuity_check(family, GRID)
             assert not report.violations, name
+
+
+def test_default_probes_column_order():
+    # column i*m + j is profile i of {1, t, t^2, sin t, cos t} along coordinate j
+    from fredholm_bvp.limits import default_probes
+
+    ts = GRID.nodes
+    zero, one = np.zeros_like(ts), np.ones_like(ts)
+    profiles = [
+        [one, zero, zero],
+        [ts, one, zero],
+        [ts**2, 2 * ts, 2 * one],
+        [np.sin(ts), np.cos(ts), -np.sin(ts)],
+        [np.cos(ts), -np.sin(ts), -np.cos(ts)],
+    ]
+    m = 3
+    probes = default_probes(GRID, m, 2)
+    assert probes.samples.shape == (3, GRID.count, m, 5 * m)
+    for i, rows in enumerate(profiles):
+        for j in range(m):
+            column = probes.samples[:, :, :, i * m + j]
+            expected = np.zeros_like(column)
+            expected[:, :, j] = np.stack(rows)
+            np.testing.assert_allclose(column, expected, rtol=0, atol=1e-15)
+
+
+def test_condition_II_extra_probes_come_last():
+    from fredholm_bvp.limits import default_probes
+
+    def make_boundary(eps):
+        return BoundaryOperator(2, (PointTerm(0.0, 0, np.eye(2)),
+                                    PointTerm(0.5, 1, eps * np.ones((2, 2)))))
+
+    family = boundary_family(make_boundary, epsilons=(1e-1, 1e-2))
+    base = check_condition_II(family, GRID)
+    rng = np.random.default_rng(40)
+    extras = [DerivativeStack(GRID, rng.normal(size=(3, GRID.count, 2))) for _ in range(2)]
+    extended = check_condition_II(family, GRID, extra_probes=extras)
+    labels = [table.label for table in extended.tables]
+    assert labels == [f"probe {i}" for i in range(len(base.tables) + 2)]
+    assert extended.tables[:len(base.tables)] == base.tables
+    for table, extra in zip(extended.tables[len(base.tables):], extras):
+        expected = [vector_magnitude(family.at(eps).boundary.apply(extra)
+                                     - family.at_zero.boundary.apply(extra))
+                    for eps in family.epsilons]
+        np.testing.assert_allclose(table.values, expected, rtol=1e-14)
+    assert default_probes(GRID, 2, 2).samples.shape[-1] == len(base.tables)
+    with pytest.raises(ValueError, match="grid and the derivative orders"):
+        check_condition_II(family, GRID, extra_probes=[
+            DerivativeStack(Grid.uniform(UNIT, 11), rng.normal(size=(3, 11, 2)))])

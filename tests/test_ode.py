@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import UNIT, random_complex
+from conftest import UNIT, members, random_complex
 from fredholm_bvp import (
     CoefficientSet,
     ConstantFunction,
@@ -23,7 +23,7 @@ def test_zero_coefficient_gives_constant_identity():
     grid = Grid.uniform(UNIT, 101)
     coeffs = CoefficientSet(1, 2, 2, (np.zeros((2, 2)),))
     fset = fundamental_set(coeffs, grid)
-    member = fset.members[0]
+    member = members(fset)[0]
     np.testing.assert_array_equal(member.samples[0], np.broadcast_to(np.eye(2), (101, 2, 2)))
     assert np.all(member.samples[1:] == 0)
 
@@ -37,7 +37,7 @@ def test_constant_coefficient_matches_matrix_exponential():
     a *= 1.5 / np.abs(a).sum()
     coeffs = CoefficientSet(1, 2, 2, (a,))
     fset = fundamental_set(coeffs, grid)
-    member = fset.members[0]
+    member = members(fset)[0]
     for idx in (0, 250, 500, 1000):
         t = grid.nodes[idx]
         expected = matrix_exp(-a, t).value
@@ -51,11 +51,11 @@ def test_second_order_zero_coefficients():
     grid = Grid.uniform(UNIT, 101)
     coeffs = CoefficientSet(2, 2, 0, (np.zeros((2, 2)), np.zeros((2, 2))))
     fset = fundamental_set(coeffs, grid)
-    np.testing.assert_allclose(fset.members[0].samples[0],
+    np.testing.assert_allclose(members(fset)[0].samples[0],
                                np.broadcast_to(np.eye(2), (101, 2, 2)), atol=1e-14)
     ramp = grid.nodes[:, None, None] * np.eye(2)
-    np.testing.assert_allclose(fset.members[1].samples[0], ramp, atol=1e-13)
-    np.testing.assert_allclose(fset.members[1].samples[1],
+    np.testing.assert_allclose(members(fset)[1].samples[0], ramp, atol=1e-13)
+    np.testing.assert_allclose(members(fset)[1].samples[1],
                                np.broadcast_to(np.eye(2), (101, 2, 2)), atol=1e-13)
 
 
@@ -65,7 +65,7 @@ def test_initial_condition_block_identity_is_exact():
     m, r = 2, 2
     coeffs = CoefficientSet(r, m, 1, tuple(random_complex(rng, m, m) * 0.2 for _ in range(r)))
     fset = fundamental_set(coeffs, grid)
-    for i, member in enumerate(fset.members):
+    for i, member in enumerate(members(fset)):
         for j in range(r):
             expected = np.eye(m) if i == j else np.zeros((m, m))
             np.testing.assert_array_equal(member.samples[j, 0], expected)
@@ -81,7 +81,7 @@ def test_fourth_order_convergence_against_oracle():
         grid = Grid.uniform(UNIT, count)
         coeffs = CoefficientSet(1, 2, 0, (a,))
         fset = fundamental_set(coeffs, grid)
-        errors.append(np.abs(fset.members[0].samples[0, -1] - oracle).max())
+        errors.append(np.abs(members(fset)[0].samples[0, -1] - oracle).max())
     for coarse, fine in zip(errors, errors[1:]):
         assert 12.0 <= coarse / fine <= 20.0
 
@@ -102,7 +102,7 @@ def test_variable_coefficient_representations_agree():
     results = []
     for fn in (poly, expr, table):
         coeffs = CoefficientSet(1, 2, 1, (fn,))
-        results.append(fundamental_set(coeffs, grid).members[0].samples)
+        results.append(members(fundamental_set(coeffs, grid))[0].samples)
     np.testing.assert_allclose(results[1], results[0], atol=1e-12)
     np.testing.assert_allclose(results[2], results[0], atol=1e-8)
 
@@ -237,7 +237,7 @@ def test_kernel_agrees_with_per_step_rk4(kind, r, m):
 
     expected = reference_rk4(coeffs, grid, np.eye(size))
     fset = fundamental_set(coeffs, grid)
-    for i, member in enumerate(fset.members):
+    for i, member in enumerate(members(fset)):
         for j in range(r):
             assert_relative(member.samples[j], expected[:, j * m : (j + 1) * m, i * m : (i + 1) * m],
                             1e-12)
@@ -267,6 +267,6 @@ def test_node_count_sweep_to_1e5(r, m):
     for count in (1001, 10001, 100001):
         grid = Grid.uniform(interval, count)
         fset = fundamental_set(coeffs, grid)
-        assert fset.members[0].samples.shape[1] == count
-        final = np.concatenate([member.samples[0, -1] for member in fset.members], axis=1)
+        assert members(fset)[0].samples.shape[1] == count
+        final = np.concatenate([member.samples[0, -1] for member in members(fset)], axis=1)
         assert np.abs(final - oracle[:m]).max() <= 1e-10
