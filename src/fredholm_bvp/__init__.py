@@ -63,9 +63,7 @@ from .ode import (
     CoefficientSet,
     FundamentalSet,
     RightHandSide,
-    combine_homogeneous,
     fundamental_set,
-    particular_solution,
     residual_stack,
 )
 from .solver import IllConditionedWarning, NotWellPosedError, discrepancy, solve, solve_detailed, superpose
@@ -109,7 +107,6 @@ __all__ = [
     "check_condition_II",
     "check_multipoint_assumptions",
     "cokernel_directions",
-    "combine_homogeneous",
     "convergence_experiment",
     "cos_sqrt",
     "discrepancy",
@@ -120,7 +117,6 @@ __all__ = [
     "multipoint_problem_family",
     "oracle_characteristic",
     "parse_expression",
-    "particular_solution",
     "phi",
     "point_evaluation",
     "resample",

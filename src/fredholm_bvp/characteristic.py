@@ -122,11 +122,17 @@ class SolvabilityReport:
 
 
 class Analysis(NamedTuple):
-    """One problem's fundamental set, characteristic matrix and report."""
+    """One problem's fundamental set, characteristic matrix and report.
+
+    For a problem with a right-hand side the fundamental stack carries
+    y_p as its last column and ``boundary_particular`` is B y_p;
+    otherwise it is None.
+    """
 
     fundamental: FundamentalSet
     matrix: CharacteristicMatrix
     report: SolvabilityReport
+    boundary_particular: np.ndarray | None
 
 
 def characteristic_from_blocks(blocks, rank_tolerance: float | None = None) -> CharacteristicMatrix:
@@ -176,10 +182,19 @@ def build_characteristic_matrix(problem: ProblemSpec, grid: Grid,
 
 
 def analyze(problem: ProblemSpec, grid: Grid, rank_tolerance: float | None = None) -> Analysis:
-    """Fundamental set, characteristic matrix and solvability report of a problem."""
-    fset = fundamental_set(problem.coefficients, grid)
-    matrix = characteristic_from_fundamental(problem, fset, rank_tolerance)
-    return Analysis(fset, matrix, solvability_report(matrix, problem))
+    """Fundamental set, characteristic matrix and solvability report of a problem.
+
+    One integration of [Y_1 ... Y_r | y_p] and one application of B to
+    it: the first r*m columns of the result are the characteristic
+    matrix, the last one is B y_p.
+    """
+    forcing = problem.rhs.f if problem.rhs is not None else None
+    fset = fundamental_set(problem.coefficients, grid, forcing)
+    applied = problem.boundary.apply(fset.stack)
+    w = problem.state_size
+    matrix = characteristic_from_blocks([applied[:, :w]], rank_tolerance)
+    particular = applied[:, w] if forcing is not None else None
+    return Analysis(fset, matrix, solvability_report(matrix, problem), particular)
 
 
 def solvability_report(matrix: CharacteristicMatrix, problem: ProblemSpec) -> SolvabilityReport:

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .characteristic import ProblemSpec, analyze, build_characteristic_matrix, kernel_directions
+from .characteristic import ProblemSpec, build_characteristic_matrix, kernel_directions, solvability_report
 from .boundary import BoundaryOperator, IntegralTerm, PointTerm
 from .closed_forms import oracle_characteristic
 from .document import DocumentError, document_family, document_multipoint, document_problem, load_document
@@ -115,7 +115,8 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 def _analysis_documents(problem: ProblemSpec, grid: Grid, rank_tol):
-    _, matrix, report = analyze(problem, grid, rank_tol)
+    matrix = build_characteristic_matrix(problem, grid, rank_tol)
+    report = solvability_report(matrix, problem)
     directions = kernel_directions(matrix)
     doc = {
         "problem": {

@@ -79,8 +79,8 @@ def _parse_scalar_slot(raw, path: str, eps_ok: bool):
     if isinstance(raw, (int, float)):
         return _finite((raw,), path)
     if isinstance(raw, list):
-        if len(raw) != 2 or not all(isinstance(x, (int, float)) for x in raw):
-            raise DocumentError("complex scalars are [re, im] pairs of numbers", path)
+        if len(raw) != 2 or not all(type(x) in (int, float) for x in raw):
+            raise DocumentError("complex scalars are [re, im] pairs of numbers, not booleans", path)
         return _finite(raw, path)
     if isinstance(raw, str):
         if not eps_ok:
@@ -545,23 +545,24 @@ def _build_boundary(doc: BoundaryDoc, eps: float | None) -> BoundaryOperator:
 
 def document_problem(doc: ProblemDocument, eps: float | None = None) -> ProblemSpec:
     """Build the problem; with ``eps`` given, family overrides apply."""
-    coeffs_docs = doc.coefficients
-    boundary_doc = doc.boundary
-    rhs_doc = doc.rhs
+    coeffs_docs, coeffs_path = doc.coefficients, "$.coefficients"
+    boundary_doc, boundary_path = doc.boundary, "$.boundary"
+    rhs_doc, rhs_path = doc.rhs, "$.rhs"
     if eps is not None and doc.family is not None:
         if doc.family.coefficients is not None:
-            coeffs_docs = doc.family.coefficients
+            coeffs_docs, coeffs_path = doc.family.coefficients, "$.family.coefficients"
         if doc.family.boundary is not None:
-            boundary_doc = doc.family.boundary
+            boundary_doc, boundary_path = doc.family.boundary, "$.family.boundary"
         if doc.family.rhs is not None:
-            rhs_doc = doc.family.rhs
-    for d, fd in enumerate(coeffs_docs):
-        if fd.kind == "table":
-            table_iv = Interval(float(fd.nodes[0]), float(fd.nodes[-1]))
-            if table_iv != doc.interval:
-                raise DocumentError(
-                    "table nodes must span the problem interval", f"$.coefficients[{d}]"
-                )
+            rhs_doc, rhs_path = doc.family.rhs, "$.family.rhs"
+    payloads = [(f"{coeffs_path}[{d}]", fd) for d, fd in enumerate(coeffs_docs)]
+    if boundary_doc.integral is not None:
+        payloads.append((f"{boundary_path}.integral.kernel", boundary_doc.integral))
+    if rhs_doc is not None:
+        payloads.append((f"{rhs_path}.f", rhs_doc.f))
+    for path, fd in payloads:
+        if fd.kind == "table" and (fd.nodes[0], fd.nodes[-1]) != (doc.interval.a, doc.interval.b):
+            raise DocumentError("table nodes must span the problem interval", path)
     coefficients = CoefficientSet(
         doc.r, doc.m, doc.n, tuple(fd.build(eps) for fd in coeffs_docs)
     )

@@ -28,9 +28,6 @@ class ArrayFunction:
     def eval(self, ts: np.ndarray, order: int = 0) -> np.ndarray:
         raise NotImplementedError
 
-    def eval_at(self, t: float, order: int = 0) -> np.ndarray:
-        return self.eval(np.asarray([t], dtype=float), order)[0]
-
 
 class ConstantFunction(ArrayFunction):
     def __init__(self, values: np.ndarray):
@@ -114,7 +111,6 @@ class TabulatedFunction(ArrayFunction):
             raise ValueError("tabulated samples must have shape (orders, nodes, ...)")
         self.grid = grid
         self._by_order = {k: samples[k] for k in range(samples.shape[0])}
-        self.supplied_orders = samples.shape[0] - 1
         self.shape = samples.shape[2:]
 
     def _order_samples(self, order: int) -> np.ndarray:
@@ -136,7 +132,3 @@ def as_array_function(obj, shape: tuple[int, ...] | None = None) -> ArrayFunctio
     if shape is not None and fn.shape != shape:
         raise ValueError(f"expected shape {shape}, got {fn.shape}")
     return fn
-
-
-def zero_function(shape: tuple[int, ...]) -> ConstantFunction:
-    return ConstantFunction(np.zeros(shape, dtype=complex))

@@ -33,7 +33,8 @@ from typing import Callable
 import numpy as np
 
 from .boundary import BoundaryOperator, PointTerm
-from .characteristic import ProblemSpec, analyze, build_characteristic_matrix
+from .characteristic import (ProblemSpec, SolvabilityReport, analyze, build_characteristic_matrix,
+                             solvability_report)
 from .grid import DerivativeStack, Grid, Interval, LebesgueExponent, lp_norm, sobolev_norm, vector_magnitude
 from .ode import CoefficientSet, RightHandSide
 from .solver import discrepancy, superpose
@@ -133,10 +134,16 @@ class ProblemFamily:
         return tuple(self.at(eps) for eps in self.epsilons)
 
 
+def _fredholm_report(problem: ProblemSpec, grid: Grid,
+                     rank_tolerance: float | None) -> SolvabilityReport:
+    """The solvability report alone: the forcing is never integrated."""
+    return solvability_report(build_characteristic_matrix(problem, grid, rank_tolerance), problem)
+
+
 def check_condition_0(problem: ProblemSpec, grid: Grid,
                       rank_tolerance: float | None = None) -> bool:
     """True iff the limit problem is square with a nonsingular matrix."""
-    return analyze(problem, grid, rank_tolerance).report.well_posed
+    return _fredholm_report(problem, grid, rank_tolerance).well_posed
 
 
 def coefficient_distances(problem_eps: ProblemSpec, problem_zero: ProblemSpec,
@@ -255,11 +262,11 @@ def semicontinuity_check(family: ProblemFamily, grid: Grid,
     The threshold is the largest scheduled eps below which (inclusive)
     every scheduled value satisfies both inequalities.
     """
-    limit_report = analyze(family.at_zero, grid, rank_tolerance).report
+    limit_report = _fredholm_report(family.at_zero, grid, rank_tolerance)
     rows = []
     ok = []
     for eps, member in zip(family.epsilons, family.members):
-        report = analyze(member, grid, rank_tolerance).report
+        report = _fredholm_report(member, grid, rank_tolerance)
         rows.append((eps, report.dim_kernel, report.dim_cokernel))
         ok.append(report.dim_kernel <= limit_report.dim_kernel
                   and report.dim_cokernel <= limit_report.dim_cokernel)

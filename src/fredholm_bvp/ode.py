@@ -1,4 +1,4 @@
-"""Matrix Cauchy problems and particular solutions for linear systems.
+"""Matrix Cauchy problems for linear systems, forced or not.
 
 The differential expression is
 
@@ -6,8 +6,7 @@ The differential expression is
 
 with m x m coefficient matrices A_d.  The homogeneous matrix problems
 with Kronecker-delta initial data produce the fundamental set
-{Y_1, ..., Y_r}; superposition with a particular solution then solves
-the inhomogeneous equation.
+{Y_1, ..., Y_r}; every solution of L y = f is y_p + sum_i Y_i xi_i.
 
 Integration is classical fixed-step RK4 on the companion first-order
 system, with the step equal to the grid step so trajectory samples land
@@ -15,10 +14,11 @@ exactly on the nodes.  One RK4 step of a linear system is a matrix,
 x_{i+1} = P_i x_i: the P_i are formed by batched products, applied in
 one pass and the stored states checked once for blow-up.  A forcing f
 is an extra companion column acting on [x; 1], exactly RK4 of the
-forced system, so fundamental set and particular solutions share one
-kernel.  Derivative orders r..n+r are not differentiated numerically:
-order r comes from the equation itself and higher orders from the
-Leibniz-differentiated equation, which only needs coefficient
+forced system: one integration from the identity on [x; 1] yields the
+stack [Y_1 ... Y_r | y_p], with y_p the solution of zero initial data
+in the last column.  Derivative orders r..n+r are not differentiated
+numerically: order r comes from the equation itself and higher orders
+from the Leibniz-differentiated equation, which only needs coefficient
 derivatives up to order n.
 """
 
@@ -78,10 +78,11 @@ class FundamentalSet:
     """The fundamental matrix [Y_1 ... Y_r] with derivative orders 0..n+r.
 
     ``stack`` is one block stack of samples (n+r+1, nodes, m, r*m), with
-    Y_i in columns i*m .. (i+1)*m.  ``max_residual`` is the reported
+    Y_i in columns i*m .. (i+1)*m; when integrated with a forcing it has
+    one more column, y_p, last.  ``max_residual`` is the reported
     integration tolerance: the largest node-wise defect of any member
-    between a 4th-order finite difference of the order-(r-1) samples and
-    the stored order-r samples.
+    Y_i between a 4th-order finite difference of the order-(r-1) samples
+    and the stored order-r samples.
     """
 
     stack: DerivativeStack
@@ -174,58 +175,43 @@ def _matvec(a: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _extend_orders(coeffs: CoefficientSet, a_tables, low_orders: np.ndarray,
                    f_tables: list[np.ndarray] | None = None) -> np.ndarray:
-    """Append orders r..n+r to samples of orders 0..r-1 via the recurrence."""
+    """Append orders r..n+r to samples of orders 0..r-1 via the recurrence.
+
+    ``f_tables[s]`` holds f^{(s)}; it enters the last column, y_p, only.
+    """
     r, n = coeffs.r, coeffs.n
     orders = [low_orders[k] for k in range(r)]
     for s in range(n + 1):
         value = -_lower_order_part(a_tables, orders, s)
         if f_tables is not None:
-            value = value + f_tables[s]
+            value[..., -1] += f_tables[s]
         orders.append(value)
     return np.stack(orders)
 
 
-def fundamental_set(coeffs: CoefficientSet, grid: Grid) -> FundamentalSet:
+def fundamental_set(coeffs: CoefficientSet, grid: Grid, f=None) -> FundamentalSet:
     """Integrate the r homogeneous matrix problems on the grid at once.
 
     Member i starts from Y_i^{(j-1)}(a) = delta_{ij} I and carries
-    derivative orders 0..n+r.
+    derivative orders 0..n+r.  With a forcing ``f`` the same pass also
+    integrates y_p, the solution of L y = f with zero initial data, as
+    one last column: the (w+1) x (w+1) identity on [x; 1], w = r*m.
     """
     m, r, count = coeffs.m, coeffs.r, grid.count
-    states = _integrate(coeffs, grid, np.eye(r * m, dtype=complex))
-    low = states.reshape(count, r, m, r * m).transpose(1, 0, 2, 3)
-    samples = _extend_orders(coeffs, _coefficient_tables(coeffs, grid.nodes, coeffs.n), low)
+    w = r * m
+    width, f_tables = w, None
+    if f is not None:
+        f = as_array_function(f, (m,))
+        width, f_tables = w + 1, [f.eval(grid.nodes, order=s) for s in range(coeffs.n + 1)]
+    states = _integrate(coeffs, grid, np.eye(width, dtype=complex), f)
+    # rows below w are the companion state; the forced row w is the constant 1
+    low = states[:, :w].reshape(count, r, m, width).transpose(1, 0, 2, 3)
+    samples = _extend_orders(coeffs, _coefficient_tables(coeffs, grid.nodes, coeffs.n), low, f_tables)
     max_residual = 0.0
     if count >= 5:
-        defect = differentiate_samples(samples[r - 1], grid.step) - samples[r]
+        defect = differentiate_samples(samples[r - 1, ..., :w], grid.step) - samples[r, ..., :w]
         max_residual = float(np.abs(defect).reshape(count, m, r, m).sum(axis=(1, 3)).max())
     return FundamentalSet(DerivativeStack(grid, samples), max_residual)
-
-
-def particular_solution(coeffs: CoefficientSet, f, grid: Grid,
-                        initial_state: np.ndarray | None = None) -> DerivativeStack:
-    """One solution of L y = f with prescribed companion initial data.
-
-    The default initial state is zero: y^{(j)}(a) = 0 for j < r.  Any
-    other seed is equally valid; the boundary solver corrects the
-    homogeneous content afterwards.
-    """
-    m, r = coeffs.m, coeffs.r
-    f = as_array_function(f, (m,))
-    seed = np.zeros(r * m) if initial_state is None else initial_state
-    augmented = np.append(np.asarray(seed, dtype=complex).reshape(r * m), 1.0)
-    states = _integrate(coeffs, grid, augmented[:, None], f)
-    low = np.stack([states[:, j * m : (j + 1) * m, 0] for j in range(r)])
-    a_tables = _coefficient_tables(coeffs, grid.nodes, coeffs.n)
-    f_tables = [f.eval(grid.nodes, order=s) for s in range(coeffs.n + 1)]
-    samples = _extend_orders(coeffs, a_tables, low, f_tables)
-    return DerivativeStack(grid, samples)
-
-
-def combine_homogeneous(fset: FundamentalSet, weights: np.ndarray) -> DerivativeStack:
-    """The homogeneous solution sum_i Y_i w_i for a weight vector in C^{rm}."""
-    weights = np.asarray(weights, dtype=complex).reshape(-1)
-    return DerivativeStack(fset.grid, np.einsum("onij,j->oni", fset.stack.samples, weights))
 
 
 def residual_stack(coeffs: CoefficientSet, y: DerivativeStack, f=None,

@@ -1,11 +1,13 @@
 """Superposition solver for well-posed problems, and discrepancies.
 
-A well-posed problem is solved as y = y_p + sum_i Y_i xi_i where y_p is
-any particular solution and the weight vector solves the square linear
-system given by the characteristic matrix.  Non-well-posed problems are
-refused with the full solvability report attached: the framework routes
-such problems to kernel/cokernel analysis, not to least-squares
-surrogates.
+A well-posed problem is solved as y = y_p + sum_i Y_i xi_i.  The
+analysis integrates y_p as the last column of the fundamental stack
+[Y_1 ... Y_r | y_p] and applies B to that stack once, so the weights
+solve M xi = c - B y_p with the characteristic matrix M, and y is the
+one contraction [Y | y_p] [xi; 1]: superposition integrates nothing and
+applies no boundary operator.  Non-well-posed problems are refused with
+the full solvability report attached: the framework routes such
+problems to kernel/cokernel analysis, not to least-squares surrogates.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .characteristic import Analysis, CharacteristicMatrix, ProblemSpec, SolvabilityReport, analyze
 from .grid import DerivativeStack, Grid, sobolev_norm, vector_magnitude
-from .ode import combine_homogeneous, particular_solution, residual_stack
+from .ode import residual_stack
 
 CONDITION_WARN_THRESHOLD = 1e12
 
@@ -50,28 +52,27 @@ class SolveResult:
     max_residual: float
 
 
-def superpose(problem: ProblemSpec, analysis: Analysis,
-              initial_state: np.ndarray | None = None) -> tuple[DerivativeStack, np.ndarray]:
+def superpose(problem: ProblemSpec, analysis: Analysis) -> tuple[DerivativeStack, np.ndarray]:
     """Solution y_p + sum_i Y_i xi_i of an analyzed problem, and its weights xi.
 
     Raises NotWellPosedError, with the report attached, when the
     analysis found the problem not well posed.
     """
-    if problem.rhs is None:
+    fset, matrix, report, boundary_particular = analysis
+    if problem.rhs is None or boundary_particular is None:
         raise ValueError("problem has no right-hand side to solve against")
-    fset, matrix, report = analysis
     if not report.well_posed:
         raise NotWellPosedError(report, matrix)
-    y_p = particular_solution(problem.coefficients, problem.rhs.f, fset.grid, initial_state)
-    weights = np.linalg.solve(matrix.entries, problem.rhs.c - problem.boundary.apply(y_p))
-    return y_p + combine_homogeneous(fset, weights), weights
+    weights = np.linalg.solve(matrix.entries, problem.rhs.c - boundary_particular)
+    samples = np.einsum("onij,j->oni", fset.stack.samples, np.append(weights, 1.0))
+    return DerivativeStack(fset.grid, samples), weights
 
 
-def solve_detailed(problem: ProblemSpec, grid: Grid, rank_tolerance: float | None = None,
-                   initial_state: np.ndarray | None = None) -> SolveResult:
+def solve_detailed(problem: ProblemSpec, grid: Grid,
+                   rank_tolerance: float | None = None) -> SolveResult:
     """solve() returning the characteristic matrix and report as well."""
     analysis = analyze(problem, grid, rank_tolerance)
-    solution, weights = superpose(problem, analysis, initial_state)
+    solution, weights = superpose(problem, analysis)
     matrix = analysis.matrix
     if matrix.condition_number > CONDITION_WARN_THRESHOLD:
         warnings.warn(
@@ -89,10 +90,9 @@ def solve_detailed(problem: ProblemSpec, grid: Grid, rank_tolerance: float | Non
     )
 
 
-def solve(problem: ProblemSpec, grid: Grid, rank_tolerance: float | None = None,
-          initial_state: np.ndarray | None = None) -> DerivativeStack:
+def solve(problem: ProblemSpec, grid: Grid, rank_tolerance: float | None = None) -> DerivativeStack:
     """Solve (L, B) y = (f, c); refuses when the problem is not well posed."""
-    return solve_detailed(problem, grid, rank_tolerance, initial_state).solution
+    return solve_detailed(problem, grid, rank_tolerance).solution
 
 
 def discrepancy(problem: ProblemSpec, candidate: DerivativeStack) -> float:

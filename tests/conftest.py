@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from fredholm_bvp import DerivativeStack, Interval
+from fredholm_bvp import DerivativeStack, Interval, fundamental_set
 
 UNIT = Interval(0.0, 1.0)
 
@@ -51,6 +51,16 @@ def random_stack(grid, rng, dimension, max_order):
 
 def random_complex(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def combine(fset, weights):
+    """The homogeneous solution sum_i Y_i w_i for a weight vector in C^{rm}."""
+    return DerivativeStack(fset.grid, fset.stack.samples @ np.asarray(weights, dtype=complex))
+
+
+def particular(coeffs, f, grid):
+    """y_p with zero initial data: the last column of the forced fundamental stack."""
+    return DerivativeStack(grid, fundamental_set(coeffs, grid, f).stack.samples[..., -1])
 
 
 def members(fset):

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import UNIT, members, random_complex
+from conftest import UNIT, combine, members, random_complex
 from fredholm_bvp import (
     BoundaryOperator,
     CoefficientSet,
@@ -24,7 +24,6 @@ from fredholm_bvp import (
     RightHandSide,
     build_characteristic_matrix,
     check_multipoint_assumptions,
-    combine_homogeneous,
     convergence_experiment,
     cos_sqrt,
     fundamental_set,
@@ -202,7 +201,7 @@ def test_ac05_kernel_realization():
             assert len(directions) == problem.state_size - matrix.numerical_rank
             assert directions, "test problem should be rank deficient"
             for xi in directions:
-                y = combine_homogeneous(fset, xi)
+                y = combine(fset, xi)
                 residual = residual_stack(problem.coefficients, y, orders=0)
                 assert np.abs(residual.samples[0]).sum(axis=1).max() <= 1e-6
                 assert vector_magnitude(problem.boundary.apply(y)) <= 1e-6

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import UNIT, interpolate_at, members, random_complex
+from conftest import UNIT, combine, interpolate_at, members, random_complex
 from fredholm_bvp import (
     BoundaryOperator,
     CoefficientSet,
@@ -18,7 +18,6 @@ from fredholm_bvp import (
     build_characteristic_matrix,
     characteristic_from_blocks,
     cokernel_directions,
-    combine_homogeneous,
     fundamental_set,
     kernel_directions,
     oracle_characteristic,
@@ -217,7 +216,7 @@ def test_kernel_realization():
     assert len(directions) == problem.state_size - matrix.numerical_rank
     assert directions
     for xi in directions:
-        y = combine_homogeneous(fset, xi)
+        y = combine(fset, xi)
         residual = residual_stack(problem.coefficients, y, orders=0)
         assert np.abs(residual.samples[0]).sum(axis=1).max() <= 1e-6
         assert vector_magnitude(problem.boundary.apply(y)) <= 1e-6
@@ -251,7 +250,7 @@ def test_one_svd_per_matrix(monkeypatch):
     m = 2
     problem = one_point_problem(random_complex(rng, m, m) * 0.4,
                                 [random_complex(rng, m, 1) @ random_complex(rng, 1, m)])
-    _, matrix, report = analyze(problem, Grid.uniform(UNIT, 201))
+    _, matrix, report, _ = analyze(problem, Grid.uniform(UNIT, 201))
     assert len(kernel_directions(matrix)) == report.dim_kernel == 1
     assert len(cokernel_directions(matrix)) == report.dim_cokernel == 1
     assert len(calls) == 1

@@ -290,3 +290,99 @@ def test_integral_valued_float_order_still_loads():
     raw = minimal_document()
     raw["boundary"]["points"][0]["order"] = 0.0
     assert load_document(raw).boundary.points[0].order == 0
+
+
+def one_point_document():
+    return json.loads((SAMPLES / "one-point-first-order.json").read_text())
+
+
+def table(nodes, value):
+    """A table payload holding ``value`` at every node, order 0 only."""
+    return {"kind": "table", "nodes": nodes, "samples": [[value] * len(nodes)]}
+
+
+A0 = [[[0.4, 0.1], [-0.3, 0.0]], [[0.2, 0.0], [0.1, -0.2]]]  # the sample's coefficient
+
+
+def _bool_in_c(raw):
+    raw["rhs"]["c"][0] = [True, 0]
+
+
+def _bool_in_coefficient(raw):
+    raw["coefficients"][0]["values"][1][0] = [0.2, False]
+
+
+def _bool_in_point_matrix(raw):
+    raw["boundary"]["points"][1]["matrix"][0][0] = [True, 0]
+
+
+def _bool_in_table_sample(raw):
+    raw["coefficients"][0] = table([0.0, 0.5, 1.0], A0)
+    raw["coefficients"][0]["samples"][0][1] = [[[0.4, 0.1], [True, 0.0]], A0[1]]
+
+
+@pytest.mark.parametrize("mutate,path", [
+    (_bool_in_c, r"\$\.rhs\.c\[0\]"),
+    (_bool_in_coefficient, r"\$\.coefficients\[0\]\.values\[1\]\[0\]"),
+    (_bool_in_point_matrix, r"\$\.boundary\.points\[1\]\.matrix\[0\]\[0\]"),
+    (_bool_in_table_sample, r"\$\.coefficients\[0\]\.samples\[0\]\[1\]\[0\]\[1\]"),
+], ids=["rhs.c", "coefficient", "point-matrix", "table-samples"])
+def test_boolean_in_complex_pair_rejected_with_path(mutate, path):
+    # a JSON boolean is a Python int: [true, 0] must not load as 1
+    raw = one_point_document()
+    mutate(raw)
+    with pytest.raises(DocumentError, match=rf"^{path}: .*\[re, im\] pairs"):
+        load_document(json.dumps(raw))
+
+
+KERNEL = [[[0.1, 0], [0, 0]], [[0, 0], [0.1, 0]]]
+F_VALUE = [[1.0, 0], [0.5, 0]]
+
+
+def _rhs_table(nodes):
+    def mutate(raw):
+        raw["rhs"]["f"] = table(nodes, F_VALUE)
+    return mutate
+
+
+def _kernel_table(raw):
+    raw["boundary"]["integral"] = {"kernel": table([0.0, 0.5, 0.75], KERNEL)}
+
+
+def _family_coefficient_table(raw):
+    raw["family"] = {"schedule": [0.1, 0.01], "coefficients": [table([0.0, 0.5], A0)]}
+
+
+def _family_rhs_table(raw):
+    raw["family"] = {"schedule": [0.1, 0.01],
+                     "rhs": {"f": table([0.0, 2.0], F_VALUE), "c": raw["rhs"]["c"]}}
+
+
+def _family_kernel_table(raw):
+    boundary = dict(raw["boundary"], integral={"kernel": table([-1.0, 1.0], KERNEL)})
+    raw["family"] = {"schedule": [0.1, 0.01], "boundary": boundary}
+
+
+@pytest.mark.parametrize("mutate,path", [
+    (_rhs_table([0.0, 0.25, 0.5]), r"\$\.rhs\.f"),
+    (_rhs_table([-1.0, 0.5, 2.0]), r"\$\.rhs\.f"),
+    (_kernel_table, r"\$\.boundary\.integral\.kernel"),
+    (_family_coefficient_table, r"\$\.family\.coefficients\[0\]"),
+    (_family_rhs_table, r"\$\.family\.rhs\.f"),
+    (_family_kernel_table, r"\$\.family\.boundary\.integral\.kernel"),
+], ids=["rhs.f-short", "rhs.f-wide", "kernel", "family-coefficient", "family-rhs.f", "family-kernel"])
+def test_every_table_must_span_interval(mutate, path):
+    raw = one_point_document()
+    mutate(raw)
+    doc = load_document(raw)
+    build = document_family if doc.family is not None else document_problem
+    with pytest.raises(DocumentError, match=rf"^{path}: table nodes must span the problem interval"):
+        build(doc)
+
+
+def test_spanning_tables_still_build():
+    raw = one_point_document()
+    _rhs_table([0.0, 0.25, 0.5, 0.75, 1.0])(raw)
+    raw["boundary"]["integral"] = {"kernel": table([0.0, 1.0], KERNEL)}
+    problem = document_problem(load_document(raw))
+    np.testing.assert_allclose(problem.rhs.f.eval(np.array([0.3])), [[1.0, 0.5]])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import UNIT, members, random_complex
+from conftest import UNIT, combine, members, particular, random_complex
 from fredholm_bvp import (
     CoefficientSet,
     ConstantFunction,
@@ -9,10 +9,8 @@ from fredholm_bvp import (
     Interval,
     PolynomialFunction,
     TabulatedFunction,
-    combine_homogeneous,
     fundamental_set,
     matrix_exp,
-    particular_solution,
     residual_stack,
 )
 from fredholm_bvp.expressions import parse_expression
@@ -110,7 +108,7 @@ def test_variable_coefficient_representations_agree():
 def test_particular_solution_zero_rhs():
     grid = Grid.uniform(UNIT, 101)
     coeffs = CoefficientSet(1, 2, 1, (np.eye(2) * 0.5,))
-    y = particular_solution(coeffs, np.zeros(2), grid)
+    y = particular(coeffs, np.zeros(2), grid)
     assert np.abs(y.samples).max() == 0.0
 
 
@@ -118,7 +116,7 @@ def test_particular_solution_constant_forcing():
     grid = Grid.uniform(UNIT, 101)
     v = np.array([1.0, -2.0])
     coeffs = CoefficientSet(1, 2, 0, (np.zeros((2, 2)),))
-    y = particular_solution(coeffs, v, grid)
+    y = particular(coeffs, v, grid)
     np.testing.assert_allclose(y.samples[0], grid.nodes[:, None] * v, atol=1e-13)
 
 
@@ -126,7 +124,7 @@ def test_particular_solution_scalar_oracle():
     # oracle: y' + y = 1 with y(0) = 0 has the solution 1 - exp(-t)
     grid = Grid.uniform(UNIT, 1001)
     coeffs = CoefficientSet(1, 1, 1, (np.array([[1.0]]),))
-    y = particular_solution(coeffs, np.array([1.0]), grid)
+    y = particular(coeffs, np.array([1.0]), grid)
     exact = 1.0 - np.exp(-grid.nodes)
     assert np.abs(y.samples[0, :, 0] - exact).max() <= 1e-8
 
@@ -138,9 +136,9 @@ def test_superposition_solves_equation():
     coeffs = CoefficientSet(r, m, 1, tuple(random_complex(rng, m, m) * 0.3 for _ in range(r)))
     f = ConstantFunction(np.array([1.0, 0.5]))
     fset = fundamental_set(coeffs, grid)
-    y_p = particular_solution(coeffs, f, grid)
+    y_p = particular(coeffs, f, grid)
     xi = random_complex(rng, r * m)
-    y = y_p + combine_homogeneous(fset, xi)
+    y = y_p + combine(fset, xi)
     residual = residual_stack(coeffs, y, f, orders=0)
     assert np.abs(residual.samples[0]).sum(axis=1).max() <= 1e-8
 
@@ -148,20 +146,9 @@ def test_superposition_solves_equation():
 def test_residual_stack_requires_enough_orders():
     grid = Grid.uniform(UNIT, 101)
     coeffs = CoefficientSet(1, 1, 2, (np.zeros((1, 1)),))
-    y = particular_solution(coeffs, np.array([1.0]), grid)
+    y = particular(coeffs, np.array([1.0]), grid)
     with pytest.raises(ValueError):
         residual_stack(coeffs, y, orders=5)
-
-
-def test_random_seed_changes_particular_but_not_equation():
-    grid = Grid.uniform(UNIT, 201)
-    coeffs = CoefficientSet(1, 2, 0, (np.eye(2) * 0.4,))
-    f = np.array([1.0, 1.0])
-    seeded = particular_solution(coeffs, f, grid,
-                                 initial_state=np.array([0.3, -0.2]))
-    residual = residual_stack(coeffs, seeded, f, orders=0)
-    assert np.abs(residual.samples[0]).sum(axis=1).max() <= 1e-9
-    np.testing.assert_allclose(seeded.samples[0, 0], [0.3, -0.2], atol=1e-15)
 
 
 def test_blow_up_raises_diagnostic():
@@ -174,7 +161,7 @@ def test_blow_up_raises_diagnostic():
     with pytest.raises(FloatingPointError, match=message):
         fundamental_set(coeffs, grid)
     with pytest.raises(FloatingPointError, match=message):
-        particular_solution(coeffs, np.array([1.0]), grid)
+        fundamental_set(coeffs, grid, np.array([1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +229,15 @@ def test_kernel_agrees_with_per_step_rk4(kind, r, m):
             assert_relative(member.samples[j], expected[:, j * m : (j + 1) * m, i * m : (i + 1) * m],
                             1e-12)
 
+    # the forced stack [Y | y_p]: the same Y columns, and y_p from zero initial data
     f = ExpressionFunction(np.array([parse_expression(f"cos({k + 1}*t) + {k}") for k in range(m)],
                                     dtype=object))
-    seed = random_complex(rng, size)
-    expected = reference_rk4(coeffs, grid, seed[:, None], f)
-    y = particular_solution(coeffs, f, grid, initial_state=seed)
+    forced = fundamental_set(coeffs, grid, f).stack.samples
+    assert forced.shape == (r + 2, grid.count, m, size + 1)
+    expected_p = reference_rk4(coeffs, grid, np.zeros((size, 1)), f)
     for j in range(r):
-        assert_relative(y.samples[j], expected[:, j * m : (j + 1) * m, 0], 1e-12)
+        assert_relative(forced[j, ..., :size], expected[:, j * m : (j + 1) * m], 1e-12)
+        assert_relative(forced[j, ..., size], expected_p[:, j * m : (j + 1) * m, 0], 1e-12)
 
 
 @pytest.mark.parametrize("r,m", [(1, 1), (2, 2), (1, 4)])

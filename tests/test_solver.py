@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import UNIT, random_complex
+from conftest import UNIT, combine, particular, random_complex
+from fredholm_bvp import ode
 from fredholm_bvp import (
     BoundaryOperator,
     CoefficientSet,
@@ -13,16 +16,17 @@ from fredholm_bvp import (
     ProblemSpec,
     RightHandSide,
     build_characteristic_matrix,
-    combine_homogeneous,
+    convergence_experiment,
     discrepancy,
     fundamental_set,
     kernel_directions,
     point_evaluation,
     residual_stack,
-    sobolev_norm,
     solve,
     solve_detailed,
 )
+from fredholm_bvp.cli import main
+from fredholm_bvp.document import document_family, document_multipoint, load_document
 from fredholm_bvp.grid import P2, vector_magnitude
 
 
@@ -98,16 +102,6 @@ def test_residual_bounded_by_integrator_tolerance():
     assert max_residual <= 10.0 * max(result.max_residual, 1e-12)
 
 
-def test_uniqueness_across_particular_seeds():
-    rng = np.random.default_rng(43)
-    a = random_complex(rng, 2, 2) * 0.4
-    problem = initial_value_problem(a, random_complex(rng, 2), random_complex(rng, 2))
-    grid = Grid.uniform(UNIT, 501)
-    plain = solve(problem, grid)
-    seeded = solve(problem, grid, initial_state=random_complex(rng, 2))
-    assert sobolev_norm(plain - seeded, P2) <= 1e-8
-
-
 def test_missing_rhs_rejected():
     problem = ProblemSpec(UNIT, CoefficientSet(1, 1, 0, (np.zeros((1, 1)),)),
                           point_evaluation(0.0, np.eye(1)), P2)
@@ -130,7 +124,7 @@ def test_not_well_posed_refusal_and_kernel():
     directions = kernel_directions(matrix)
     assert len(directions) == 1
     fset = fundamental_set(problem.coefficients, grid)
-    shift = combine_homogeneous(fset, directions[0])
+    shift = combine(fset, directions[0])
     residual = residual_stack(problem.coefficients, shift, orders=0)
     assert np.abs(residual.samples[0]).sum(axis=1).max() <= 1e-9
     assert vector_magnitude(problem.boundary.apply(shift)) <= 1e-9
@@ -177,3 +171,62 @@ def test_discrepancy_dimension_check():
     y = solve(other, Grid.uniform(UNIT, 101))
     with pytest.raises(ValueError):
         discrepancy(problem, y)
+
+
+# ---------------------------------------------------------------------------
+# one integration and one boundary pass per analysed problem
+
+SAMPLES = Path(__file__).resolve().parent.parent / "docs" / "samples"
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Record the width of every integration and count boundary applications."""
+    widths, applied = [], []
+    integrate, apply = ode._integrate, BoundaryOperator.apply
+
+    def counting_integrate(coeffs, grid, initial, f=None):
+        widths.append(initial.shape[1])
+        return integrate(coeffs, grid, initial, f)
+
+    def counting_apply(self, stack):
+        applied.append(stack.samples.shape[3:])
+        return apply(self, stack)
+
+    monkeypatch.setattr(ode, "_integrate", counting_integrate)
+    monkeypatch.setattr(BoundaryOperator, "apply", counting_apply)
+    return widths, applied
+
+
+def test_solve_integrates_and_applies_once(passes):
+    rng = np.random.default_rng(46)
+    problem = initial_value_problem(random_complex(rng, 2, 2) * 0.4,
+                                    random_complex(rng, 2), random_complex(rng, 2))
+    grid = Grid.uniform(UNIT, 201)
+    result = solve_detailed(problem, grid)
+    widths, applied = passes
+    assert widths == [3]
+    assert applied == [(3,)]
+    # y_p + Y xi against the solution assembled from the two integrations
+    fset = fundamental_set(problem.coefficients, grid)
+    y_p = particular(problem.coefficients, problem.rhs.f, grid)
+    expected = y_p + combine(fset, result.weights)
+    assert np.abs(result.solution.samples - expected.samples).max() \
+        <= 1e-14 * np.abs(expected.samples).max()
+
+
+def test_family_integrates_once_per_problem(passes):
+    doc = load_document(str(SAMPLES / "splitting-family.json"))
+    family = document_family(doc)
+    grid = Grid.uniform(family.at_zero.interval, 201)
+    convergence_experiment(family, grid, multipoint=document_multipoint(doc))
+    widths, _ = passes
+    assert len(family.epsilons) == 4
+    assert widths == [3] * 5
+
+
+def test_cli_analyze_leaves_the_forcing_out(passes, tmp_path):
+    widths, _ = passes
+    assert main(["analyze", str(SAMPLES / "two-point-damped.json"), "--nodes", "201",
+                 "--out", str(tmp_path / "report.txt")]) == 0
+    assert widths == [4]
