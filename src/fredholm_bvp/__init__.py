@@ -66,7 +66,7 @@ from .ode import (
     fundamental_set,
     residual_stack,
 )
-from .solver import IllConditionedWarning, NotWellPosedError, discrepancy, solve, solve_detailed, superpose
+from .solver import IllConditionedWarning, NotWellPosedError, discrepancy, solve, superpose
 
 __version__ = "0.1.0"
 
@@ -126,7 +126,6 @@ __all__ = [
     "sobolev_norm",
     "solvability_report",
     "solve",
-    "solve_detailed",
     "superpose",
     "symbolic_derivative",
 ]

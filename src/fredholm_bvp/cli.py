@@ -2,27 +2,34 @@
 
 Machine-readable reports are JSON with a fixed field order and floats
 formatted at 17 significant digits, so identical inputs and flags
-produce byte-identical output.  Exit status: 0 on success, 2 when an
-analysis completes but the problem is not well posed, 1 on any error.
+produce byte-identical output.  The handlers call ``analyze`` and
+``superpose`` and hand numpy arrays to the one encoder, ``emit_json``,
+which writes every complex value as an ``[re, im]`` pair.  ``oracle-check``
+takes each closed form from the recognised configuration of the problem,
+whether it comes from a document or is one of the builtins ``ex1``..``ex5``.
+Exit status: 0 on success, 2 when an analysis completes but the problem
+is not well posed, 1 on any error.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .characteristic import ProblemSpec, build_characteristic_matrix, kernel_directions, solvability_report
+from .characteristic import ProblemSpec, analyze, build_characteristic_matrix, kernel_directions
 from .boundary import BoundaryOperator, IntegralTerm, PointTerm
-from .closed_forms import oracle_characteristic
+from .closed_forms import _EXAMPLE_ALIASES, oracle_characteristic
 from .document import DocumentError, document_family, document_multipoint, document_problem, load_document
 from .expressions import ExpressionError
 from .functions import ConstantFunction
 from .grid import DEFAULT_NODE_COUNT, Grid, Interval, LebesgueExponent, vector_magnitude
 from .limits import ProblemFamily, convergence_experiment
 from .ode import CoefficientSet, residual_stack
-from .solver import NotWellPosedError, solve_detailed
+from .solver import NotWellPosedError, superpose
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -64,11 +71,13 @@ def emit_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
     if isinstance(obj, str):
-        import json as _json
-
-        return _json.dumps(obj)
-    if isinstance(obj, complex):
-        return emit_json([obj.real, obj.imag], indent)
+        return json.dumps(obj)
+    if isinstance(obj, (complex, np.ndarray)):
+        # complex values, scalar or array, end in [re, im] pairs
+        obj = np.asarray(obj)
+        if np.iscomplexobj(obj):
+            obj = np.stack([obj.real, obj.imag], axis=-1)
+        return emit_json(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -77,18 +86,12 @@ def emit_json(obj, indent: int = 0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        import json as _json
-
         inner = ",\n".join(
-            "  " * (indent + 1) + _json.dumps(str(k)) + ": " + emit_json(v, indent + 1)
+            "  " * (indent + 1) + json.dumps(str(k)) + ": " + emit_json(v, indent + 1)
             for k, v in obj.items()
         )
         return "{\n" + inner + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _complex_matrix_doc(matrix: np.ndarray):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.atleast_2d(matrix)]
 
 
 def _format_complex(z: complex) -> str:
@@ -114,41 +117,34 @@ def _write_output(text: str, out_path: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _analysis_documents(problem: ProblemSpec, grid: Grid, rank_tol):
-    matrix = build_characteristic_matrix(problem, grid, rank_tol)
-    report = solvability_report(matrix, problem)
-    directions = kernel_directions(matrix)
-    doc = {
-        "problem": {
-            "interval": {"a": problem.interval.a, "b": problem.interval.b},
-            "orders": {"r": problem.r, "m": problem.m, "n": problem.n},
-            "conditions": problem.q,
-        },
-        "grid_nodes": grid.count,
-        "characteristic_matrix": _complex_matrix_doc(matrix.entries),
-        "singular_values": [float(s) for s in matrix.singular_values],
-        "rank_tolerance": matrix.rank_tolerance,
-        "numerical_rank": matrix.numerical_rank,
-        "report": {
-            "index": report.index,
-            "dim_kernel": report.dim_kernel,
-            "dim_cokernel": report.dim_cokernel,
-            "well_posed": report.well_posed,
-            "diagnostics": list(report.diagnostics),
-        },
-        "kernel_directions": [
-            [[float(z.real), float(z.imag)] for z in direction] for direction in directions
-        ],
-    }
-    return matrix, report, directions, doc
-
-
 def _run_analyze(args) -> int:
     problem = document_problem(load_document(args.document))
     grid = Grid.uniform(problem.interval, args.nodes)
-    matrix, report, directions, doc = _analysis_documents(problem, grid, args.rank_tol)
-    doc = {"command": "analyze", **doc}
+    # the report concerns (L, B) only, so the forcing is not integrated
+    _, matrix, report, _ = analyze(replace(problem, rhs=None), grid, args.rank_tol)
+    directions = kernel_directions(matrix)
     if args.format == "machine":
+        doc = {
+            "command": "analyze",
+            "problem": {
+                "interval": {"a": problem.interval.a, "b": problem.interval.b},
+                "orders": {"r": problem.r, "m": problem.m, "n": problem.n},
+                "conditions": problem.q,
+            },
+            "grid_nodes": grid.count,
+            "characteristic_matrix": matrix.entries,
+            "singular_values": matrix.singular_values,
+            "rank_tolerance": matrix.rank_tolerance,
+            "numerical_rank": matrix.numerical_rank,
+            "report": {
+                "index": report.index,
+                "dim_kernel": report.dim_kernel,
+                "dim_cokernel": report.dim_cokernel,
+                "well_posed": report.well_posed,
+                "diagnostics": list(report.diagnostics),
+            },
+            "kernel_directions": directions,
+        }
         _write_output(emit_json(doc), args.out)
     else:
         lines = []
@@ -175,8 +171,9 @@ def _run_analyze(args) -> int:
 def _run_solve(args) -> int:
     problem = document_problem(load_document(args.document))
     grid = Grid.uniform(problem.interval, args.nodes)
-    result = solve_detailed(problem, grid, args.rank_tol)
-    y = result.solution
+    analysis = analyze(problem, grid, args.rank_tol)
+    y, weights = superpose(problem, analysis)
+    condition_number = analysis.matrix.condition_number
     residual = residual_stack(problem.coefficients, y, problem.rhs.f, orders=0)
     equation_residual = float(np.abs(residual.samples[0]).sum(axis=1).max())
     boundary_residual = vector_magnitude(problem.boundary.apply(y) - problem.rhs.c)
@@ -184,19 +181,16 @@ def _run_solve(args) -> int:
         doc = {
             "command": "solve",
             "grid_nodes": grid.count,
-            "nodes": [float(t) for t in grid.nodes],
+            "nodes": grid.nodes,
             "orders": y.max_order,
-            "samples": [
-                [[[float(z.real), float(z.imag)] for z in node] for node in order]
-                for order in y.samples
-            ],
-            "weights": [[float(z.real), float(z.imag)] for z in result.weights],
+            "samples": y.samples,
+            "weights": weights,
             "residuals": {
                 "equation_max": equation_residual,
                 "boundary": boundary_residual,
-                "integration": result.max_residual,
+                "integration": analysis.fundamental.max_residual,
             },
-            "condition_number": float(result.matrix.condition_number),
+            "condition_number": condition_number,
         }
         _write_output(emit_json(doc), args.out)
     else:
@@ -204,7 +198,7 @@ def _run_solve(args) -> int:
             f"solved on {grid.count} nodes; derivative orders 0..{y.max_order}",
             f"equation residual (max node): {equation_residual:.3e}",
             f"boundary residual: {boundary_residual:.3e}",
-            f"characteristic matrix condition number: {result.matrix.condition_number:.3e}",
+            f"characteristic matrix condition number: {condition_number:.3e}",
             "solution samples (order 0):",
         ]
         step = max(1, grid.count // 10)
@@ -234,11 +228,10 @@ def _run_family(args) -> int:
 
 def _run_oracle_check(args) -> int:
     if args.document in _BUILTINS:
-        name, problem, oracle = _BUILTINS[args.document]()
+        problem = _BUILTINS[args.document]()
     else:
-        doc = load_document(args.document)
-        problem = document_problem(doc)
-        name, oracle = _oracle_from_problem(problem)
+        problem = document_problem(load_document(args.document))
+    name, oracle = _oracle_from_problem(problem)
     grid = Grid.uniform(problem.interval, args.nodes)
     matrix = build_characteristic_matrix(problem, grid, args.rank_tol)
     deviation = float(np.abs(matrix.entries - oracle).max())
@@ -249,8 +242,8 @@ def _run_oracle_check(args) -> int:
             "command": "oracle-check",
             "example": name,
             "grid_nodes": grid.count,
-            "numerical": _complex_matrix_doc(matrix.entries),
-            "closed_form": _complex_matrix_doc(oracle),
+            "numerical": matrix.entries,
+            "closed_form": oracle,
             "max_deviation": deviation,
             "relative_deviation": relative,
         }
@@ -363,10 +356,7 @@ def _builtin_ex1():
     boundary = BoundaryOperator(
         m, tuple(PointTerm(0.0, k, alphas[k]) for k in range(3))
     )
-    problem = ProblemSpec(Interval(0.0, 1.0), coeffs, boundary, LebesgueExponent(2.0))
-    return "one-point-first-order", problem, oracle_characteristic(
-        "ex1", matrix=a, alphas=alphas
-    )
+    return ProblemSpec(Interval(0.0, 1.0), coeffs, boundary, LebesgueExponent(2.0))
 
 
 def _builtin_ex2():
@@ -379,10 +369,7 @@ def _builtin_ex2():
     terms = [PointTerm(p, 0, mat) for p, mat in zip(points, alphas0)]
     terms += [PointTerm(p, 2, mat) for p, mat in zip(points, higher)]
     boundary = BoundaryOperator(m, tuple(terms))
-    problem = ProblemSpec(Interval(0.0, 1.0), coeffs, boundary, LebesgueExponent(2.0))
-    return "multipoint-zero-coefficient", problem, oracle_characteristic(
-        "ex2", alphas0=alphas0
-    )
+    return ProblemSpec(Interval(0.0, 1.0), coeffs, boundary, LebesgueExponent(2.0))
 
 
 def _builtin_second_order(damped: bool):
@@ -398,12 +385,7 @@ def _builtin_second_order(damped: bool):
     terms = tuple(PointTerm(0.0, k, alphas[k]) for k in range(n + 2))
     terms += tuple(PointTerm(1.0, k, betas[k]) for k in range(n + 2))
     boundary = BoundaryOperator(q, terms)
-    problem = ProblemSpec(Interval(0.0, 1.0), coeffs, boundary, LebesgueExponent(2.0))
-    name = "two-point-damped" if damped else "two-point-oscillatory"
-    oracle = oracle_characteristic(
-        "ex3" if damped else "ex4", matrix=a, alphas=alphas, betas=betas, length=1.0
-    )
-    return name, problem, oracle
+    return ProblemSpec(Interval(0.0, 1.0), coeffs, boundary, LebesgueExponent(2.0))
 
 
 def _builtin_ex5():
@@ -418,8 +400,7 @@ def _builtin_ex5():
         (PointTerm(0.0, 0, alpha0), PointTerm(0.0, 1, alpha1)),
         IntegralTerm(kernel),
     )
-    problem = ProblemSpec(Interval(0.0, 1.0), coeffs, boundary, LebesgueExponent(2.0))
-    return "canonical-first-order", problem, oracle_characteristic("ex5", alpha0=alpha0)
+    return ProblemSpec(Interval(0.0, 1.0), coeffs, boundary, LebesgueExponent(2.0))
 
 
 _BUILTINS = {
@@ -428,12 +409,8 @@ _BUILTINS = {
     "ex3": lambda: _builtin_second_order(True),
     "ex4": lambda: _builtin_second_order(False),
     "ex5": _builtin_ex5,
-    "one-point-first-order": _builtin_ex1,
-    "multipoint-zero-coefficient": _builtin_ex2,
-    "two-point-damped": lambda: _builtin_second_order(True),
-    "two-point-oscillatory": lambda: _builtin_second_order(False),
-    "canonical-first-order": _builtin_ex5,
 }
+_BUILTINS.update({name: _BUILTINS[short] for short, name in _EXAMPLE_ALIASES.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -495,21 +472,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except NotWellPosedError as err:
         print(f"not well posed: {err}", file=sys.stderr)
         return EXIT_NOT_WELL_POSED
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    except (DocumentError, ExpressionError, ValueError, OSError, FloatingPointError) as err:
+    except (CliError, DocumentError, ExpressionError, ValueError, OSError, FloatingPointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

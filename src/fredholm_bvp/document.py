@@ -9,7 +9,8 @@ expected take one of three payload kinds:
 * ``{"kind": "expression", "entries": ...}`` — entrywise expression
   strings in ``t`` (``"polynomial"`` is accepted as an alias);
 * ``{"kind": "table", "nodes": [...], "samples": ...}`` — samples per
-  derivative order on a uniform grid.
+  derivative order on a uniform grid of at least four nodes (off-node
+  evaluation is cubic), checked when the document is parsed.
 
 Inside the optional ``family`` section, expression strings may also use
 ``eps``, and additionally the boundary-point locations, boundary-point
@@ -161,7 +162,7 @@ class FunctionDoc:
     kind: str
     constant: np.ndarray | None = None
     entries: np.ndarray | None = None  # object array of Expression
-    nodes: np.ndarray | None = None
+    grid: Grid | None = None
     samples: np.ndarray | None = None
 
     @property
@@ -177,8 +178,7 @@ class FunctionDoc:
             return ConstantFunction(self.constant)
         if self.kind == "expression":
             return ExpressionFunction(self.entries, eps=eps)
-        grid = Grid(Interval(float(self.nodes[0]), float(self.nodes[-1])), self.nodes)
-        return TabulatedFunction(grid, self.samples)
+        return TabulatedFunction(self.grid, self.samples)
 
     def to_json(self) -> dict:
         if self.kind == "constant":
@@ -193,7 +193,7 @@ class FunctionDoc:
             return {"kind": "expression", "entries": rendered}
         return {
             "kind": "table",
-            "nodes": [float(t) for t in self.nodes],
+            "nodes": self.grid.nodes.tolist(),
             "samples": _complex_array_to_json(self.samples),
         }
 
@@ -262,19 +262,23 @@ def _parse_function(raw, path: str, shape: tuple[int, ...], eps_ok: bool) -> Fun
             entries[idx] = tree
         return FunctionDoc("expression", entries=entries)
     nodes_raw = _require(raw, "nodes", path)
-    if not isinstance(nodes_raw, list) or len(nodes_raw) < 2:
-        raise DocumentError("table nodes must be a list of at least two numbers", f"{path}.nodes")
+    if not isinstance(nodes_raw, list) or len(nodes_raw) < 4:
+        raise DocumentError("table nodes must be a list of at least four numbers", f"{path}.nodes")
     if not all(type(t) in (int, float) for t in nodes_raw):
         raise DocumentError("table nodes must be numbers", f"{path}.nodes")
-    nodes = np.asarray([_finite((t,), f"{path}.nodes[{i}]").real for i, t in enumerate(nodes_raw)])
+    nodes = [_finite((t,), f"{path}.nodes[{i}]").real for i, t in enumerate(nodes_raw)]
+    try:
+        grid = Grid(Interval(nodes[0], nodes[-1]), nodes)
+    except ValueError as err:
+        raise DocumentError(f"table nodes are not a uniform grid: {err}", f"{path}.nodes") from None
     samples_raw = _require(raw, "samples", path)
     if not isinstance(samples_raw, list) or not samples_raw:
         raise DocumentError("table samples must be a non-empty list (one entry per order)",
                             f"{path}.samples")
     orders = len(samples_raw)
     samples = _parse_complex_array(samples_raw, f"{path}.samples",
-                                   (orders, nodes.size, *shape))
-    return FunctionDoc("table", nodes=nodes, samples=samples)
+                                   (orders, grid.count, *shape))
+    return FunctionDoc("table", grid=grid, samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +565,7 @@ def document_problem(doc: ProblemDocument, eps: float | None = None) -> ProblemS
     if rhs_doc is not None:
         payloads.append((f"{rhs_path}.f", rhs_doc.f))
     for path, fd in payloads:
-        if fd.kind == "table" and (fd.nodes[0], fd.nodes[-1]) != (doc.interval.a, doc.interval.b):
+        if fd.kind == "table" and fd.grid.interval != doc.interval:
             raise DocumentError("table nodes must span the problem interval", path)
     coefficients = CoefficientSet(
         doc.r, doc.m, doc.n, tuple(fd.build(eps) for fd in coeffs_docs)

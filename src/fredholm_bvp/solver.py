@@ -5,15 +5,19 @@ analysis integrates y_p as the last column of the fundamental stack
 [Y_1 ... Y_r | y_p] and applies B to that stack once, so the weights
 solve M xi = c - B y_p with the characteristic matrix M, and y is the
 one contraction [Y | y_p] [xi; 1]: superposition integrates nothing and
-applies no boundary operator.  Non-well-posed problems are refused with
-the full solvability report attached: the framework routes such
-problems to kernel/cokernel analysis, not to least-squares surrogates.
+applies no boundary operator.  ``solve`` is ``analyze`` then
+``superpose``; callers that want the matrix, the report or the
+integration residual as well call the two themselves and read them off
+the ``Analysis``.  Non-well-posed problems are refused with the full
+solvability report attached: the framework routes such problems to
+kernel/cokernel analysis, not to least-squares surrogates.  A well-posed
+matrix with a condition number above ``CONDITION_WARN_THRESHOLD`` is
+solved with an ``IllConditionedWarning``.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,39 +45,18 @@ class NotWellPosedError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    """Solution stack plus the analysis artifacts produced along the way."""
-
-    solution: DerivativeStack
-    matrix: CharacteristicMatrix
-    report: SolvabilityReport
-    weights: np.ndarray
-    max_residual: float
-
-
 def superpose(problem: ProblemSpec, analysis: Analysis) -> tuple[DerivativeStack, np.ndarray]:
     """Solution y_p + sum_i Y_i xi_i of an analyzed problem, and its weights xi.
 
     Raises NotWellPosedError, with the report attached, when the
-    analysis found the problem not well posed.
+    analysis found the problem not well posed, and warns with
+    IllConditionedWarning when M is close to singular.
     """
     fset, matrix, report, boundary_particular = analysis
     if problem.rhs is None or boundary_particular is None:
         raise ValueError("problem has no right-hand side to solve against")
     if not report.well_posed:
         raise NotWellPosedError(report, matrix)
-    weights = np.linalg.solve(matrix.entries, problem.rhs.c - boundary_particular)
-    samples = np.einsum("onij,j->oni", fset.stack.samples, np.append(weights, 1.0))
-    return DerivativeStack(fset.grid, samples), weights
-
-
-def solve_detailed(problem: ProblemSpec, grid: Grid,
-                   rank_tolerance: float | None = None) -> SolveResult:
-    """solve() returning the characteristic matrix and report as well."""
-    analysis = analyze(problem, grid, rank_tolerance)
-    solution, weights = superpose(problem, analysis)
-    matrix = analysis.matrix
     if matrix.condition_number > CONDITION_WARN_THRESHOLD:
         warnings.warn(
             f"characteristic matrix condition number {matrix.condition_number:.3e} "
@@ -81,18 +64,14 @@ def solve_detailed(problem: ProblemSpec, grid: Grid,
             IllConditionedWarning,
             stacklevel=2,
         )
-    return SolveResult(
-        solution=solution,
-        matrix=matrix,
-        report=analysis.report,
-        weights=weights,
-        max_residual=analysis.fundamental.max_residual,
-    )
+    weights = np.linalg.solve(matrix.entries, problem.rhs.c - boundary_particular)
+    samples = np.einsum("onij,j->oni", fset.stack.samples, np.append(weights, 1.0))
+    return DerivativeStack(fset.grid, samples), weights
 
 
 def solve(problem: ProblemSpec, grid: Grid, rank_tolerance: float | None = None) -> DerivativeStack:
     """Solve (L, B) y = (f, c); refuses when the problem is not well posed."""
-    return solve_detailed(problem, grid, rank_tolerance).solution
+    return superpose(problem, analyze(problem, grid, rank_tolerance))[0]
 
 
 def discrepancy(problem: ProblemSpec, candidate: DerivativeStack) -> float:

@@ -304,7 +304,7 @@ def _reference_problems():
     from fredholm_bvp.cli import _BUILTINS
     from fredholm_bvp.document import document_family, document_problem, load_document
 
-    problems = [(name, _BUILTINS[name]()[1]) for name in ("ex1", "ex2", "ex3", "ex4", "ex5")]
+    problems = [(name, _BUILTINS[name]()) for name in ("ex1", "ex2", "ex3", "ex4", "ex5")]
     for path in sorted(SAMPLES.glob("*.json")):
         doc = load_document(path)
         problems.append((path.stem, document_problem(doc)))

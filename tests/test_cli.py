@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fredholm_bvp.cli import emit_json, main
@@ -106,13 +107,26 @@ def test_family_requires_family_section(capsys):
     assert "family" in err
 
 
-@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4", "ex5"])
+BUILTIN_EXAMPLES = {
+    "ex1": "one-point-first-order",
+    "ex2": "multipoint-zero-coefficient",
+    "ex3": "two-point-damped",
+    "ex4": "two-point-oscillatory",
+    "ex5": "canonical-first-order",
+}
+
+
+@pytest.mark.parametrize("name", list(BUILTIN_EXAMPLES))
 def test_oracle_check_builtins(name, capsys):
     code, out, _ = run(capsys, "oracle-check", name, "--nodes", "501",
                        "--format", "machine")
     assert code == 0
     doc = json.loads(out)
+    example = BUILTIN_EXAMPLES[name]
+    assert doc["example"] == example
     assert doc["relative_deviation"] <= 1e-6
+    # the long name is the same builtin
+    assert run(capsys, "oracle-check", example, "--nodes", "501", "--format", "machine")[1] == out
 
 
 def test_oracle_check_on_document(capsys):
@@ -171,6 +185,32 @@ def test_emit_json_float_formatting():
     assert "null" in text
     parsed = json.loads(text)
     assert parsed["x"] == 0.1
+
+
+def nested_lists(array: np.ndarray):
+    """The form reports used to be built in: floats, complex as [re, im]."""
+    if array.ndim > 0:
+        return [nested_lists(sub) for sub in array]
+    if np.iscomplexobj(array):
+        z = array.item()
+        return [float(z.real), float(z.imag)]
+    return float(array)
+
+
+SPECIAL = [0.1, -0.0, 0.0, float("nan"), float("inf"), float("-inf"), 1e300, 5e-324, -2.5, 1 / 3]
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (4,), (3, 0), (0, 2), (2, 3), (0, 2, 2), (2, 2, 3)])
+@pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+def test_emit_json_encodes_arrays_as_nested_lists(shape, complex_valued):
+    # the entries (real and imaginary parts) cycle through SPECIAL
+    values = np.resize(np.roll(SPECIAL, len(shape)), (2, *shape))
+    array = values[0, ...]  # a 0-d array, not a scalar, when shape is ()
+    if complex_valued:  # set the parts directly: 1j * inf would put a nan in the real part
+        array = np.empty(shape, dtype=complex)
+        array.real, array.imag = values
+    assert emit_json(array) == emit_json(nested_lists(array))
+    assert emit_json({"x": [array]}, 1) == emit_json({"x": [nested_lists(array)]}, 1)
 
 
 def test_emit_json_rejects_unknown_types():

@@ -196,8 +196,8 @@ def test_divergent_generator_rejected_at_limit():
 
 def test_table_coefficient_must_span_interval():
     raw = minimal_document(coefficients=[
-        {"kind": "table", "nodes": [0.0, 0.25, 0.5],
-         "samples": [[[[0, 0], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]]]]}
+        {"kind": "table", "nodes": [0.0, 0.125, 0.25, 0.375, 0.5],
+         "samples": [[[[0, 0], [0, 0]]] * 5]}
     ])
     doc = load_document(raw)
     with pytest.raises(DocumentError, match="span"):
@@ -317,7 +317,7 @@ def _bool_in_point_matrix(raw):
 
 
 def _bool_in_table_sample(raw):
-    raw["coefficients"][0] = table([0.0, 0.5, 1.0], A0)
+    raw["coefficients"][0] = table([0.0, 0.25, 0.5, 0.75, 1.0], A0)
     raw["coefficients"][0]["samples"][0][1] = [[[0.4, 0.1], [True, 0.0]], A0[1]]
 
 
@@ -346,26 +346,26 @@ def _rhs_table(nodes):
 
 
 def _kernel_table(raw):
-    raw["boundary"]["integral"] = {"kernel": table([0.0, 0.5, 0.75], KERNEL)}
+    raw["boundary"]["integral"] = {"kernel": table([0.0, 0.25, 0.5, 0.75], KERNEL)}
 
 
 def _family_coefficient_table(raw):
-    raw["family"] = {"schedule": [0.1, 0.01], "coefficients": [table([0.0, 0.5], A0)]}
+    raw["family"] = {"schedule": [0.1, 0.01], "coefficients": [table([0.0, 0.125, 0.25, 0.375, 0.5], A0)]}
 
 
 def _family_rhs_table(raw):
     raw["family"] = {"schedule": [0.1, 0.01],
-                     "rhs": {"f": table([0.0, 2.0], F_VALUE), "c": raw["rhs"]["c"]}}
+                     "rhs": {"f": table([0.0, 0.5, 1.0, 1.5, 2.0], F_VALUE), "c": raw["rhs"]["c"]}}
 
 
 def _family_kernel_table(raw):
-    boundary = dict(raw["boundary"], integral={"kernel": table([-1.0, 1.0], KERNEL)})
+    boundary = dict(raw["boundary"], integral={"kernel": table([-1.0, -0.5, 0.0, 0.5, 1.0], KERNEL)})
     raw["family"] = {"schedule": [0.1, 0.01], "boundary": boundary}
 
 
 @pytest.mark.parametrize("mutate,path", [
-    (_rhs_table([0.0, 0.25, 0.5]), r"\$\.rhs\.f"),
-    (_rhs_table([-1.0, 0.5, 2.0]), r"\$\.rhs\.f"),
+    (_rhs_table([0.0, 0.125, 0.25, 0.375, 0.5]), r"\$\.rhs\.f"),
+    (_rhs_table([-1.0, 0.0, 1.0, 2.0]), r"\$\.rhs\.f"),
     (_kernel_table, r"\$\.boundary\.integral\.kernel"),
     (_family_coefficient_table, r"\$\.family\.coefficients\[0\]"),
     (_family_rhs_table, r"\$\.family\.rhs\.f"),
@@ -383,6 +383,35 @@ def test_every_table_must_span_interval(mutate, path):
 def test_spanning_tables_still_build():
     raw = one_point_document()
     _rhs_table([0.0, 0.25, 0.5, 0.75, 1.0])(raw)
-    raw["boundary"]["integral"] = {"kernel": table([0.0, 1.0], KERNEL)}
+    raw["boundary"]["integral"] = {"kernel": table([0.0, 0.25, 0.5, 0.75, 1.0], KERNEL)}
     problem = document_problem(load_document(raw))
     np.testing.assert_allclose(problem.rhs.f.eval(np.array([0.3])), [[1.0, 0.5]])
+
+
+def test_table_nodes_checked_at_parse_time():
+    # the table's grid is built once, when the document is read
+    raw = one_point_document()
+    _rhs_table([0.0, 0.25, 0.5, 0.75, 1.0])(raw)
+    doc = load_document(raw)
+    assert doc.rhs.f.grid.count == 5
+    problem = document_problem(doc)
+    assert problem.rhs.f.grid is doc.rhs.f.grid
+
+
+@pytest.mark.parametrize("nodes,message", [
+    ([0.0, 0.1, 1.0, 1.5], "not a uniform grid: grid must be uniform"),
+    ([0.0, 0.1, 0.5, 1.0], "not a uniform grid: grid must be uniform"),
+    ([0.0, 0.5, 0.25, 1.0], "not a uniform grid: grid nodes must be strictly increasing"),
+    ([1.0, 0.75, 0.5, 0.25, 0.0], r"not a uniform grid: interval requires a < b"),
+    ([0.0, 1.0], "at least four numbers"),
+    ([0.0, 0.5, 1.0], "at least four numbers"),
+], ids=["non-uniform-wide", "non-uniform", "unsorted", "decreasing", "two-nodes", "three-nodes"])
+def test_bad_table_nodes_rejected_with_path(nodes, message):
+    raw = one_point_document()
+    _rhs_table(nodes)(raw)
+    with pytest.raises(DocumentError, match=rf"^\$\.rhs\.f\.nodes: table nodes .*{message}"):
+        load_document(raw)
+    family = one_point_document()
+    family["family"] = {"schedule": [0.1, 0.01], "coefficients": [table(nodes, A0)]}
+    with pytest.raises(DocumentError, match=rf"^\$\.family\.coefficients\[0\]\.nodes: .*{message}"):
+        load_document(family)

@@ -15,6 +15,7 @@ from fredholm_bvp import (
     PointTerm,
     ProblemSpec,
     RightHandSide,
+    analyze,
     build_characteristic_matrix,
     convergence_experiment,
     discrepancy,
@@ -23,7 +24,7 @@ from fredholm_bvp import (
     point_evaluation,
     residual_stack,
     solve,
-    solve_detailed,
+    superpose,
 )
 from fredholm_bvp.cli import main
 from fredholm_bvp.document import document_family, document_multipoint, load_document
@@ -95,11 +96,12 @@ def test_residual_bounded_by_integrator_tolerance():
     a = random_complex(rng, 2, 2) * 0.5
     problem = initial_value_problem(a, random_complex(rng, 2), random_complex(rng, 2))
     grid = Grid.uniform(UNIT, 501)
-    result = solve_detailed(problem, grid)
-    residual = residual_stack(problem.coefficients, result.solution,
+    analysis = analyze(problem, grid)
+    solution, _ = superpose(problem, analysis)
+    residual = residual_stack(problem.coefficients, solution,
                               problem.rhs.f, orders=0)
     max_residual = np.abs(residual.samples[0]).sum(axis=1).max()
-    assert max_residual <= 10.0 * max(result.max_residual, 1e-12)
+    assert max_residual <= 10.0 * max(analysis.fundamental.max_residual, 1e-12)
 
 
 def test_missing_rhs_rejected():
@@ -130,13 +132,29 @@ def test_not_well_posed_refusal_and_kernel():
     assert vector_magnitude(problem.boundary.apply(shift)) <= 1e-9
 
 
-def test_ill_conditioned_warning():
+def ill_conditioned_problem():
     coeffs = CoefficientSet(1, 2, 0, (np.zeros((2, 2)),))
     op = point_evaluation(0.0, np.diag([1.0, 1e-13]))
     rhs = RightHandSide(ConstantFunction(np.zeros(2)), np.array([1.0, 0.0]))
-    problem = ProblemSpec(UNIT, coeffs, op, P2, rhs)
+    return ProblemSpec(UNIT, coeffs, op, P2, rhs)
+
+
+def test_ill_conditioned_warning():
     with pytest.warns(IllConditionedWarning):
-        solve(problem, Grid.uniform(UNIT, 101), rank_tolerance=1e-15)
+        solve(ill_conditioned_problem(), Grid.uniform(UNIT, 101), rank_tolerance=1e-15)
+
+
+def test_superpose_warns_when_ill_conditioned():
+    problem = ill_conditioned_problem()
+    grid = Grid.uniform(UNIT, 101)
+    analysis = analyze(problem, grid, 1e-15)
+    assert analysis.report.well_posed
+    with pytest.warns(IllConditionedWarning, match="condition number 1.000e\\+13"):
+        solution, weights = superpose(problem, analysis)
+    np.testing.assert_allclose(weights, [1.0, 0.0])
+    # the default cutoff calls the same matrix rank-deficient: refused, not warned
+    with pytest.raises(NotWellPosedError):
+        superpose(problem, analyze(problem, grid))
 
 
 def test_discrepancy_vanishes_at_solution():
@@ -203,15 +221,15 @@ def test_solve_integrates_and_applies_once(passes):
     problem = initial_value_problem(random_complex(rng, 2, 2) * 0.4,
                                     random_complex(rng, 2), random_complex(rng, 2))
     grid = Grid.uniform(UNIT, 201)
-    result = solve_detailed(problem, grid)
+    solution, weights = superpose(problem, analyze(problem, grid))
     widths, applied = passes
     assert widths == [3]
     assert applied == [(3,)]
     # y_p + Y xi against the solution assembled from the two integrations
     fset = fundamental_set(problem.coefficients, grid)
     y_p = particular(problem.coefficients, problem.rhs.f, grid)
-    expected = y_p + combine(fset, result.weights)
-    assert np.abs(result.solution.samples - expected.samples).max() \
+    expected = y_p + combine(fset, weights)
+    assert np.abs(solution.samples - expected.samples).max() \
         <= 1e-14 * np.abs(expected.samples).max()
 
 
