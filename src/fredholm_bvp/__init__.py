@@ -47,8 +47,6 @@ from .grid import (
 )
 from .limits import (
     LimitReport,
-    MultipointFamily,
-    MultipointSeries,
     ProblemFamily,
     check_condition_0,
     check_condition_I,
@@ -56,7 +54,6 @@ from .limits import (
     check_multipoint_assumptions,
     characteristic_convergence,
     convergence_experiment,
-    multipoint_problem_family,
     semicontinuity_check,
 )
 from .ode import (
@@ -88,8 +85,6 @@ __all__ = [
     "LebesgueExponent",
     "LimitReport",
     "MatrixFunctionResult",
-    "MultipointFamily",
-    "MultipointSeries",
     "NotWellPosedError",
     "PointTerm",
     "PolynomialFunction",
@@ -114,7 +109,6 @@ __all__ = [
     "kernel_directions",
     "lp_norm",
     "matrix_exp",
-    "multipoint_problem_family",
     "oracle_characteristic",
     "parse_expression",
     "phi",

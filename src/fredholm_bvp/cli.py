@@ -23,11 +23,11 @@ import numpy as np
 from .characteristic import ProblemSpec, analyze, build_characteristic_matrix, kernel_directions
 from .boundary import BoundaryOperator, IntegralTerm, PointTerm
 from .closed_forms import _EXAMPLE_ALIASES, oracle_characteristic
-from .document import DocumentError, document_family, document_multipoint, document_problem, load_document
+from .document import DocumentError, document_family, document_problem, load_document
 from .expressions import ExpressionError
 from .functions import ConstantFunction
 from .grid import DEFAULT_NODE_COUNT, Grid, Interval, LebesgueExponent, vector_magnitude
-from .limits import ProblemFamily, convergence_experiment
+from .limits import convergence_experiment
 from .ode import CoefficientSet, residual_stack
 from .solver import NotWellPosedError, superpose
 
@@ -213,12 +213,9 @@ def _run_family(args) -> int:
     doc = load_document(args.document)
     family = document_family(doc)
     if args.eps_schedule:
-        family = ProblemFamily(family.at_zero, family.generator,
-                               epsilons=tuple(args.eps_schedule))
-    multipoint = document_multipoint(doc)
+        family = replace(family, epsilons=tuple(args.eps_schedule))
     grid = Grid.uniform(family.at_zero.interval, args.nodes)
-    report = convergence_experiment(family, grid, rank_tolerance=args.rank_tol,
-                                    multipoint=multipoint)
+    report = convergence_experiment(family, grid, rank_tolerance=args.rank_tol)
     if args.format == "machine":
         _write_output(emit_json({"command": "family", **report.to_document()}), args.out)
     else:

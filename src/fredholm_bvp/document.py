@@ -17,6 +17,8 @@ Inside the optional ``family`` section, expression strings may also use
 matrices and the boundary data vector may be written as expression
 strings in ``eps``.  The family's limit problem is the ``eps = 0``
 evaluation of its generators, so generators must stay finite there.
+Integer ``series`` tags on all of the family boundary's points, or on
+none, make it a multipoint family (see ``limits.ProblemFamily``).
 
 The full schema is documented in docs/problem-document.md with complete
 sample files next to it.
@@ -37,7 +39,7 @@ from .boundary import BoundaryOperator, IntegralTerm, PointTerm
 from .characteristic import ProblemSpec
 from .functions import ArrayFunction, ConstantFunction, ExpressionFunction, TabulatedFunction
 from .grid import Grid, Interval, LebesgueExponent
-from .limits import DEFAULT_EPSILONS, MultipointFamily, MultipointSeries, ProblemFamily
+from .limits import DEFAULT_EPSILONS, ProblemFamily
 from .ode import CoefficientSet, RightHandSide
 
 
@@ -112,12 +114,6 @@ def _resolve_slot(slot, eps: float | None) -> complex:
     return value
 
 
-def _slot_to_json(slot):
-    if isinstance(slot, complex):
-        return [slot.real, slot.imag]
-    return ex.to_source(slot)
-
-
 def _parse_slot_array(raw, path: str, shape: tuple[int, ...], eps_ok: bool) -> np.ndarray:
     arr = np.empty(shape, dtype=object)
     if len(shape) == 1:
@@ -143,12 +139,6 @@ def _resolve_slot_array(arr: np.ndarray, eps: float | None) -> np.ndarray:
     return out
 
 
-def _slot_array_to_json(arr: np.ndarray):
-    if arr.ndim == 1:
-        return [_slot_to_json(s) for s in arr]
-    return [[_slot_to_json(s) for s in row] for row in arr]
-
-
 # ---------------------------------------------------------------------------
 # function payloads
 
@@ -165,44 +155,12 @@ class FunctionDoc:
     grid: Grid | None = None
     samples: np.ndarray | None = None
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        if self.kind == "constant":
-            return self.constant.shape
-        if self.kind == "expression":
-            return self.entries.shape
-        return self.samples.shape[2:]
-
     def build(self, eps: float | None) -> ArrayFunction:
         if self.kind == "constant":
             return ConstantFunction(self.constant)
         if self.kind == "expression":
             return ExpressionFunction(self.entries, eps=eps)
         return TabulatedFunction(self.grid, self.samples)
-
-    def to_json(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant",
-                    "values": _complex_array_to_json(self.constant)}
-        if self.kind == "expression":
-            entries = self.entries
-            if entries.ndim == 1:
-                rendered = [ex.to_source(e) for e in entries]
-            else:
-                rendered = [[ex.to_source(e) for e in row] for row in entries]
-            return {"kind": "expression", "entries": rendered}
-        return {
-            "kind": "table",
-            "nodes": self.grid.nodes.tolist(),
-            "samples": _complex_array_to_json(self.samples),
-        }
-
-
-def _complex_array_to_json(arr: np.ndarray):
-    if arr.ndim == 0:
-        value = complex(arr)
-        return [value.real, value.imag]
-    return [_complex_array_to_json(sub) for sub in arr]
 
 
 def _parse_complex_array(raw, path: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -292,13 +250,6 @@ class PointDoc:
     matrix: np.ndarray  # object array of slots, (q, m)
     series: int | None = None
 
-    def to_json(self) -> dict:
-        out = {"t": _slot_to_json(self.location), "order": self.order,
-               "matrix": _slot_array_to_json(self.matrix)}
-        if self.series is not None:
-            out["series"] = self.series
-        return out
-
 
 @dataclass(frozen=True)
 class BoundaryDoc:
@@ -306,21 +257,11 @@ class BoundaryDoc:
     points: tuple[PointDoc, ...]
     integral: FunctionDoc | None = None
 
-    def to_json(self) -> dict:
-        out = {"conditions": self.conditions,
-               "points": [p.to_json() for p in self.points]}
-        if self.integral is not None:
-            out["integral"] = {"kernel": self.integral.to_json()}
-        return out
-
 
 @dataclass(frozen=True)
 class RhsDoc:
     f: FunctionDoc
     c: np.ndarray  # object array of slots, (q,)
-
-    def to_json(self) -> dict:
-        return {"f": self.f.to_json(), "c": _slot_array_to_json(self.c)}
 
 
 @dataclass(frozen=True)
@@ -329,16 +270,6 @@ class FamilyDoc:
     coefficients: tuple[FunctionDoc, ...] | None = None
     boundary: BoundaryDoc | None = None
     rhs: RhsDoc | None = None
-
-    def to_json(self) -> dict:
-        out: dict = {"schedule": list(self.schedule)}
-        if self.coefficients is not None:
-            out["coefficients"] = [c.to_json() for c in self.coefficients]
-        if self.boundary is not None:
-            out["boundary"] = self.boundary.to_json()
-        if self.rhs is not None:
-            out["rhs"] = self.rhs.to_json()
-        return out
 
 
 @dataclass(frozen=True)
@@ -352,20 +283,6 @@ class ProblemDocument:
     boundary: BoundaryDoc
     rhs: RhsDoc | None = None
     family: FamilyDoc | None = None
-
-    def to_json_dict(self) -> dict:
-        out: dict = {
-            "interval": {"a": self.interval.a, "b": self.interval.b},
-            "orders": {"r": self.r, "m": self.m, "n": self.n},
-            "exponent": "inf" if self.exponent.is_infinite else self.exponent.value,
-            "coefficients": [c.to_json() for c in self.coefficients],
-            "boundary": self.boundary.to_json(),
-        }
-        if self.rhs is not None:
-            out["rhs"] = self.rhs.to_json()
-        if self.family is not None:
-            out["family"] = self.family.to_json()
-        return out
 
 
 def _require(mapping: dict, key: str, path: str):
@@ -411,7 +328,12 @@ def _parse_boundary(raw, path: str, m: int, top_order: int,
                                    (conditions, m), eps_ok)
         series = item.get("series")
         if series is not None:
+            if not eps_ok:
+                raise DocumentError("series tags belong to the family boundary only",
+                                    f"{ppath}.series")
             series = _integer(series, f"{ppath}.series", 0)
+        if points and (series is None) != (points[0].series is None):
+            raise DocumentError("series tags are all or none: tag every point or no point", ppath)
         points.append(PointDoc(location, order, matrix, series))
     integral = None
     if "integral" in raw and raw["integral"] is not None:
@@ -588,62 +510,16 @@ def document_family(doc: ProblemDocument) -> ProblemFamily:
     """The eps-indexed family declared by the document's family section."""
     if doc.family is None:
         raise DocumentError("document has no family section")
-    return ProblemFamily(
+    points = doc.family.boundary.points if doc.family.boundary is not None else ()
+    tagged = bool(points) and points[0].series is not None
+    family = ProblemFamily(
         at_zero=document_problem(doc, eps=0.0),
         generator=lambda eps: document_problem(doc, eps=eps),
         epsilons=doc.family.schedule,
+        series=tuple(point.series for point in points) if tagged else None,
     )
-
-
-def document_multipoint(doc: ProblemDocument) -> MultipointFamily | None:
-    """Extract the multipoint series structure when point terms are tagged.
-
-    Requires every family boundary point term to carry a ``series``
-    index.  Each term becomes its own point of its series, with zero
-    matrices at the orders it does not mention; limits are the eps = 0
-    evaluations.  Returns None when no tagged family boundary exists.
-    """
-    if doc.family is None or doc.family.boundary is None:
-        return None
-    points = doc.family.boundary.points
-    if not points or any(p.series is None for p in points):
-        return None
-    q = doc.family.boundary.conditions
-    orders = doc.n + doc.r
-    by_series: dict[int, list[PointDoc]] = {}
-    for p in points:
-        by_series.setdefault(p.series, []).append(p)
-
-    def make_series(terms: list[PointDoc], zero_series: bool) -> MultipointSeries:
-        def points_fn(eps, terms=terms):
-            return np.array([_resolve_slot(t.location, eps).real for t in terms])
-
-        def matrices_fn(eps, terms=terms):
-            out = np.zeros((len(terms), orders, q, doc.m), dtype=complex)
-            for k, term in enumerate(terms):
-                out[k, term.order] = _resolve_slot_array(term.matrix, eps)
-            return out
-
-        if zero_series:
-            return MultipointSeries(points_fn, matrices_fn)
-        limit_points = points_fn(0.0)
-        if np.ptp(limit_points) > 1e-12:
-            raise DocumentError(
-                "all points of a converging series must share the eps=0 limit"
-            )
-        return MultipointSeries(points_fn, matrices_fn,
-                                limit_point=float(limit_points[0]),
-                                limit_matrices=matrices_fn(0.0).sum(axis=0))
-
-    series = tuple(
-        make_series(terms, zero_series=(index == 0))
-        for index, terms in sorted(by_series.items())
-    )
-    data = None
-    if doc.family.rhs is not None:
-        c_slots = doc.family.rhs.c
-        data = lambda eps: _resolve_slot_array(c_slots, eps)
-    elif doc.rhs is not None:
-        c_array = _resolve_slot_array(doc.rhs.c, None)
-        data = lambda eps: c_array
-    return MultipointFamily(series=series, data=data)
+    stray = family.stray_limit_term() if tagged else None
+    if stray is not None:
+        raise DocumentError("all points of a converging series must share the eps = 0 limit",
+                            f"$.family.boundary.points[{stray}].t")
+    return family

@@ -18,9 +18,11 @@ What is verified, per family:
   so its empirical bracket can stand in for the (existential) two-sided
   estimate constants.
 
-Multipoint families get their own assumption checks (point clustering,
-coefficient-sum convergence, weighted-norm smallness, zero-series decay)
-with the selection rule depending on whether p is finite.
+Multipoint families are families whose boundary point terms carry series
+tags; they get their own assumption checks (point clustering,
+coefficient-sum convergence, weighted-norm smallness, zero-series decay),
+read off the members' boundary operators, with the selection rule
+depending on whether p is finite.
 """
 
 from __future__ import annotations
@@ -32,11 +34,10 @@ from typing import Callable
 
 import numpy as np
 
-from .boundary import BoundaryOperator, PointTerm
+from .boundary import PointTerm
 from .characteristic import (ProblemSpec, SolvabilityReport, analyze, build_characteristic_matrix,
                              solvability_report)
-from .grid import DerivativeStack, Grid, Interval, LebesgueExponent, lp_norm, sobolev_norm, vector_magnitude
-from .ode import CoefficientSet, RightHandSide
+from .grid import DerivativeStack, Grid, lp_norm, sobolev_norm, vector_magnitude
 from .solver import discrepancy, superpose
 
 DEFAULT_EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -44,7 +45,7 @@ VANISH_ABS_TOL = 1e-6
 VANISH_DROP_FACTOR = 100.0
 BOUNDED_GROWTH_FACTOR = 100.0
 RATIO_FLOOR = 1e-13
-DEFAULT_SERIES_CAP = 64
+LIMIT_POINT_TOL = 1e-12
 
 
 def tends_to_zero(values) -> bool:
@@ -90,21 +91,37 @@ class TrendTable:
 
 @dataclass(frozen=True)
 class ConditionReport:
+    """Named tables; the condition holds when every table passes."""
+
     name: str
     tables: tuple[TrendTable, ...]
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(t.passed for t in self.tables)
 
 
 @dataclass(frozen=True)
 class ProblemFamily:
-    """eps-indexed problems sharing interval, orders and exponent."""
+    """eps-indexed problems sharing interval, orders and exponent.
+
+    ``series``, when set, tags the boundary point terms of every member
+    and of the limit problem, in term order, with the multipoint series
+    each belongs to.  Series 0 is the zero series, whose matrices must
+    vanish; the terms of any other series converge to one point, where
+    the limit problem holds their limit matrices.
+    """
 
     at_zero: ProblemSpec
     generator: Callable[[float], ProblemSpec]
     epsilons: tuple[float, ...] = DEFAULT_EPSILONS
+    series: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "epsilons", self.checked_schedule(self.epsilons))
+        if self.series is not None:
+            object.__setattr__(self, "series", tuple(self.series))
+            self._check_tags(self.at_zero)
 
     @staticmethod
     def checked_schedule(epsilons) -> tuple[float, ...]:
@@ -126,7 +143,28 @@ class ProblemFamily:
             raise ValueError("family members must share the interval")
         if member.exponent != self.at_zero.exponent:
             raise ValueError("family members must share the integrability exponent")
+        self._check_tags(member)
         return member
+
+    def _check_tags(self, problem: ProblemSpec) -> None:
+        count = len(problem.boundary.point_terms)
+        if self.series is not None and count != len(self.series):
+            raise ValueError(f"{len(self.series)} series tags for {count} boundary point terms")
+
+    def _series_terms(self, problem: ProblemSpec) -> dict[int, list[PointTerm]]:
+        """The point terms of ``problem`` by series tag, tags ascending, terms in order."""
+        terms = problem.boundary.point_terms
+        return {tag: [term for term, s in zip(terms, self.series) if s == tag]
+                for tag in sorted(set(self.series))}
+
+    def stray_limit_term(self) -> int | None:
+        """The index of the first limit-problem point term that lies more than
+        LIMIT_POINT_TOL from the first point of its converging series, or None."""
+        first: dict[int, float] = {}
+        for i, (tag, term) in enumerate(zip(self.series, self.at_zero.boundary.point_terms)):
+            if tag != 0 and abs(term.point - first.setdefault(tag, term.point)) > LIMIT_POINT_TOL:
+                return i
+        return None
 
     @cached_property
     def members(self) -> tuple[ProblemSpec, ...]:
@@ -169,7 +207,7 @@ def check_condition_I(family: ProblemFamily, grid: Grid) -> ConditionReport:
         tables.append(TrendTable.vanishing(
             f"coefficient of y^({d})", family.epsilons, [row[d] for row in rows]
         ))
-    return ConditionReport("condition-I", tuple(tables), all(t.passed for t in tables))
+    return ConditionReport("condition-I", tuple(tables))
 
 
 def default_probes(grid: Grid, dimension: int, max_order: int) -> DerivativeStack:
@@ -228,7 +266,7 @@ def check_condition_II(family: ProblemFamily, grid: Grid,
         TrendTable.vanishing(f"probe {i}", family.epsilons, column)
         for i, column in enumerate(zip(*rows))
     )
-    return ConditionReport("condition-II", tables, all(t.passed for t in tables))
+    return ConditionReport("condition-II", tables)
 
 
 def characteristic_convergence(family: ProblemFamily, grid: Grid,
@@ -291,88 +329,13 @@ def semicontinuity_check(family: ProblemFamily, grid: Grid,
 # multipoint families
 
 
-@dataclass(frozen=True)
-class MultipointSeries:
-    """One series of eps-dependent boundary points and matrices.
-
-    ``points(eps)`` has shape (omega,), ``matrices(eps)`` has shape
-    (omega, orders, q, m): one q x m matrix per point and derivative
-    order.  Converging series (j >= 1) declare the limit point and the
-    limit matrices; the zero series declares neither, and is admissible
-    only when its coefficient norms vanish in the limit.
-    """
-
-    points: Callable[[float], np.ndarray]
-    matrices: Callable[[float], np.ndarray]
-    limit_point: float | None = None
-    limit_matrices: np.ndarray | None = None
-
-    @property
-    def is_zero_series(self) -> bool:
-        return self.limit_point is None
-
-    def __post_init__(self):
-        if (self.limit_point is None) != (self.limit_matrices is None):
-            raise ValueError("declare both limit point and limit matrices, or neither")
-
-
-@dataclass(frozen=True)
-class MultipointFamily:
-    """Boundary series plus the eps-dependent boundary data vector."""
-
-    series: tuple[MultipointSeries, ...]
-    data: Callable[[float], np.ndarray] | None = None
-    series_cap: int = DEFAULT_SERIES_CAP
-
-    def _terms_at(self, eps: float) -> list[tuple[float, int, np.ndarray]]:
-        terms = []
-        if eps == 0:
-            for s in self.series:
-                if s.is_zero_series:
-                    continue
-                for d, matrix in enumerate(np.asarray(s.limit_matrices)):
-                    terms.append((float(s.limit_point), d, matrix))
-        else:
-            for s in self.series:
-                points = np.asarray(s.points(eps), dtype=float)
-                matrices = np.asarray(s.matrices(eps), dtype=complex)
-                if points.shape[0] != matrices.shape[0]:
-                    raise ValueError("series points and matrices disagree in count")
-                if points.shape[0] > self.series_cap:
-                    raise ValueError(
-                        f"series size {points.shape[0]} exceeds the cap {self.series_cap}"
-                    )
-                for k, point in enumerate(points):
-                    for d in range(matrices.shape[1]):
-                        terms.append((float(point), d, matrices[k, d]))
-        return terms
-
-    def boundary_at(self, eps: float) -> BoundaryOperator:
-        terms = self._terms_at(eps)
-        if not terms:
-            raise ValueError(
-                "no boundary terms at this parameter value; a family needs "
-                "at least one converging series"
-            )
-        codomain = terms[0][2].shape[0]
-        point_terms = tuple(
-            PointTerm(point, order, matrix) for point, order, matrix in terms
-        )
-        return BoundaryOperator(codomain, point_terms)
-
-
-@dataclass(frozen=True)
-class AssumptionTable:
-    name: str
-    kind: str  # "vanish" or "bounded"
-    rows: tuple[tuple[str, tuple[float, ...]], ...]
-    passed: bool
+BOUNDED_TABLES = ("gamma_p",)
 
 
 @dataclass(frozen=True)
 class MultipointAssumptionReport:
     epsilons: tuple[float, ...]
-    tables: dict[str, AssumptionTable]
+    tables: dict[str, ConditionReport]
     required: tuple[str, ...]
     passed: bool
 
@@ -381,17 +344,36 @@ def _matrix_norm(matrix: np.ndarray) -> float:
     return float(np.abs(matrix).sum())
 
 
-def check_multipoint_assumptions(family: MultipointFamily, p: LebesgueExponent,
-                                 epsilons=DEFAULT_EPSILONS) -> MultipointAssumptionReport:
-    """Evaluate the clustering/decay assumptions over the schedule.
+def _series_matrices(terms: list[PointTerm], orders: int) -> np.ndarray:
+    """Each term as its own point of the series: (points, orders, q, m),
+    zero at the orders the term does not have."""
+    out = np.zeros((len(terms), orders, *terms[0].matrix.shape), dtype=complex)
+    for k, term in enumerate(terms):
+        out[k, term.order] = term.matrix
+    return out
 
-    For p = inf the required set is {point-clustering, coefficient-sum,
-    weighted-decay, zero-series}; for finite p the weighted-decay
-    requirement splits into a boundedness condition on the top
-    derivative order (with the conjugate-exponent weight) and a decay
-    condition on the lower orders.
+
+def check_multipoint_assumptions(family: ProblemFamily) -> MultipointAssumptionReport:
+    """Evaluate the clustering/decay assumptions over the family's schedule.
+
+    The point terms of each member are grouped by their series tags;
+    converging series are measured against the point and the summed
+    matrices of their terms in the limit problem.  For p = inf the
+    required set is {point-clustering, coefficient-sum, weighted-decay,
+    zero-series}; for finite p the weighted-decay requirement splits into
+    a boundedness condition on the top derivative order (with the
+    conjugate-exponent weight) and a decay condition on the lower orders.
     """
-    epsilons = tuple(float(e) for e in epsilons)
+    if family.series is None:
+        raise ValueError("the family's boundary point terms carry no series tags")
+    stray = family.stray_limit_term()
+    if stray is not None:
+        raise ValueError(f"point term {stray}: the points of a converging series "
+                         "must share the eps = 0 limit")
+    zero = family.at_zero
+    orders = zero.n + zero.r
+    limits = {tag: (terms[0].point, _series_matrices(terms, orders).sum(axis=0))
+              for tag, terms in family._series_terms(zero).items() if tag != 0}
     columns: dict[str, dict[str, list[float]]] = {
         key: {} for key in ("alpha", "beta", "gamma", "delta", "gamma_p", "gamma_prime")
     }
@@ -399,24 +381,23 @@ def check_multipoint_assumptions(family: MultipointFamily, p: LebesgueExponent,
     def put(table: str, label: str, value: float):
         columns[table].setdefault(label, []).append(value)
 
-    conj = p.conjugate
+    conj = zero.exponent.conjugate
     weight_exponent = 0.0 if np.isinf(conj) else 1.0 / conj
-    for eps in epsilons:
-        for j, series in enumerate(family.series):
-            points = np.asarray(series.points(eps), dtype=float)
-            matrices = np.asarray(series.matrices(eps), dtype=complex)
-            orders = matrices.shape[1]
-            if series.is_zero_series:
+    for member in family.members:
+        for j, terms in family._series_terms(member).items():
+            points = np.array([term.point for term in terms], dtype=float)
+            matrices = _series_matrices(terms, orders)
+            if j == 0:
                 for d in range(orders):
                     put("delta", f"series {j} order {d}",
                         sum(_matrix_norm(matrices[k, d]) for k in range(len(points))))
                 continue
-            offsets = np.abs(points - series.limit_point)
-            put("alpha", f"series {j}", float(offsets.max()) if len(points) else 0.0)
-            limits = np.asarray(series.limit_matrices, dtype=complex)
+            limit_point, limit_matrices = limits[j]
+            offsets = np.abs(points - limit_point)
+            put("alpha", f"series {j}", float(offsets.max()))
             for d in range(orders):
                 put("beta", f"series {j} order {d}",
-                    _matrix_norm(matrices[:, d].sum(axis=0) - limits[d]))
+                    _matrix_norm(matrices[:, d].sum(axis=0) - limit_matrices[d]))
                 weighted = sum(
                     _matrix_norm(matrices[k, d]) * offsets[k] for k in range(len(points))
                 )
@@ -431,38 +412,16 @@ def check_multipoint_assumptions(family: MultipointFamily, p: LebesgueExponent,
 
     tables = {}
     for name, rows in columns.items():
-        kind = "bounded" if name == "gamma_p" else "vanish"
-        judge = stays_bounded if kind == "bounded" else tends_to_zero
-        table_rows = tuple((label, tuple(values)) for label, values in rows.items())
-        passed = all(judge(values) for _, values in table_rows)
-        tables[name] = AssumptionTable(name, kind, table_rows, passed)
+        trend = TrendTable.bounded if name in BOUNDED_TABLES else TrendTable.vanishing
+        tables[name] = ConditionReport(name, tuple(
+            trend(label, family.epsilons, values) for label, values in rows.items()))
 
-    if p.is_infinite:
+    if zero.exponent.is_infinite:
         required = ("alpha", "beta", "gamma", "delta")
     else:
         required = ("alpha", "beta", "gamma_p", "gamma_prime", "delta")
     passed = all(tables[name].passed for name in required)
-    return MultipointAssumptionReport(epsilons, tables, required, passed)
-
-
-def multipoint_problem_family(family: MultipointFamily, interval: Interval,
-                              coefficients: CoefficientSet, exponent: LebesgueExponent,
-                              f, epsilons=DEFAULT_EPSILONS) -> ProblemFamily:
-    """Wrap a multipoint family into a full problem family.
-
-    The equation side is eps-independent here; the boundary operator and
-    boundary data vary with eps.  ``family.data`` must be present so the
-    members can be solved.
-    """
-    if family.data is None:
-        raise ValueError("multipoint family needs the boundary data vector to build problems")
-
-    def build(eps: float) -> ProblemSpec:
-        boundary = family.boundary_at(eps)
-        rhs = RightHandSide(f, family.data(eps))
-        return ProblemSpec(interval, coefficients, boundary, exponent, rhs)
-
-    return ProblemFamily(at_zero=build(0.0), generator=build, epsilons=tuple(epsilons))
+    return MultipointAssumptionReport(family.epsilons, tables, required, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +525,8 @@ class LimitReport:
                 "passed": self.multipoint.passed,
                 "tables": {
                     name: {
-                        "kind": table.kind,
-                        "rows": {label: list(values) for label, values in table.rows},
+                        "kind": "bounded" if name in BOUNDED_TABLES else "vanish",
+                        "rows": {row.label: list(row.values) for row in table.tables},
                         "passed": table.passed,
                     }
                     for name, table in self.multipoint.tables.items()
@@ -592,14 +551,14 @@ def _condition_doc(report: ConditionReport) -> dict:
 
 def convergence_experiment(family: ProblemFamily, grid: Grid,
                            extra_probes: list[DerivativeStack] | None = None,
-                           rank_tolerance: float | None = None,
-                           multipoint: MultipointFamily | None = None) -> LimitReport:
+                           rank_tolerance: float | None = None) -> LimitReport:
     """Solve the family along the schedule and tabulate all limit data.
 
     Requires the limit problem to be square and nonsingular (raises
     NotWellPosedError otherwise).  Rows whose member problem is not well
     posed are flagged but the experiment continues: well-posedness is
-    only guaranteed for sufficiently small eps.
+    only guaranteed for sufficiently small eps.  Families with series
+    tags get their multipoint assumptions checked as well.
     """
     zero = family.at_zero
     if zero.rhs is None:
@@ -656,11 +615,7 @@ def convergence_experiment(family: ProblemFamily, grid: Grid,
     error_trend_passed = bool(errors) and len(errors) == len(family.epsilons) \
         and tends_to_zero(errors)
     bracket = (min(ratios), max(ratios)) if ratios else None
-    multipoint_report = None
-    if multipoint is not None:
-        multipoint_report = check_multipoint_assumptions(
-            multipoint, zero.exponent, family.epsilons
-        )
+    multipoint = check_multipoint_assumptions(family) if family.series is not None else None
     return LimitReport(
         epsilons=family.epsilons,
         rows=tuple(rows),
@@ -670,5 +625,5 @@ def convergence_experiment(family: ProblemFamily, grid: Grid,
         characteristic_trend=characteristic_trend,
         error_trend_passed=error_trend_passed,
         ratio_bracket=bracket,
-        multipoint=multipoint_report,
+        multipoint=multipoint,
     )

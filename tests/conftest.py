@@ -2,7 +2,19 @@
 
 import numpy as np
 
-from fredholm_bvp import DerivativeStack, Interval, fundamental_set
+from fredholm_bvp import (
+    BoundaryOperator,
+    CoefficientSet,
+    ConstantFunction,
+    DerivativeStack,
+    Interval,
+    PointTerm,
+    ProblemFamily,
+    ProblemSpec,
+    RightHandSide,
+    fundamental_set,
+)
+from fredholm_bvp.grid import P2
 
 UNIT = Interval(0.0, 1.0)
 
@@ -92,3 +104,32 @@ def interpolate_at(grid, values: np.ndarray, t: float) -> np.ndarray:
                 weight *= (t - ts[j]) / (ts[i] - ts[j])
         result = result + weight * values[lo + i]
     return result
+
+
+# Multipoint families: a series is a builder eps -> [(point, order, matrix), ...].
+BETA1 = np.stack([np.eye(2), 0.2 * np.eye(2)])  # orders 0 and 1 at t = 0.3
+BETA2 = np.stack([np.array([[0.5, 0.0], [0.2, 0.8]]), np.zeros((2, 2))])
+
+
+def split_series(limit_point, limit_matrices):
+    """Two points limit_point -+ eps, each with half of every limit matrix."""
+    def terms(eps):
+        return [(t, d, matrix / 2) for t in (limit_point - eps, limit_point + eps)
+                for d, matrix in enumerate(limit_matrices)]
+
+    return terms
+
+
+def tagged_family(series, epsilons, exponent=P2):
+    """First-order 2x2 system (n = 1, coefficient 0.3 I, f = (1, 0)) on [0, 1]
+    whose boundary operator is the point terms of ``series``, a dict from
+    series tag to builder, with boundary data (1, -0.5)."""
+    coeffs = CoefficientSet(1, 2, 1, (0.3 * np.eye(2),))
+    rhs = RightHandSide(ConstantFunction(np.array([1.0, 0.0])), np.array([1.0, -0.5]))
+
+    def make(eps):
+        terms = tuple(PointTerm(*term) for build in series.values() for term in build(eps))
+        return ProblemSpec(UNIT, coeffs, BoundaryOperator(2, terms), exponent, rhs)
+
+    tags = tuple(tag for tag, build in series.items() for _ in build(0.0))
+    return ProblemFamily(make(0.0), make, epsilons=epsilons, series=tags)

@@ -9,15 +9,13 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import UNIT, combine, members, random_complex
+from conftest import BETA1, BETA2, UNIT, combine, members, random_complex, split_series, tagged_family
 from fredholm_bvp import (
     BoundaryOperator,
     CoefficientSet,
     ConstantFunction,
     Grid,
     Interval,
-    MultipointFamily,
-    MultipointSeries,
     PointTerm,
     ProblemFamily,
     ProblemSpec,
@@ -29,7 +27,6 @@ from fredholm_bvp import (
     fundamental_set,
     kernel_directions,
     matrix_exp,
-    multipoint_problem_family,
     oracle_characteristic,
     phi,
     point_evaluation,
@@ -250,51 +247,29 @@ def test_ac07_solution_error_scales_with_perturbation():
         assert high / low < 1e3
 
 
-BETA1 = np.stack([np.eye(2), 0.2 * np.eye(2)])
-BETA2 = np.stack([np.array([[0.5, 0.0], [0.2, 0.8]]), np.zeros((2, 2))])
-
-
-def _split_series(limit_point, limit_matrices):
-    limit_matrices = np.asarray(limit_matrices, dtype=complex)
-    return MultipointSeries(
-        lambda eps: np.array([limit_point - eps, limit_point + eps]),
-        lambda eps: np.stack([limit_matrices / 2, limit_matrices / 2]),
-        limit_point=limit_point,
-        limit_matrices=limit_matrices,
-    )
-
-
-def _splitting_family(extra_series=()):
-    series = (_split_series(0.3, BETA1), _split_series(0.8, BETA2)) + tuple(extra_series)
-    multipoint = MultipointFamily(series, data=lambda eps: np.array([1.0, -0.5]))
-    coeffs = CoefficientSet(1, 2, 1, (0.3 * np.eye(2),))
-    family = multipoint_problem_family(
-        multipoint, UNIT, coeffs, P2, ConstantFunction(np.array([1.0, 0.0])),
-        epsilons=(1e-2, 1e-4, 1e-7))
-    return family, multipoint
+def _splitting_family(extra_series=None):
+    series = {1: split_series(0.3, BETA1), 2: split_series(0.8, BETA2), **(extra_series or {})}
+    return tagged_family(series, (1e-2, 1e-4, 1e-7))
 
 
 def test_ac08_multipoint_splitting():
     with criterion("AC-8 splitting family converges; zero series breaks it"):
-        family, multipoint = _splitting_family()
+        family = _splitting_family()
         grid = Grid.uniform(UNIT, 501)
-        assumptions = check_multipoint_assumptions(multipoint, P2, family.epsilons)
+        assumptions = check_multipoint_assumptions(family)
         for name in ("alpha", "beta", "gamma", "delta", "gamma_p", "gamma_prime"):
             assert assumptions.tables[name].passed, name
         assert assumptions.passed
-        report = convergence_experiment(family, grid, multipoint=multipoint)
+        report = convergence_experiment(family, grid)
+        assert report.multipoint == assumptions
         assert report.error_trend_passed
 
-        fixed = np.zeros((1, 2, 2, 2), dtype=complex)
-        fixed[0, 0] = np.diag([0.5, 0.5])  # entrywise-sum norm 1, eps-independent
-        zero_series = MultipointSeries(lambda eps: np.array([0.55]),
-                                       lambda eps: fixed)
-        bad_family, bad_multipoint = _splitting_family(extra_series=(zero_series,))
-        bad_assumptions = check_multipoint_assumptions(bad_multipoint, P2,
-                                                       bad_family.epsilons)
+        fixed = np.diag([0.5, 0.5])  # entrywise-sum norm 1, eps-independent
+        bad_family = _splitting_family(extra_series={
+            0: lambda eps: [(0.55, 0, fixed if eps else 0 * fixed)]})
+        bad_assumptions = check_multipoint_assumptions(bad_family)
         assert not bad_assumptions.tables["delta"].passed
-        bad_report = convergence_experiment(bad_family, grid,
-                                            multipoint=bad_multipoint)
+        bad_report = convergence_experiment(bad_family, grid)
         assert not bad_report.error_trend_passed
 
 

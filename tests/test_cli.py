@@ -101,6 +101,24 @@ def test_family_eps_schedule_flag(capsys):
     assert doc["epsilons"] == [1e-2, 1e-3]
 
 
+def test_family_eps_schedule_keeps_series_tags(capsys):
+    code, out, _ = run(capsys, "family", SPLITTING, "--nodes", "201",
+                       "--eps-schedule", "1e-2,1e-4", "--format", "machine")
+    assert code == 0
+    alpha = json.loads(out)["multipoint_assumptions"]["tables"]["alpha"]["rows"]
+    assert alpha["series 1"] == pytest.approx([1e-2, 1e-4])
+
+
+def test_family_rows_use_series_numbers(capsys):
+    code, out, _ = run(capsys, "family", SPLITTING, "--nodes", "201", "--format", "machine")
+    assert code == 0
+    tables = json.loads(out)["multipoint_assumptions"]["tables"]
+    assert list(tables["alpha"]["rows"]) == ["series 1", "series 2"]
+    assert list(tables["beta"]["rows"]) == ["series 1 order 0", "series 1 order 1",
+                                            "series 2 order 0", "series 2 order 1"]
+    assert tables["delta"] == {"kind": "vanish", "rows": {}, "passed": True}
+
+
 def test_family_requires_family_section(capsys):
     code, _, err = run(capsys, "family", ONE_POINT)
     assert code == 1

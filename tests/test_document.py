@@ -7,7 +7,6 @@ import pytest
 from fredholm_bvp.document import (
     DocumentError,
     document_family,
-    document_multipoint,
     document_problem,
     load_document,
 )
@@ -52,15 +51,6 @@ def test_sample_files_load_and_build():
         doc = load_document(SAMPLES / name)
         problem = document_problem(doc)
         assert problem.q == problem.state_size
-
-
-def test_round_trip_is_semantically_idempotent():
-    for name in ("one-point-first-order.json", "two-point-damped.json",
-                 "splitting-family.json"):
-        first = load_document(SAMPLES / name)
-        emitted = first.to_json_dict()
-        second = load_document(json.loads(json.dumps(emitted)))
-        assert second.to_json_dict() == emitted
 
 
 def test_exponent_inf():
@@ -166,19 +156,52 @@ def test_family_building():
 
 def test_multipoint_extraction():
     doc = load_document(SAMPLES / "splitting-family.json")
-    multipoint = document_multipoint(doc)
-    assert multipoint is not None
-    assert len(multipoint.series) == 2
-    for series in multipoint.series:
-        assert not series.is_zero_series
-    boundary = multipoint.boundary_at(0.01)
-    assert boundary.codomain == 2
-    np.testing.assert_array_equal(multipoint.data(0.3), [1.0, 1.0])
+    family = document_family(doc)
+    assert family.series == (1, 1, 1, 1, 2, 2)
+    assert 0 not in family.series  # two converging series, no zero series
+    member = family.at(0.01)
+    assert member.boundary.codomain == 2
+    np.testing.assert_array_equal(member.rhs.c, [1.0, 1.0])
 
 
 def test_multipoint_requires_tags():
     doc = load_document(minimal_document(family={"schedule": [0.1, 0.01]}))
-    assert document_multipoint(doc) is None
+    assert document_family(doc).series is None
+
+
+def tagged_family_document(*series, points=(0.25, 0.25)):
+    return minimal_document(family={"schedule": [0.1, 0.01], "boundary": {
+        "conditions": 2,
+        "points": [dict({"t": t, "order": 0, "matrix": [[0.5, 0], [0, 0.5]]},
+                        **({} if tag is None else {"series": tag}))
+                   for t, tag in zip(points, series)],
+    }})
+
+
+def test_series_tags_are_all_or_none():
+    assert document_family(load_document(tagged_family_document(1, 1))).series == (1, 1)
+    for series in ((1, None), (None, 1)):
+        with pytest.raises(DocumentError, match="all or none") as err:
+            load_document(tagged_family_document(*series))
+        assert err.value.path == "$.family.boundary.points[1]"
+
+
+def test_series_tags_belong_to_the_family_boundary():
+    raw = minimal_document()
+    raw["boundary"]["points"][0]["series"] = 1
+    with pytest.raises(DocumentError, match="family boundary only") as err:
+        load_document(raw)
+    assert err.value.path == "$.boundary.points[0].series"
+
+
+def test_converging_series_needs_a_common_limit_point():
+    doc = load_document(tagged_family_document(1, 1, points=("0.25 + eps", "0.5 - eps")))
+    with pytest.raises(DocumentError, match="share the eps = 0 limit") as err:
+        document_family(doc)
+    assert err.value.path == "$.family.boundary.points[1].t"
+    # the zero series has no limit point to share
+    assert document_family(load_document(
+        tagged_family_document(0, 0, points=(0.25, 0.5)))).series == (0, 0)
 
 
 def test_divergent_generator_rejected_at_limit():

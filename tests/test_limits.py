@@ -1,15 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import UNIT
+from conftest import BETA1, BETA2, UNIT, split_series, tagged_family
 from fredholm_bvp import (
     BoundaryOperator,
     CoefficientSet,
     ConstantFunction,
     DerivativeStack,
     Grid,
-    MultipointFamily,
-    MultipointSeries,
     NotWellPosedError,
     PointTerm,
     ProblemFamily,
@@ -21,7 +21,6 @@ from fredholm_bvp import (
     check_condition_II,
     check_multipoint_assumptions,
     convergence_experiment,
-    multipoint_problem_family,
     point_evaluation,
     semicontinuity_check,
 )
@@ -161,98 +160,82 @@ def test_condition_II_divergent_coefficients():
 # multipoint assumptions
 
 
-def split_series(limit_point, limit_matrices):
-    limit_matrices = np.asarray(limit_matrices, dtype=complex)
-
-    def points(eps):
-        return np.array([limit_point - eps, limit_point + eps])
-
-    def matrices(eps):
-        return np.stack([limit_matrices / 2, limit_matrices / 2])
-
-    return MultipointSeries(points, matrices,
-                            limit_point=limit_point, limit_matrices=limit_matrices)
-
-
 def static_series(point, matrices):
-    matrices = np.asarray(matrices, dtype=complex)
-    return MultipointSeries(
-        lambda eps: np.array([point]),
-        lambda eps: matrices[None],
-        limit_point=point,
-        limit_matrices=matrices,
-    )
+    """One eps-independent point carrying a matrix at every order."""
+    return lambda eps: [(point, d, matrix) for d, matrix in enumerate(matrices)]
 
 
-def fixed_zero_series(point, matrix, order=0, orders=2, m=2):
-    stack = np.zeros((1, orders, m, m), dtype=complex)
-    stack[0, order] = matrix
-    return MultipointSeries(lambda eps: np.array([point]), lambda eps: stack)
+def fixed_zero_series(point, matrix):
+    """A zero-series point whose order-0 matrix keeps its norm for eps > 0."""
+    return lambda eps: [(point, 0, matrix if eps else np.zeros_like(matrix))]
 
 
-BETA1 = np.stack([np.eye(2), 0.2 * np.eye(2)])  # orders 0 and 1 at t = 0.3
-BETA2 = np.stack([np.array([[0.5, 0.0], [0.2, 0.8]]), np.zeros((2, 2))])
+def table_rows(report, name):
+    return {row.label: row.values for row in report.tables[name].tables}
 
 
 def test_static_multipoint_family_passes_everything():
-    family = MultipointFamily((static_series(0.3, BETA1), static_series(0.8, BETA2)))
     for p in (P2, PINF):
-        report = check_multipoint_assumptions(family, p)
+        family = tagged_family({1: static_series(0.3, BETA1), 2: static_series(0.8, BETA2)},
+                               DEFAULT_EPSILONS, exponent=p)
+        report = check_multipoint_assumptions(family)
         assert report.passed
         assert all(table.passed for table in report.tables.values())
 
 
 def test_splitting_family_quantities_match_hand_computation():
-    family = MultipointFamily((split_series(0.3, BETA1),))
     epsilons = (1e-2, 1e-4, 1e-7)
-    report = check_multipoint_assumptions(family, P2, epsilons)
+    report = check_multipoint_assumptions(tagged_family({1: split_series(0.3, BETA1)}, epsilons))
     for i, eps in enumerate(epsilons):
-        alpha_row = dict(report.tables["alpha"].rows)["series 0"]
-        assert alpha_row[i] == pytest.approx(eps, rel=1e-12)
-        beta_rows = dict(report.tables["beta"].rows)
-        assert beta_rows["series 0 order 0"][i] == 0.0
-        gamma_rows = dict(report.tables["gamma"].rows)
-        assert gamma_rows["series 0 order 0"][i] == pytest.approx(2.0 * eps, rel=1e-12)
-        assert gamma_rows["series 0 order 1"][i] == pytest.approx(0.4 * eps, rel=1e-12)
-        gamma_p_rows = dict(report.tables["gamma_p"].rows)
-        assert gamma_p_rows["series 0 order 1"][i] == pytest.approx(
+        assert table_rows(report, "alpha")["series 1"][i] == pytest.approx(eps, rel=1e-12)
+        assert table_rows(report, "beta")["series 1 order 0"][i] == 0.0
+        gamma_rows = table_rows(report, "gamma")
+        assert gamma_rows["series 1 order 0"][i] == pytest.approx(2.0 * eps, rel=1e-12)
+        assert gamma_rows["series 1 order 1"][i] == pytest.approx(0.4 * eps, rel=1e-12)
+        assert table_rows(report, "gamma_p")["series 1 order 1"][i] == pytest.approx(
             0.4 * eps**0.5, rel=1e-12)
-        gamma_prime_rows = dict(report.tables["gamma_prime"].rows)
-        assert gamma_prime_rows["series 0 order 0"][i] == pytest.approx(
+        assert table_rows(report, "gamma_prime")["series 1 order 0"][i] == pytest.approx(
             2.0 * eps, rel=1e-12)
     assert report.passed
     assert report.required == ("alpha", "beta", "gamma_p", "gamma_prime", "delta")
 
 
 def test_splitting_family_passes_sup_norm_rule_too():
-    family = MultipointFamily((split_series(0.3, BETA1),))
-    report = check_multipoint_assumptions(family, PINF, (1e-2, 1e-4, 1e-7))
+    family = tagged_family({1: split_series(0.3, BETA1)}, (1e-2, 1e-4, 1e-7), exponent=PINF)
+    report = check_multipoint_assumptions(family)
     assert report.required == ("alpha", "beta", "gamma", "delta")
     assert report.passed
 
 
 def test_zero_series_with_fixed_norm_fails_delta():
     matrix = np.array([[0.5, 0.0], [0.0, 0.5]])  # entrywise sum 1, fixed
-    family = MultipointFamily((
-        split_series(0.3, BETA1),
-        fixed_zero_series(0.55, matrix),
-    ))
-    report = check_multipoint_assumptions(family, P2, (1e-2, 1e-4, 1e-7))
+    family = tagged_family({0: fixed_zero_series(0.55, matrix), 1: split_series(0.3, BETA1)},
+                           (1e-2, 1e-4, 1e-7))
+    report = check_multipoint_assumptions(family)
+    assert list(table_rows(report, "delta")) == ["series 0 order 0", "series 0 order 1"]
     assert not report.tables["delta"].passed
     assert not report.passed
 
 
-def test_series_cap_enforced():
-    def points(eps):
-        return np.linspace(0.2, 0.4, 100)
+def test_member_with_wrong_point_term_count_raises():
+    family = tagged_family({1: split_series(0.3, BETA1)}, (1e-2, 1e-4))
+    fewer = replace(family.at_zero,
+                    boundary=BoundaryOperator(2, family.at_zero.boundary.point_terms[:1]))
+    drifting = ProblemFamily(family.at_zero, lambda eps: fewer, series=family.series)
+    with pytest.raises(ValueError, match="4 series tags for 1 boundary point terms"):
+        drifting.at(1e-2)
+    with pytest.raises(ValueError, match="3 series tags for 4 boundary point terms"):
+        ProblemFamily(family.at_zero, family.generator, series=family.series[:-1])
 
-    def matrices(eps):
-        return np.zeros((100, 2, 2, 2))
 
-    family = MultipointFamily((MultipointSeries(points, matrices, 0.3,
-                                                np.zeros((2, 2, 2))),))
-    with pytest.raises(ValueError, match="cap"):
-        family.boundary_at(0.1)
+def test_converging_series_needs_one_limit_point():
+    def spread(eps):
+        return [(0.3, 0, BETA1[0]), (0.4, 0, BETA1[1])]
+
+    family = tagged_family({1: spread}, (1e-2, 1e-4))
+    assert family.stray_limit_term() == 1
+    with pytest.raises(ValueError, match="point term 1"):
+        check_multipoint_assumptions(family)
 
 
 # ---------------------------------------------------------------------------
@@ -403,19 +386,13 @@ def test_experiment_builds_each_member_once(monkeypatch):
     assert report.to_document() == expected.to_document()
 
 
-def _splitting_problem_family(extra_series=(), epsilons=(1e-2, 1e-4, 1e-7)):
-    series = (split_series(0.3, BETA1), split_series(0.8, BETA2)) + tuple(extra_series)
-    multipoint = MultipointFamily(series, data=lambda eps: np.array([1.0, -0.5]))
-    coeffs = CoefficientSet(1, 2, 1, (0.3 * np.eye(2),))
-    family = multipoint_problem_family(multipoint, UNIT, coeffs, P2,
-                                       ConstantFunction(np.array([1.0, 0.0])),
-                                       epsilons=epsilons)
-    return family, multipoint
+def _splitting_problem_family(extra_series=None, epsilons=(1e-2, 1e-4, 1e-7)):
+    series = {1: split_series(0.3, BETA1), 2: split_series(0.8, BETA2), **(extra_series or {})}
+    return tagged_family(series, epsilons)
 
 
 def test_multipoint_splitting_experiment_converges():
-    family, multipoint = _splitting_problem_family()
-    report = convergence_experiment(family, GRID, multipoint=multipoint)
+    report = convergence_experiment(_splitting_problem_family(), GRID)
     assert report.multipoint.passed
     assert report.error_trend_passed
     assert report.characteristic_trend.passed
@@ -425,12 +402,17 @@ def test_multipoint_splitting_experiment_converges():
 
 def test_multipoint_zero_series_counterexample():
     matrix = np.array([[0.5, 0.0], [0.0, 0.5]])
-    family, multipoint = _splitting_problem_family(
-        extra_series=(fixed_zero_series(0.55, matrix),))
-    report = convergence_experiment(family, GRID, multipoint=multipoint)
+    family = _splitting_problem_family(extra_series={0: fixed_zero_series(0.55, matrix)})
+    report = convergence_experiment(family, GRID)
     assert not report.multipoint.tables["delta"].passed
     assert not report.multipoint.passed
     assert not report.error_trend_passed
+
+
+def test_untagged_family_reports_no_multipoint_assumptions():
+    report = convergence_experiment(coefficient_family(A0, E, lambda e: e), GRID)
+    assert report.multipoint is None
+    assert "multipoint_assumptions" not in report.to_document()
 
 
 def test_experiment_flags_singular_members_and_continues():
@@ -485,7 +467,7 @@ def test_report_rendering():
 
 
 def _family_corpus():
-    splitting_family, splitting_mp = _splitting_problem_family()
+    splitting_family = _splitting_problem_family()
     return [
         ("constant", coefficient_family(A0, E, lambda e: 0.0)),
         ("linear-coefficient", coefficient_family(A0, E, lambda e: e)),

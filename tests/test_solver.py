@@ -27,7 +27,7 @@ from fredholm_bvp import (
     superpose,
 )
 from fredholm_bvp.cli import main
-from fredholm_bvp.document import document_family, document_multipoint, load_document
+from fredholm_bvp.document import document_family, load_document
 from fredholm_bvp.grid import P2, vector_magnitude
 
 
@@ -237,7 +237,7 @@ def test_family_integrates_once_per_problem(passes):
     doc = load_document(str(SAMPLES / "splitting-family.json"))
     family = document_family(doc)
     grid = Grid.uniform(family.at_zero.interval, 201)
-    convergence_experiment(family, grid, multipoint=document_multipoint(doc))
+    assert convergence_experiment(family, grid).multipoint is not None
     widths, _ = passes
     assert len(family.epsilons) == 4
     assert widths == [3] * 5
