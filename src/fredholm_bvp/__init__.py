@@ -24,16 +24,17 @@ from .closed_forms import (
     MatrixFunctionResult,
     cos_sqrt,
     matrix_exp,
-    oracle_characteristic,
+    one_point_first_order,
     phi,
     sinc_sqrt,
+    two_point_damped,
+    two_point_oscillatory,
 )
 from .expressions import ExpressionError, parse_expression, symbolic_derivative
 from .functions import (
     ArrayFunction,
     ConstantFunction,
     ExpressionFunction,
-    PolynomialFunction,
     TabulatedFunction,
 )
 from .grid import (
@@ -42,7 +43,6 @@ from .grid import (
     Interval,
     LebesgueExponent,
     lp_norm,
-    resample,
     sobolev_norm,
 )
 from .limits import (
@@ -52,7 +52,6 @@ from .limits import (
     check_condition_I,
     check_condition_II,
     check_multipoint_assumptions,
-    characteristic_convergence,
     convergence_experiment,
     semicontinuity_check,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "MatrixFunctionResult",
     "NotWellPosedError",
     "PointTerm",
-    "PolynomialFunction",
     "ProblemFamily",
     "ProblemSpec",
     "RightHandSide",
@@ -95,7 +93,6 @@ __all__ = [
     "TabulatedFunction",
     "analyze",
     "build_characteristic_matrix",
-    "characteristic_convergence",
     "characteristic_from_blocks",
     "check_condition_0",
     "check_condition_I",
@@ -109,11 +106,10 @@ __all__ = [
     "kernel_directions",
     "lp_norm",
     "matrix_exp",
-    "oracle_characteristic",
+    "one_point_first_order",
     "parse_expression",
     "phi",
     "point_evaluation",
-    "resample",
     "residual_stack",
     "semicontinuity_check",
     "sinc_sqrt",
@@ -122,4 +118,6 @@ __all__ = [
     "solve",
     "superpose",
     "symbolic_derivative",
+    "two_point_damped",
+    "two_point_oscillatory",
 ]

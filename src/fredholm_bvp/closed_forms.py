@@ -22,18 +22,6 @@ import numpy as np
 SERIES_RELATIVE_TOL = 1e-14
 MAX_SERIES_TERMS = 400
 
-ORACLE_EXAMPLES = ("one-point-first-order", "multipoint-zero-coefficient",
-                   "two-point-damped", "two-point-oscillatory", "canonical-first-order")
-
-# Short aliases accepted anywhere an example name is expected.
-_EXAMPLE_ALIASES = {
-    "ex1": "one-point-first-order",
-    "ex2": "multipoint-zero-coefficient",
-    "ex3": "two-point-damped",
-    "ex4": "two-point-oscillatory",
-    "ex5": "canonical-first-order",
-}
-
 
 @dataclass(frozen=True)
 class MatrixFunctionResult:
@@ -133,54 +121,38 @@ def _neg_power_sum(matrices, a: np.ndarray) -> np.ndarray:
     return result
 
 
-def oracle_characteristic(example: str, **params) -> np.ndarray:
-    """Closed-form characteristic matrix of a named constant-coefficient setup.
+def one_point_first_order(a, alphas) -> np.ndarray:
+    """Characteristic matrix of y' + A y under sum_k alpha_k y^(k)(a).
 
-    example is one of ORACLE_EXAMPLES (short aliases ex1..ex5 accepted):
-
-    * one-point-first-order: y' + A y with conditions
-      sum_k alpha_k y^(k)(a); needs ``matrix`` and ``alphas``.
-    * multipoint-zero-coefficient: y' = f with multipoint terms whose
-      order-0 matrices are ``alphas0``; higher orders drop out.
-    * two-point-damped: y'' + A y' with two-point conditions
-      sum_k (alpha_k y^(k)(a) + beta_k y^(k)(b)); needs ``matrix``,
-      ``alphas``, ``betas``, ``length``.
-    * two-point-oscillatory: y'' + A y with the same conditions; needs
-      the same parameters.
-    * canonical-first-order: y' = f with a canonical operator; the
-      matrix is just ``alpha0`` (the integral part contributes nothing
-      because the fundamental trajectory is constant).
+    The fundamental trajectory is exp(-A (t-a)), whose order-k
+    derivative at a is (-A)^k.
     """
-    example = _EXAMPLE_ALIASES.get(example, example)
-    if example == "one-point-first-order":
-        return _neg_power_sum(params["alphas"], np.asarray(params["matrix"], dtype=complex))
-    if example == "multipoint-zero-coefficient":
-        alphas0 = [np.asarray(a, dtype=complex) for a in params["alphas0"]]
-        return sum(alphas0[1:], start=alphas0[0].copy())
-    if example == "two-point-damped":
-        a = np.asarray(params["matrix"], dtype=complex)
-        alphas = [np.asarray(x, dtype=complex) for x in params["alphas"]]
-        betas = [np.asarray(x, dtype=complex) for x in params["betas"]]
-        length = params["length"]
-        decay = matrix_exp(-a, length).value
-        # The second fundamental trajectory is the exponential ramp
-        # phi(A, t-a); its order-k derivative is (-A)^{k-1} exp(-A(t-a))
-        # for k >= 1 and the ramp itself at k = 0 (zero at a).
-        first = alphas[0] + betas[0]
-        second = betas[0] @ phi(a, length).value
-        second = second + _neg_power_sum(
-            [al + be @ decay for al, be in zip(alphas[1:], betas[1:])], a
-        )
-        return np.hstack([first, second])
-    if example == "two-point-oscillatory":
-        return _oscillatory_blocks(**params)
-    if example == "canonical-first-order":
-        return np.asarray(params["alpha0"], dtype=complex)
-    raise ValueError(f"unknown oracle example {example!r}")
+    return _neg_power_sum(alphas, np.asarray(a, dtype=complex))
 
 
-def _oscillatory_blocks(matrix, alphas, betas, length) -> np.ndarray:
-    """Blocks for y'' + A y = 0 under two-point conditions.
+def two_point_damped(a, alphas, betas, length: float) -> np.ndarray:
+    """Characteristic matrix of y'' + A y' under two-point conditions.
+
+    The conditions are sum_k (alpha_k y^(k)(a) + beta_k y^(k)(b)) on an
+    interval of the given length.  The first fundamental trajectory is
+    constant; the second is the exponential ramp phi(A, t-a), whose
+    order-k derivative is (-A)^{k-1} exp(-A(t-a)) for k >= 1 and the
+    ramp itself at k = 0 (zero at a).
+    """
+    a = np.asarray(a, dtype=complex)
+    alphas = [np.asarray(x, dtype=complex) for x in alphas]
+    betas = [np.asarray(x, dtype=complex) for x in betas]
+    decay = matrix_exp(-a, length).value
+    first = alphas[0] + betas[0]
+    second = betas[0] @ phi(a, length).value
+    second = second + _neg_power_sum(
+        [al + be @ decay for al, be in zip(alphas[1:], betas[1:])], a
+    )
+    return np.hstack([first, second])
+
+
+def two_point_oscillatory(a, alphas, betas, length: float) -> np.ndarray:
+    """Characteristic matrix of y'' + A y under two-point conditions.
 
     The fundamental pair is Y_1 = cos_sqrt(A, t-a), Y_2 = sinc_sqrt(A, t-a)
     with the derivative pattern
@@ -191,7 +163,7 @@ def _oscillatory_blocks(matrix, alphas, betas, length) -> np.ndarray:
     so evaluations at a keep only even orders for Y_1 and odd orders
     for Y_2, while evaluations at b mix in cos_sqrt and sinc_sqrt.
     """
-    a = np.asarray(matrix, dtype=complex)
+    a = np.asarray(a, dtype=complex)
     alphas = [np.asarray(x, dtype=complex) for x in alphas]
     betas = [np.asarray(x, dtype=complex) for x in betas]
     if len(alphas) != len(betas):

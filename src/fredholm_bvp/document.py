@@ -30,6 +30,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -90,52 +91,56 @@ def _parse_scalar_slot(raw, path: str, eps_ok: bool):
             raise DocumentError(
                 "expression strings are only allowed inside the family section here", path
             )
-        try:
-            tree = ex.parse_expression(raw)
-        except ex.ExpressionError as err:
-            raise DocumentError(f"bad expression: {err}", path) from None
+        tree = _parse_tree(raw, path)
         if ex.uses_variable(tree, "t"):
             raise DocumentError("this slot is a number, not a function of t", path)
         return tree
     raise DocumentError(f"expected a scalar, got {type(raw).__name__}", path)
 
 
-def _resolve_slot(slot, eps: float | None) -> complex:
+def _parse_tree(source: str, path: str):
+    try:
+        return ex.parse_expression(source)
+    except ex.ExpressionError as err:
+        raise DocumentError(f"bad expression: {err}", path) from None
+
+
+def _parse_nested(raw, path: str, shape: tuple[int, ...], leaf, dtype=object) -> np.ndarray:
+    """Nested lists of the given shape; ``leaf(item, path)`` parses each entry."""
+    out = np.empty(shape, dtype=dtype)
+
+    def walk(item, path: str, index: tuple[int, ...]) -> None:
+        if len(index) == len(shape):
+            out[index] = leaf(item, path)
+            return
+        length = shape[len(index)]
+        if not isinstance(item, list) or len(item) != length:
+            raise DocumentError(f"expected a list of length {length}", path)
+        for i, sub in enumerate(item):
+            walk(sub, f"{path}[{i}]", (*index, i))
+
+    walk(raw, path, ())
+    return out
+
+
+def _resolve_slot(slot, eps: float | None, path: str, index: tuple[int, ...] = ()) -> complex:
+    """The slot's value at eps; an error names ``path`` followed by ``index``."""
     if isinstance(slot, complex):
         return slot
     try:
         value = complex(ex.evaluate(slot, eps=eps))
     except ZeroDivisionError:
         value = complex("nan")
-    if not (np.isfinite(value.real) and np.isfinite(value.imag)):
-        raise DocumentError(
-            f"expression {ex.to_source(slot)!r} is not finite at eps={eps}"
-        )
+    if not cmath.isfinite(value):
+        raise DocumentError(f"expression is not finite at eps={eps}",
+                            path + "".join(f"[{i}]" for i in index))
     return value
 
 
-def _parse_slot_array(raw, path: str, shape: tuple[int, ...], eps_ok: bool) -> np.ndarray:
-    arr = np.empty(shape, dtype=object)
-    if len(shape) == 1:
-        if not isinstance(raw, list) or len(raw) != shape[0]:
-            raise DocumentError(f"expected a list of length {shape[0]}", path)
-        for i, item in enumerate(raw):
-            arr[i] = _parse_scalar_slot(item, f"{path}[{i}]", eps_ok)
-        return arr
-    if not isinstance(raw, list) or len(raw) != shape[0]:
-        raise DocumentError(f"expected {shape[0]} rows", path)
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != shape[1]:
-            raise DocumentError(f"expected a row of length {shape[1]}", f"{path}[{i}]")
-        for j, item in enumerate(row):
-            arr[i, j] = _parse_scalar_slot(item, f"{path}[{i}][{j}]", eps_ok)
-    return arr
-
-
-def _resolve_slot_array(arr: np.ndarray, eps: float | None) -> np.ndarray:
+def _resolve_slot_array(arr: np.ndarray, eps: float | None, path: str) -> np.ndarray:
     out = np.empty(arr.shape, dtype=complex)
     for idx in np.ndindex(arr.shape):
-        out[idx] = _resolve_slot(arr[idx], eps)
+        out[idx] = _resolve_slot(arr[idx], eps, path, idx)
     return out
 
 
@@ -163,17 +168,14 @@ class FunctionDoc:
         return TabulatedFunction(self.grid, self.samples)
 
 
-def _parse_complex_array(raw, path: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Nested lists of finite numbers (table samples, constant values)."""
-    out = np.empty(shape, dtype=complex)
-    if len(shape) == 0:
-        out[()] = _parse_scalar_slot(raw, path, eps_ok=False)
-        return out
-    if not isinstance(raw, list) or len(raw) != shape[0]:
-        raise DocumentError(f"expected a list of length {shape[0]}", path)
-    for i, item in enumerate(raw):
-        out[i] = _parse_complex_array(item, f"{path}[{i}]", shape[1:])
-    return out
+def _parse_entry(source, path: str, eps_ok: bool):
+    """One expression entry of a function payload."""
+    if not isinstance(source, str):
+        raise DocumentError("expression entries are strings", path)
+    tree = _parse_tree(source, path)
+    if not eps_ok and ex.uses_variable(tree, "eps"):
+        raise DocumentError("eps is only allowed inside the family section", path)
+    return tree
 
 
 def _parse_function(raw, path: str, shape: tuple[int, ...], eps_ok: bool) -> FunctionDoc:
@@ -188,36 +190,11 @@ def _parse_function(raw, path: str, shape: tuple[int, ...], eps_ok: bool) -> Fun
         )
     if kind == "constant":
         values = _require(raw, "values", path)
-        return FunctionDoc("constant", constant=_parse_complex_array(values, f"{path}.values", shape))
+        return FunctionDoc("constant", constant=_parse_nested(
+            values, f"{path}.values", shape, partial(_parse_scalar_slot, eps_ok=False), complex))
     if kind == "expression":
-        entries_raw = _require(raw, "entries", path)
-        entries = np.empty(shape, dtype=object)
-        if len(shape) == 1:
-            if not isinstance(entries_raw, list) or len(entries_raw) != shape[0]:
-                raise DocumentError(f"expected {shape[0]} entries", f"{path}.entries")
-            items = [((i,), entries_raw[i]) for i in range(shape[0])]
-        else:
-            if not isinstance(entries_raw, list) or len(entries_raw) != shape[0]:
-                raise DocumentError(f"expected {shape[0]} rows", f"{path}.entries")
-            items = []
-            for i, row in enumerate(entries_raw):
-                if not isinstance(row, list) or len(row) != shape[1]:
-                    raise DocumentError(f"expected a row of length {shape[1]}",
-                                        f"{path}.entries[{i}]")
-                items.extend(((i, j), row[j]) for j in range(shape[1]))
-        for idx, source in items:
-            if not isinstance(source, str):
-                raise DocumentError("expression entries are strings",
-                                    f"{path}.entries{list(idx)}")
-            try:
-                tree = ex.parse_expression(source)
-            except ex.ExpressionError as err:
-                raise DocumentError(f"bad expression: {err}",
-                                    f"{path}.entries{list(idx)}") from None
-            if not eps_ok and ex.uses_variable(tree, "eps"):
-                raise DocumentError("eps is only allowed inside the family section",
-                                    f"{path}.entries{list(idx)}")
-            entries[idx] = tree
+        entries = _parse_nested(_require(raw, "entries", path), f"{path}.entries", shape,
+                                partial(_parse_entry, eps_ok=eps_ok))
         return FunctionDoc("expression", entries=entries)
     nodes_raw = _require(raw, "nodes", path)
     if not isinstance(nodes_raw, list) or len(nodes_raw) < 4:
@@ -234,8 +211,8 @@ def _parse_function(raw, path: str, shape: tuple[int, ...], eps_ok: bool) -> Fun
         raise DocumentError("table samples must be a non-empty list (one entry per order)",
                             f"{path}.samples")
     orders = len(samples_raw)
-    samples = _parse_complex_array(samples_raw, f"{path}.samples",
-                                   (orders, grid.count, *shape))
+    samples = _parse_nested(samples_raw, f"{path}.samples", (orders, grid.count, *shape),
+                            partial(_parse_scalar_slot, eps_ok=False), complex)
     return FunctionDoc("table", grid=grid, samples=samples)
 
 
@@ -324,8 +301,8 @@ def _parse_boundary(raw, path: str, m: int, top_order: int,
         if order > top_order - 1:
             raise DocumentError(
                 f"order {order} out of range 0..{top_order - 1}", f"{ppath}.order")
-        matrix = _parse_slot_array(_require(item, "matrix", ppath), f"{ppath}.matrix",
-                                   (conditions, m), eps_ok)
+        matrix = _parse_nested(_require(item, "matrix", ppath), f"{ppath}.matrix",
+                               (conditions, m), partial(_parse_scalar_slot, eps_ok=eps_ok))
         series = item.get("series")
         if series is not None:
             if not eps_ok:
@@ -349,7 +326,8 @@ def _parse_rhs(raw, path: str, m: int, q: int, eps_ok: bool) -> RhsDoc:
     if not isinstance(raw, dict):
         raise DocumentError("expected an rhs object", path)
     f = _parse_function(_require(raw, "f", path), f"{path}.f", (m,), eps_ok)
-    c = _parse_slot_array(_require(raw, "c", path), f"{path}.c", (q,), eps_ok)
+    c = _parse_nested(_require(raw, "c", path), f"{path}.c", (q,),
+                      partial(_parse_scalar_slot, eps_ok=eps_ok))
     return RhsDoc(f, c)
 
 
@@ -457,13 +435,18 @@ def load_document(source) -> ProblemDocument:
 # model building
 
 
-def _build_boundary(doc: BoundaryDoc, eps: float | None) -> BoundaryOperator:
+def _build_boundary(doc: BoundaryDoc, path: str, interval: Interval,
+                    eps: float | None) -> BoundaryOperator:
     terms = []
-    for point in doc.points:
-        location = _resolve_slot(point.location, eps)
+    for i, point in enumerate(doc.points):
+        ppath = f"{path}.points[{i}]"
+        location = _resolve_slot(point.location, eps, f"{ppath}.t")
         if abs(location.imag) > 0:
-            raise DocumentError("boundary point locations must be real")
-        matrix = _resolve_slot_array(point.matrix, eps)
+            raise DocumentError("boundary point locations must be real", f"{ppath}.t")
+        if not interval.contains(location.real):
+            raise DocumentError(f"boundary point {location.real} outside the interval "
+                                f"[{interval.a}, {interval.b}]", f"{ppath}.t")
+        matrix = _resolve_slot_array(point.matrix, eps, f"{ppath}.matrix")
         terms.append(PointTerm(location.real, point.order, matrix))
     integral = IntegralTerm(doc.integral.build(eps)) if doc.integral is not None else None
     return BoundaryOperator(doc.conditions, tuple(terms), integral)
@@ -492,18 +475,12 @@ def document_problem(doc: ProblemDocument, eps: float | None = None) -> ProblemS
     coefficients = CoefficientSet(
         doc.r, doc.m, doc.n, tuple(fd.build(eps) for fd in coeffs_docs)
     )
-    boundary = _build_boundary(boundary_doc, eps)
+    boundary = _build_boundary(boundary_doc, boundary_path, doc.interval, eps)
     rhs = None
     if rhs_doc is not None:
-        rhs = RightHandSide(rhs_doc.f.build(eps), _resolve_slot_array(rhs_doc.c, eps))
-    problem = ProblemSpec(doc.interval, coefficients, boundary, doc.exponent, rhs)
-    for term in problem.boundary.point_terms:
-        if not doc.interval.contains(term.point):
-            raise DocumentError(
-                f"boundary point {term.point} outside the interval "
-                f"[{doc.interval.a}, {doc.interval.b}]"
-            )
-    return problem
+        rhs = RightHandSide(rhs_doc.f.build(eps),
+                            _resolve_slot_array(rhs_doc.c, eps, f"{rhs_path}.c"))
+    return ProblemSpec(doc.interval, coefficients, boundary, doc.exponent, rhs)
 
 
 def document_family(doc: ProblemDocument) -> ProblemFamily:

@@ -370,57 +370,6 @@ def symbolic_derivative(expr: Expression, var: str = "t") -> Expression:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-# ---------------------------------------------------------------------------
-# rendering (used for canonical document serialization)
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
-
-
-def _render(expr: Expression) -> tuple[str, int]:
-    if isinstance(expr, Num):
-        if expr.value < 0:
-            return f"-{_format_number(-expr.value)}", _PRECEDENCE["neg"]
-        return _format_number(expr.value), _PRECEDENCE["atom"]
-    if isinstance(expr, Var):
-        return expr.name, _PRECEDENCE["atom"]
-    if isinstance(expr, Neg):
-        inner, prec = _render(expr.operand)
-        if prec < _PRECEDENCE["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}", _PRECEDENCE["neg"]
-    if isinstance(expr, BinOp):
-        prec = _PRECEDENCE[expr.op]
-        left, lp = _render(expr.left)
-        right, rp = _render(expr.right)
-        if lp < prec:
-            left = f"({left})"
-        # left associativity: parenthesize a right operand of equal precedence
-        if rp <= prec and expr.op in ("-", "/", "+", "*"):
-            if rp < prec or expr.op in ("-", "/"):
-                right = f"({right})"
-        return f"{left} {expr.op} {right}", prec
-    if isinstance(expr, Pow):
-        base, bp = _render(expr.base)
-        if bp < _PRECEDENCE["^"]:
-            base = f"({base})"
-        return f"{base}^{expr.exponent}", _PRECEDENCE["^"]
-    if isinstance(expr, Call):
-        arg, _ = _render(expr.arg)
-        return f"{expr.func}({arg})", _PRECEDENCE["atom"]
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-def _format_number(value: float) -> str:
-    if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
-    return repr(value)
-
-
-def to_source(expr: Expression) -> str:
-    """Render an expression tree back to parseable source text."""
-    return _render(expr)[0]
-
-
 def uses_variable(expr: Expression, var: str) -> bool:
     if isinstance(expr, Var):
         return expr.name == var

@@ -2,11 +2,10 @@
 
 Equation coefficients, right-hand sides and integral kernels all need
 the same capability: evaluate an (possibly matrix-valued) function of t
-at arbitrary points, for derivative orders 0..n.  Four representations
+at arbitrary points, for derivative orders 0..n.  Three representations
 cover the practical cases:
 
 * constant arrays (derivatives vanish),
-* matrix polynomials in t (derivatives exact),
 * entrywise expression trees (derivatives symbolic, hence exact),
 * tabulated samples on a grid (derivatives by 4th-order differences,
   values off the table by cubic interpolation).
@@ -44,32 +43,6 @@ class ConstantFunction(ArrayFunction):
         return out
 
 
-class PolynomialFunction(ArrayFunction):
-    """Array-valued polynomial sum_k C_k t^k; ``coeffs[k]`` is C_k."""
-
-    def __init__(self, coeffs: np.ndarray):
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.ndim < 1:
-            raise ValueError("polynomial coefficients need a leading degree axis")
-        coeffs.flags.writeable = False
-        self.coeffs = coeffs
-        self.shape = coeffs.shape[1:]
-
-    def eval(self, ts, order: int = 0) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        coeffs = self.coeffs
-        for _ in range(order):
-            if coeffs.shape[0] <= 1:
-                coeffs = np.zeros((1, *self.shape), dtype=complex)
-                break
-            factors = np.arange(1, coeffs.shape[0]).reshape(-1, *([1] * len(self.shape)))
-            coeffs = coeffs[1:] * factors
-        out = np.zeros((ts.size, *self.shape), dtype=complex)
-        for ck in coeffs[::-1]:
-            out = out * ts.reshape(-1, *([1] * len(self.shape))) + ck
-        return out
-
-
 class ExpressionFunction(ArrayFunction):
     """Entrywise expression trees in t, with ``eps`` bound at build time."""
 
@@ -94,7 +67,13 @@ class ExpressionFunction(ArrayFunction):
         entries = self._entries_for(order)
         out = np.empty((ts.size, *self.shape), dtype=complex)
         for idx in np.ndindex(self.shape):
-            out[(slice(None), *idx)] = ex.evaluate(entries[idx], t=ts, eps=self.eps)
+            try:
+                out[(slice(None), *idx)] = ex.evaluate(entries[idx], t=ts, eps=self.eps)
+            except ZeroDivisionError:
+                # subtrees free of t evaluate as Python floats, which raise here
+                entry = "".join(f"[{i}]" for i in idx)
+                raise ValueError(f"expression entry {entry} divides by zero"
+                                 f" at eps={self.eps}") from None
         return out
 
 

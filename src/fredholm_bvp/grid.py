@@ -300,20 +300,3 @@ def differentiate_samples(values: np.ndarray, step: float) -> np.ndarray:
         out[idx] = np.tensordot(_EDGE_STENCIL[row], values[:5], axes=(0, 0)) / step
         out[n - 1 - idx] = -np.tensordot(_EDGE_STENCIL[row], values[-5:][::-1], axes=(0, 0)) / step
     return out
-
-
-def resample(stack: DerivativeStack, new_grid: Grid) -> DerivativeStack:
-    """Transfer a stack to another grid over the same interval.
-
-    Each derivative order goes through ``interpolate``: the local
-    4-point (cubic Lagrange) rule, exact at nodes the grids share, so
-    the endpoint samples are reproduced exactly.  The source grid needs
-    at least four nodes.
-    """
-    if stack.grid.interval != new_grid.interval:
-        raise ValueError("target grid spans a different interval")
-    if stack.grid.count < 4:
-        raise ValueError("resampling needs a source grid of at least four nodes")
-    return DerivativeStack(new_grid, np.stack([
-        interpolate(stack.grid, samples, new_grid.nodes) for samples in stack.samples
-    ]))

@@ -269,17 +269,6 @@ def check_condition_II(family: ProblemFamily, grid: Grid,
     return ConditionReport("condition-II", tables)
 
 
-def characteristic_convergence(family: ProblemFamily, grid: Grid,
-                               rank_tolerance: float | None = None) -> TrendTable:
-    """Entrywise-max distance of the characteristic matrices per eps."""
-    limit = build_characteristic_matrix(family.at_zero, grid, rank_tolerance)
-    values = []
-    for member in family.members:
-        entries = build_characteristic_matrix(member, grid, rank_tolerance).entries
-        values.append(float(np.abs(entries - limit.entries).max()))
-    return TrendTable.vanishing("characteristic matrix", family.epsilons, values)
-
-
 @dataclass(frozen=True)
 class SemicontinuityReport:
     """Kernel/cokernel dimensions along the schedule vs. the limit."""

@@ -7,6 +7,7 @@ from fredholm_bvp import (
     CoefficientSet,
     ConstantFunction,
     DerivativeStack,
+    ExpressionFunction,
     Interval,
     PointTerm,
     ProblemFamily,
@@ -14,9 +15,20 @@ from fredholm_bvp import (
     RightHandSide,
     fundamental_set,
 )
+from fredholm_bvp.expressions import parse_expression
 from fredholm_bvp.grid import P2
 
 UNIT = Interval(0.0, 1.0)
+
+
+def matrix_polynomial(coeffs):
+    """sum_k C_k t^k as an ExpressionFunction; ``coeffs[k]`` is the real matrix C_k."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    entries = np.empty(coeffs.shape[1:], dtype=object)
+    for idx in np.ndindex(entries.shape):
+        entries[idx] = parse_expression(
+            " + ".join(f"({float(c[idx])!r})*t^{k}" for k, c in enumerate(coeffs)))
+    return ExpressionFunction(entries)
 
 
 def scalar_stack(grid, rows):

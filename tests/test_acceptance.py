@@ -27,7 +27,7 @@ from fredholm_bvp import (
     fundamental_set,
     kernel_directions,
     matrix_exp,
-    oracle_characteristic,
+    one_point_first_order,
     phi,
     point_evaluation,
     residual_stack,
@@ -35,6 +35,8 @@ from fredholm_bvp import (
     sinc_sqrt,
     solvability_report,
     solve,
+    two_point_damped,
+    two_point_oscillatory,
 )
 from fredholm_bvp.grid import P2, vector_magnitude
 
@@ -67,7 +69,7 @@ def test_ac01_one_point_oracle_match():
                 m, tuple(PointTerm(0.0, k, alphas[k]) for k in range(3)))
             problem = ProblemSpec(UNIT, coeffs, boundary, P2)
             matrix = build_characteristic_matrix(problem, grid)
-            oracle = oracle_characteristic("ex1", matrix=a, alphas=alphas)
+            oracle = one_point_first_order(a, alphas)
             assert relative_deviation(matrix.entries, oracle) <= 1e-6
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0
@@ -118,8 +120,7 @@ def test_ac03_two_point_oracles_and_length_dependence():
                                  CoefficientSet(2, m, n, (np.zeros((m, m)), a)),
                                  boundary, P2)
             numerical = build_characteristic_matrix(damped, grid)
-            oracle = oracle_characteristic("ex3", matrix=a, alphas=alphas,
-                                           betas=betas, length=length)
+            oracle = two_point_damped(a, alphas, betas, length)
             assert relative_deviation(numerical.entries, oracle) <= 1e-6
             damped_matrices[length] = numerical.entries
 
@@ -127,8 +128,7 @@ def test_ac03_two_point_oracles_and_length_dependence():
                                       CoefficientSet(2, m, n, (a, np.zeros((m, m)))),
                                       boundary, P2)
             numerical = build_characteristic_matrix(oscillatory, grid)
-            oracle = oracle_characteristic("ex4", matrix=a, alphas=alphas,
-                                           betas=betas, length=length)
+            oracle = two_point_oscillatory(a, alphas, betas, length)
             assert relative_deviation(numerical.entries, oracle) <= 1e-6
             oscillatory_matrices[length] = numerical.entries
 

@@ -125,6 +125,18 @@ def test_family_requires_family_section(capsys):
     assert "family" in err
 
 
+def test_family_division_by_zero_at_eps_is_an_error(tmp_path, capsys):
+    doc = json.loads(Path(SPLITTING).read_text())
+    doc["family"]["coefficients"] = [
+        {"kind": "expression", "entries": [["1/eps", "0"], ["0", "0.3"]]}]
+    path = tmp_path / "divergent.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "family", str(path), "--nodes", "201")
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "eps=0.0" in err
+
+
 BUILTIN_EXAMPLES = {
     "ex1": "one-point-first-order",
     "ex2": "multipoint-zero-coefficient",

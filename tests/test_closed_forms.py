@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_complex
-from fredholm_bvp import cos_sqrt, matrix_exp, oracle_characteristic, phi, sinc_sqrt
+from conftest import UNIT, random_complex
+from fredholm_bvp import (BoundaryOperator, CoefficientSet, LebesgueExponent, PointTerm,
+                          ProblemSpec, cos_sqrt, matrix_exp, one_point_first_order, phi,
+                          sinc_sqrt, two_point_damped)
+from fredholm_bvp.cli import _oracle_from_problem
 
 
 def test_exp_of_zero():
@@ -134,14 +137,19 @@ def test_truncation_bound_is_tracked():
 
 def test_oracle_zero_sum_configuration():
     # order-0 matrices I and -I cancel regardless of everything else
-    oracle = oracle_characteristic("ex2", alphas0=[np.eye(2), -np.eye(2)])
+    coeffs = CoefficientSet(1, 2, 1, (np.zeros((2, 2)),))
+    boundary = BoundaryOperator(2, (PointTerm(0.0, 0, np.eye(2)), PointTerm(0.5, 0, -np.eye(2)),
+                                    PointTerm(0.5, 1, np.ones((2, 2)))))
+    problem = ProblemSpec(UNIT, coeffs, boundary, LebesgueExponent(2.0))
+    name, oracle = _oracle_from_problem(problem)
+    assert name == "multipoint-zero-coefficient"
     np.testing.assert_array_equal(oracle, np.zeros((2, 2)))
 
 
 def test_oracle_power_sum_zero_matrix():
     rng = np.random.default_rng(33)
     alphas = [random_complex(rng, 2, 2) for _ in range(3)]
-    oracle = oracle_characteristic("ex1", matrix=np.zeros((2, 2)), alphas=alphas)
+    oracle = one_point_first_order(np.zeros((2, 2)), alphas)
     np.testing.assert_allclose(oracle, alphas[0], atol=1e-15)
 
 
@@ -151,13 +159,8 @@ def test_oracle_one_point_second_order_blocks():
     a = random_complex(rng, m, m) * 0.5
     alphas = [random_complex(rng, m, m) for _ in range(3)]
     zeros = [np.zeros((m, m)) for _ in range(3)]
-    oracle = oracle_characteristic("ex3", matrix=a, alphas=alphas, betas=zeros, length=1.0)
+    oracle = two_point_damped(a, alphas, zeros, 1.0)
     np.testing.assert_allclose(oracle[:, :m], alphas[0], atol=1e-14)
     np.testing.assert_allclose(oracle[:, m:], alphas[1] + alphas[2] @ (-a), atol=1e-12)
-    longer = oracle_characteristic("ex3", matrix=a, alphas=alphas, betas=zeros, length=2.0)
+    longer = two_point_damped(a, alphas, zeros, 2.0)
     np.testing.assert_allclose(oracle, longer, atol=1e-14)
-
-
-def test_oracle_unknown_name():
-    with pytest.raises(ValueError):
-        oracle_characteristic("ex9")

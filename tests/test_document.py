@@ -217,6 +217,45 @@ def test_divergent_generator_rejected_at_limit():
         document_problem(doc, eps=0.0)
 
 
+@pytest.mark.parametrize("family, eps, path", [
+    ({"boundary": {"conditions": 2, "points": [
+        {"t": "0.25 - 1/eps", "order": 0, "matrix": [[1, 0], [0, 1]]}]}},
+     0.0, "$.family.boundary.points[0].t"),
+    ({"boundary": {"conditions": 2, "points": [
+        {"t": 0.25, "order": 0, "matrix": [[1, 0], [0, "1/eps"]]}]}},
+     0.0, "$.family.boundary.points[0].matrix[1][1]"),
+    ({"rhs": {"f": {"kind": "constant", "values": [1, 0]}, "c": [1, "1/eps"]}},
+     0.0, "$.family.rhs.c[1]"),
+    ({"boundary": {"conditions": 2, "points": [
+        {"t": "0.25 - 100*eps", "order": 0, "matrix": [[1, 0], [0, 1]]}]}},
+     1e-2, "$.family.boundary.points[0].t"),
+], ids=["location", "matrix", "rhs-c", "outside-interval"])
+def test_member_build_errors_name_the_slot(family, eps, path):
+    doc = load_document(minimal_document(family={"schedule": [0.1, 0.01], **family}))
+    with pytest.raises(DocumentError, match=rf"eps={eps}|outside the interval") as err:
+        document_problem(doc, eps=eps)
+    assert err.value.path == path
+
+
+def test_complex_boundary_location_names_its_path():
+    raw = minimal_document()
+    raw["boundary"]["points"][0]["t"] = [0.25, 0.1]
+    with pytest.raises(DocumentError, match="must be real") as err:
+        document_problem(load_document(raw))
+    assert err.value.path == "$.boundary.points[0].t"
+
+
+def test_expression_entry_errors_name_the_entry():
+    for entries, path, message in (
+        ([["t", "0"], ["0"]], "$.coefficients[0].entries[1]", "expected a list of length 2"),
+        ([["t", ["0"]], ["0", "t"]], "$.coefficients[0].entries[0][1]", "entries are strings"),
+    ):
+        raw = minimal_document(coefficients=[{"kind": "expression", "entries": entries}])
+        with pytest.raises(DocumentError, match=message) as err:
+            load_document(raw)
+        assert err.value.path == path
+
+
 def test_table_coefficient_must_span_interval():
     raw = minimal_document(coefficients=[
         {"kind": "table", "nodes": [0.0, 0.125, 0.25, 0.375, 0.5],

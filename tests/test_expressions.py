@@ -6,7 +6,6 @@ from fredholm_bvp.expressions import (
     evaluate,
     parse_expression,
     symbolic_derivative,
-    to_source,
     uses_variable,
 )
 
@@ -100,17 +99,6 @@ def test_quotient_and_eps_derivatives():
     eps, t = 0.3, 2.0
     expected = (2 * eps * (1 + eps) - eps**2) / (1 + eps) ** 2 * t
     assert evaluate(d_eps, t=t, eps=eps) == pytest.approx(expected, rel=1e-12)
-
-
-def test_round_trip_rendering():
-    for source in ("t^2 + 1", "sin(t)*exp(-t)", "-(t - 2)/(t + 3)", "1 - 2 - 3",
-                   "2^2^3", "eps*(1 - t)"):
-        tree = parse_expression(source)
-        again = parse_expression(to_source(tree))
-        for t in (0.1, 0.7, 1.9):
-            assert evaluate(again, t=t, eps=0.25) == pytest.approx(
-                evaluate(tree, t=t, eps=0.25), rel=1e-15
-            )
 
 
 def test_uses_variable():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import UNIT, interpolate_at
-from fredholm_bvp import ConstantFunction, ExpressionFunction, Grid, Interval, PolynomialFunction, TabulatedFunction
+from conftest import UNIT, interpolate_at, matrix_polynomial
+from fredholm_bvp import ConstantFunction, ExpressionFunction, Grid, Interval, TabulatedFunction
 from fredholm_bvp.expressions import parse_expression
 from fredholm_bvp.functions import as_array_function
 
@@ -19,7 +19,7 @@ def test_polynomial_function_derivatives():
     c0 = np.array([[1.0, 0.0], [0.0, 1.0]])
     c1 = np.array([[0.0, 2.0], [0.0, 0.0]])
     c2 = np.array([[0.0, 0.0], [3.0, 0.0]])
-    fn = PolynomialFunction(np.stack([c0, c1, c2]))
+    fn = matrix_polynomial([c0, c1, c2])
     ts = np.array([0.0, 0.5, 2.0])
     for i, t in enumerate(ts):
         np.testing.assert_allclose(fn.eval(ts)[i], c0 + c1 * t + c2 * t * t, atol=1e-14)

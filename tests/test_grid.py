@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import UNIT, interpolate_at, random_stack, scalar_stack
-from fredholm_bvp import DerivativeStack, Grid, Interval, LebesgueExponent, lp_norm, resample, sobolev_norm
+from fredholm_bvp import DerivativeStack, Grid, Interval, LebesgueExponent, lp_norm, sobolev_norm
 from fredholm_bvp.grid import P1, P2, PINF, differentiate_samples, interpolate
 
 
@@ -100,48 +100,6 @@ def test_sobolev_norm_exponential():
     grid = Grid.uniform(UNIT, 1001)
     stack = scalar_stack(grid, [np.exp, np.exp])
     assert sobolev_norm(stack, P1) == pytest.approx(2 * (math.e - 1), abs=1e-5)
-
-
-def test_resample_identity():
-    grid = Grid.uniform(UNIT, 101)
-    rng = np.random.default_rng(0)
-    stack = random_stack(grid, rng, 2, 2)
-    again = resample(stack, grid)
-    np.testing.assert_array_equal(again.samples, stack.samples)
-
-
-def test_resample_reproduces_linear():
-    coarse = Grid.uniform(UNIT, 11)
-    fine = Grid.uniform(UNIT, 41)
-    stack = scalar_stack(coarse, [lambda ts: 2 * ts - 1, lambda ts: 2 * np.ones_like(ts)])
-    out = resample(stack, fine)
-    np.testing.assert_allclose(out.samples[0, :, 0], 2 * fine.nodes - 1, atol=1e-14)
-
-
-def test_resample_sine_accuracy():
-    # oracle: direct evaluation of sin on the fine grid
-    coarse = Grid.uniform(UNIT, 501)
-    fine = Grid.uniform(UNIT, 1001)
-    stack = scalar_stack(coarse, [np.sin])
-    out = resample(stack, fine)
-    assert np.abs(out.samples[0, :, 0] - np.sin(fine.nodes)).max() <= 1e-8
-
-
-@pytest.mark.parametrize("count", [2, 3])
-def test_resample_needs_four_source_nodes(count):
-    coarse = Grid.uniform(UNIT, count)
-    stack = scalar_stack(coarse, [lambda ts: 2 * ts - 1])
-    for target in (coarse, Grid.uniform(UNIT, 11)):
-        with pytest.raises(ValueError, match="four nodes"):
-            resample(stack, target)
-
-
-def test_resample_interval_mismatch():
-    grid = Grid.uniform(UNIT, 11)
-    other = Grid.uniform(Interval(0.0, 2.0), 11)
-    stack = scalar_stack(grid, [np.sin])
-    with pytest.raises(ValueError):
-        resample(stack, other)
 
 
 def test_triangle_inequality():

@@ -15,7 +15,6 @@ from fredholm_bvp import (
     ProblemFamily,
     ProblemSpec,
     RightHandSide,
-    characteristic_convergence,
     check_condition_0,
     check_condition_I,
     check_condition_II,
@@ -244,7 +243,7 @@ def test_converging_series_needs_one_limit_point():
 
 def test_characteristic_convergence_constant_family():
     family = coefficient_family(A0, E, lambda e: 0.0)
-    trend = characteristic_convergence(family, GRID)
+    trend = convergence_experiment(family, GRID).characteristic_trend
     assert trend.passed
     assert all(v == 0.0 for v in trend.values)
 
@@ -257,7 +256,7 @@ def test_characteristic_convergence_linear_family():
                                    c=[1.0, -1.0], f=[1.0, 0.5])
 
     family = ProblemFamily(make(0.0), make, epsilons=(1e-2, 1e-4, 1e-6, 1e-8))
-    trend = characteristic_convergence(family, GRID)
+    trend = convergence_experiment(family, GRID).characteristic_trend
     assert trend.passed
     assert all(b < a for a, b in zip(trend.values, trend.values[1:]))
 
@@ -274,7 +273,7 @@ def test_characteristic_convergence_divergent_boundary():
         ))
 
     family = boundary_family(make_boundary)
-    assert not characteristic_convergence(family, GRID).passed
+    assert not convergence_experiment(family, GRID).characteristic_trend.passed
 
 
 def test_semicontinuity_rank_jump_up_is_allowed():
@@ -483,7 +482,7 @@ def test_strong_convergence_implies_matrix_convergence():
         cond_i = check_condition_I(family, GRID).passed
         cond_ii = check_condition_II(family, GRID).passed
         if cond_i and cond_ii:
-            trend = characteristic_convergence(family, GRID)
+            trend = convergence_experiment(family, GRID).characteristic_trend
             assert trend.passed, name
 
 

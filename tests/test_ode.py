@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import UNIT, combine, members, particular, random_complex
+from conftest import UNIT, combine, matrix_polynomial, members, particular, random_complex
 from fredholm_bvp import (
     CoefficientSet,
     ConstantFunction,
     Grid,
     Interval,
-    PolynomialFunction,
     TabulatedFunction,
     fundamental_set,
     matrix_exp,
@@ -85,12 +84,12 @@ def test_fourth_order_convergence_against_oracle():
 
 
 def test_variable_coefficient_representations_agree():
-    # polynomial, expression and tabulated versions of A(t) = [[t, 1],[0, t^2]]
+    # expanded-polynomial, expression and tabulated versions of A(t) = [[t, 1],[0, t^2]]
     grid = Grid.uniform(UNIT, 401)
     c0 = np.array([[0.0, 1.0], [0.0, 0.0]])
     c1 = np.array([[1.0, 0.0], [0.0, 0.0]])
     c2 = np.array([[0.0, 0.0], [0.0, 1.0]])
-    poly = PolynomialFunction(np.stack([c0, c1, c2]))
+    poly = matrix_polynomial([c0, c1, c2])
     entries = np.array(
         [[parse_expression("t"), parse_expression("1")],
          [parse_expression("0"), parse_expression("t^2")]], dtype=object)
