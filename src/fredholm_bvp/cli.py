@@ -4,7 +4,11 @@ Machine-readable reports are JSON with a fixed field order and floats
 formatted at 17 significant digits, so identical inputs and flags
 produce byte-identical output.  The handlers call ``analyze`` and
 ``superpose`` and hand numpy arrays to the one encoder, ``emit_json``,
-which writes every complex value as an ``[re, im]`` pair.  ``oracle-check``
+which writes every complex value as an ``[re, im]`` pair.  A float array
+whose values are all finite is written by filling one ``%.17g`` template
+built for its shape; any other array goes through ``tolist()`` and the
+recursive list path, which writes NaN as ``null`` and +-inf as ``"inf"`` and
+``"-inf"``.  Both give the same bytes for the same values.  ``oracle-check``
 takes each closed form from the recognised configuration of the problem,
 whether it comes from a document or is one of the builtins ``ex1``..``ex5``.
 Exit status: 0 on success, 2 when an analysis completes but the problem
@@ -60,6 +64,19 @@ def _format_float(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _array_template(shape: tuple[int, ...], indent: int) -> str:
+    """What emit_json writes for nested lists of this shape, a %.17g slot per float."""
+    template = "%.17g"
+    for axis in reversed(range(len(shape))):
+        if shape[axis] == 0:
+            template = "[]"
+        else:
+            pad = "  " * (indent + axis)
+            item = pad + "  " + template
+            template = "[\n" + ",\n".join([item] * shape[axis]) + "\n" + pad + "]"
+    return template
+
+
 def emit_json(obj, indent: int = 0) -> str:
     pad = "  " * indent
     if obj is None:
@@ -77,6 +94,8 @@ def emit_json(obj, indent: int = 0) -> str:
         obj = np.asarray(obj)
         if np.iscomplexobj(obj):
             obj = np.stack([obj.real, obj.imag], axis=-1)
+        if obj.ndim and obj.dtype.kind == "f" and np.isfinite(obj).all():
+            return _array_template(obj.shape, indent) % tuple(obj.ravel().tolist())
         return emit_json(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):
         if not obj:

@@ -142,6 +142,8 @@ def two_point_damped(a, alphas, betas, length: float) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     alphas = [np.asarray(x, dtype=complex) for x in alphas]
     betas = [np.asarray(x, dtype=complex) for x in betas]
+    if len(alphas) != len(betas):
+        raise ValueError("alphas and betas must have equal length")
     decay = matrix_exp(-a, length).value
     first = alphas[0] + betas[0]
     second = betas[0] @ phi(a, length).value

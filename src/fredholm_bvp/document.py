@@ -129,7 +129,7 @@ def _resolve_slot(slot, eps: float | None, path: str, index: tuple[int, ...] = (
         return slot
     try:
         value = complex(ex.evaluate(slot, eps=eps))
-    except ZeroDivisionError:
+    except (ZeroDivisionError, OverflowError):
         value = complex("nan")
     if not cmath.isfinite(value):
         raise DocumentError(f"expression is not finite at eps={eps}",

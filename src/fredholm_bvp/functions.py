@@ -66,15 +66,26 @@ class ExpressionFunction(ArrayFunction):
         ts = np.asarray(ts, dtype=float)
         entries = self._entries_for(order)
         out = np.empty((ts.size, *self.shape), dtype=complex)
-        for idx in np.ndindex(self.shape):
-            try:
-                out[(slice(None), *idx)] = ex.evaluate(entries[idx], t=ts, eps=self.eps)
-            except ZeroDivisionError:
-                # subtrees free of t evaluate as Python floats, which raise here
-                entry = "".join(f"[{i}]" for i in idx)
-                raise ValueError(f"expression entry {entry} divides by zero"
-                                 f" at eps={self.eps}") from None
+        # a value that is not finite is reported below, not warned about by numpy
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for idx in np.ndindex(self.shape):
+                try:
+                    out[(slice(None), *idx)] = ex.evaluate(entries[idx], t=ts, eps=self.eps)
+                except ZeroDivisionError:
+                    # subtrees free of t evaluate as Python floats, which raise here
+                    raise ValueError(f"expression entry {_entry_name(idx)} divides by zero"
+                                     f" at eps={self.eps}") from None
+                except OverflowError:  # a Python float power out of range
+                    out[(slice(None), *idx)] = np.inf
+        if not np.isfinite(out.view(float)).all():
+            node, *idx = np.argwhere(~np.isfinite(out))[0]
+            raise ValueError(f"expression entry {_entry_name(idx)} (derivative order {order})"
+                             f" is not finite at eps={self.eps}, t={float(ts.flat[node])!r}")
         return out
+
+
+def _entry_name(idx) -> str:
+    return "".join(f"[{i}]" for i in idx)
 
 
 class TabulatedFunction(ArrayFunction):

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fredholm_bvp import cli
 from fredholm_bvp.cli import emit_json, main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "docs" / "samples"
@@ -137,6 +139,20 @@ def test_family_division_by_zero_at_eps_is_an_error(tmp_path, capsys):
     assert "eps=0.0" in err
 
 
+def test_family_division_by_zero_in_t_names_entry_eps_and_t(tmp_path, capsys):
+    doc = json.loads(Path(SPLITTING).read_text())
+    doc["family"]["coefficients"] = [
+        {"kind": "expression", "entries": [["1/(eps*t + eps)", "0"], ["0", "0.3"]]}]
+    path = tmp_path / "divergent-in-t.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's RuntimeWarning would fail here
+        code, _, err = run(capsys, "family", str(path), "--nodes", "201")
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "entry [0][0]" in err and "eps=0.0" in err and "t=0.0" in err
+
+
 BUILTIN_EXAMPLES = {
     "ex1": "one-point-first-order",
     "ex2": "multipoint-zero-coefficient",
@@ -241,6 +257,84 @@ def test_emit_json_encodes_arrays_as_nested_lists(shape, complex_valued):
         array.real, array.imag = values
     assert emit_json(array) == emit_json(nested_lists(array))
     assert emit_json({"x": [array]}, 1) == emit_json({"x": [nested_lists(array)]}, 1)
+
+
+FINITE = [0.1, -0.0, 0.0, 1e300, 5e-324, -2.5, 1 / 3, -1e-300]
+SHAPES = [(), (0,), (4,), (3, 0), (0, 2), (2, 3), (0, 2, 2), (2, 2, 3), (4, 7, 2), (3, 1, 5)]
+
+
+def _finite_array(shape, complex_valued):
+    values = np.resize(np.roll(FINITE, len(shape)), (2, *shape))
+    if not complex_valued:
+        return values[0]
+    array = np.empty(shape, dtype=complex)  # 1j * -0.0 would lose the sign
+    array.real, array.imag = values
+    return array
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+def test_emit_json_writes_finite_arrays_as_nested_lists(shape, complex_valued):
+    array = _finite_array(shape, complex_valued)
+    assert np.isfinite(array).all()
+    assert emit_json(array) == emit_json(nested_lists(array))
+    assert emit_json({"x": [array]}, 1) == emit_json({"x": [nested_lists(array)]}, 1)
+
+
+@pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+def test_emit_json_one_nan_among_finite_values(complex_valued):
+    array = _finite_array((4, 7, 2), complex_valued)
+    array[2, 3, 1] = np.nan
+    text = emit_json(array)
+    assert text == emit_json(nested_lists(array))
+    assert text.count("null") == 1
+    assert emit_json({"x": [array]}, 1) == emit_json({"x": [nested_lists(array)]}, 1)
+
+
+def _as_nested_lists(obj):
+    """A report document with every array and complex value in list form."""
+    if isinstance(obj, (np.ndarray, complex)):
+        return nested_lists(np.asarray(obj))
+    if isinstance(obj, dict):
+        return {k: _as_nested_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_as_nested_lists(v) for v in obj]
+    return obj
+
+
+REPORT_COMMANDS = (
+    [(command, doc, "201") for doc in (ONE_POINT, TWO_POINT, SPLITTING)
+     for command in ("analyze", "solve")]
+    + [("oracle-check", doc, "201") for doc in (ONE_POINT, TWO_POINT)]
+    + [("family", SPLITTING, "201")]
+    + [("oracle-check", name, "201") for name in ("ex1", "ex2", "ex3", "ex4", "ex5")]
+    + [("solve", TWO_POINT, "20001")]
+)
+
+
+@pytest.mark.parametrize("command, document, nodes", REPORT_COMMANDS,
+                         ids=lambda value: Path(value).stem)
+def test_machine_report_equals_nested_list_encoding(monkeypatch, capsys, command, document,
+                                                    nodes):
+    encode = cli.emit_json
+    reports = []
+
+    def checked(obj, indent=0):
+        text = encode(obj, indent)
+        if indent == 0:  # the handler's call, not a recursive one
+            expected = encode(_as_nested_lists(obj)).splitlines()
+            # compare line by line: pytest's diff of two whole reports takes minutes
+            for number, (line, want) in enumerate(zip(text.splitlines(), expected)):
+                assert line == want, f"report line {number}"
+            assert text.count("\n") + 1 == len(expected)
+            reports.append(text)
+        return text
+
+    monkeypatch.setattr(cli, "emit_json", checked)
+    code, out, err = run(capsys, command, document, "--nodes", nodes, "--format", "machine")
+    assert code == 0, err
+    assert reports == [out.rstrip("\n")]
+    json.loads(out)
 
 
 def test_emit_json_rejects_unknown_types():

@@ -4,7 +4,7 @@ import pytest
 from conftest import UNIT, random_complex
 from fredholm_bvp import (BoundaryOperator, CoefficientSet, LebesgueExponent, PointTerm,
                           ProblemSpec, cos_sqrt, matrix_exp, one_point_first_order, phi,
-                          sinc_sqrt, two_point_damped)
+                          sinc_sqrt, two_point_damped, two_point_oscillatory)
 from fredholm_bvp.cli import _oracle_from_problem
 
 
@@ -164,3 +164,14 @@ def test_oracle_one_point_second_order_blocks():
     np.testing.assert_allclose(oracle[:, m:], alphas[1] + alphas[2] @ (-a), atol=1e-12)
     longer = two_point_damped(a, alphas, zeros, 2.0)
     np.testing.assert_allclose(oracle, longer, atol=1e-14)
+
+
+@pytest.mark.parametrize("n_alphas, n_betas", [(3, 2), (2, 3)])
+def test_two_point_oracles_reject_unequal_lengths(n_alphas, n_betas):
+    rng = np.random.default_rng(35)
+    a = random_complex(rng, 2, 2) * 0.5
+    alphas = [random_complex(rng, 2, 2) for _ in range(n_alphas)]
+    betas = [random_complex(rng, 2, 2) for _ in range(n_betas)]
+    for oracle in (two_point_damped, two_point_oscillatory):
+        with pytest.raises(ValueError, match="alphas and betas must have equal length"):
+            oracle(a, alphas, betas, 1.0)

@@ -229,7 +229,10 @@ def test_divergent_generator_rejected_at_limit():
     ({"boundary": {"conditions": 2, "points": [
         {"t": "0.25 - 100*eps", "order": 0, "matrix": [[1, 0], [0, 1]]}]}},
      1e-2, "$.family.boundary.points[0].t"),
-], ids=["location", "matrix", "rhs-c", "outside-interval"])
+    ({"boundary": {"conditions": 2, "points": [
+        {"t": 0.25, "order": 0, "matrix": [[1, 0], [0, "(1e200/eps)^2"]]}]}},
+     0.1, "$.family.boundary.points[0].matrix[1][1]"),
+], ids=["location", "matrix", "rhs-c", "outside-interval", "overflow"])
 def test_member_build_errors_name_the_slot(family, eps, path):
     doc = load_document(minimal_document(family={"schedule": [0.1, 0.01], **family}))
     with pytest.raises(DocumentError, match=rf"eps={eps}|outside the interval") as err:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -89,3 +91,15 @@ def test_table_with_three_nodes_only_evaluates_at_nodes():
     np.testing.assert_array_equal(table.eval(grid.nodes)[:, 0], [0.0, 1.0, 2.0])
     with pytest.raises(ValueError, match="four nodes"):
         table.eval(np.array([0.25]))
+
+
+@pytest.mark.parametrize("source, first_bad_t", [("1/(eps*t - 0.25)", 0.5), ("(1e200)^2", 0.0)])
+def test_expression_function_reports_values_that_are_not_finite(source, first_bad_t):
+    # a division by zero in t, and a power of a t-free subtree that overflows
+    fn = ExpressionFunction(np.array([[parse_expression("1"), parse_expression(source)]],
+                                     dtype=object), eps=0.5)
+    message = rf"entry \[0\]\[1\] \(derivative order 0\) is not finite at eps=0.5, t={first_bad_t}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            fn.eval(np.linspace(0, 1, 5))
