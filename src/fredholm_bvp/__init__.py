@@ -48,12 +48,10 @@ from .grid import (
 from .limits import (
     LimitReport,
     ProblemFamily,
-    check_condition_0,
     check_condition_I,
     check_condition_II,
     check_multipoint_assumptions,
     convergence_experiment,
-    semicontinuity_check,
 )
 from .ode import (
     CoefficientSet,
@@ -94,7 +92,6 @@ __all__ = [
     "analyze",
     "build_characteristic_matrix",
     "characteristic_from_blocks",
-    "check_condition_0",
     "check_condition_I",
     "check_condition_II",
     "check_multipoint_assumptions",
@@ -111,7 +108,6 @@ __all__ = [
     "phi",
     "point_evaluation",
     "residual_stack",
-    "semicontinuity_check",
     "sinc_sqrt",
     "sobolev_norm",
     "solvability_report",

@@ -85,16 +85,6 @@ class Grid:
     def midpoints(self) -> np.ndarray:
         return 0.5 * (self.nodes[:-1] + self.nodes[1:])
 
-    def node_index(self, t: float, tol: float | None = None) -> int | None:
-        """Index of the node closest to ``t`` if within ``tol``, else None."""
-        if tol is None:
-            tol = 1e-12 * max(1.0, abs(self.interval.a), abs(self.interval.b))
-        idx = int(round((t - self.interval.a) / self.step))
-        idx = min(max(idx, 0), self.count - 1)
-        if abs(self.nodes[idx] - t) <= tol:
-            return idx
-        return None
-
 
 _INF = math.inf
 
@@ -200,20 +190,6 @@ class DerivativeStack:
     @property
     def max_order(self) -> int:
         return self.samples.shape[0] - 1
-
-    @classmethod
-    def from_callables(cls, grid: Grid, derivatives, dimension: int | None = None):
-        """Build a stack from per-order callables mapping t-array -> samples."""
-        rows = []
-        for fn in derivatives:
-            values = np.asarray(fn(grid.nodes), dtype=complex)
-            if values.ndim == 1:
-                values = values[:, None]
-            rows.append(values)
-        samples = np.stack(rows)
-        if dimension is not None and samples.shape[2] != dimension:
-            raise ValueError("callable output dimension mismatch")
-        return cls(grid, samples)
 
     def __add__(self, other: "DerivativeStack") -> "DerivativeStack":
         if self.grid is not other.grid and not np.array_equal(self.grid.nodes, other.grid.nodes):

@@ -30,13 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .boundary import PointTerm
-from .characteristic import (ProblemSpec, SolvabilityReport, analyze, build_characteristic_matrix,
-                             solvability_report)
+from .characteristic import ProblemSpec, SolvabilityReport, analyze
 from .grid import DerivativeStack, Grid, lp_norm, sobolev_norm, vector_magnitude
 from .solver import discrepancy, superpose
 
@@ -103,7 +102,9 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class ProblemFamily:
-    """eps-indexed problems sharing interval, orders and exponent.
+    """eps-indexed problems sharing interval, orders, exponent and number
+    of boundary conditions, each with a right-hand side exactly when the
+    limit problem has one.
 
     ``series``, when set, tags the boundary point terms of every member
     and of the limit problem, in term order, with the multipoint series
@@ -139,6 +140,11 @@ class ProblemFamily:
         member = self.generator(eps)
         if (member.r, member.m, member.n) != (self.at_zero.r, self.at_zero.m, self.at_zero.n):
             raise ValueError("family members must share the orders (r, m, n)")
+        if member.q != self.at_zero.q:
+            raise ValueError("family members must share the number of boundary conditions")
+        if (member.rhs is None) != (self.at_zero.rhs is None):
+            raise ValueError("family members must carry a right-hand side exactly when "
+                             "the limit problem does")
         if member.interval != self.at_zero.interval:
             raise ValueError("family members must share the interval")
         if member.exponent != self.at_zero.exponent:
@@ -170,18 +176,6 @@ class ProblemFamily:
     def members(self) -> tuple[ProblemSpec, ...]:
         """The problem at each scheduled eps, in schedule order, built once."""
         return tuple(self.at(eps) for eps in self.epsilons)
-
-
-def _fredholm_report(problem: ProblemSpec, grid: Grid,
-                     rank_tolerance: float | None) -> SolvabilityReport:
-    """The solvability report alone: the forcing is never integrated."""
-    return solvability_report(build_characteristic_matrix(problem, grid, rank_tolerance), problem)
-
-
-def check_condition_0(problem: ProblemSpec, grid: Grid,
-                      rank_tolerance: float | None = None) -> bool:
-    """True iff the limit problem is square with a nonsingular matrix."""
-    return _fredholm_report(problem, grid, rank_tolerance).well_posed
 
 
 def coefficient_distances(problem_eps: ProblemSpec, problem_zero: ProblemSpec,
@@ -273,44 +267,36 @@ def check_condition_II(family: ProblemFamily, grid: Grid,
 class SemicontinuityReport:
     """Kernel/cokernel dimensions along the schedule vs. the limit."""
 
-    epsilons: tuple[float, ...]
     dim_kernel_limit: int
     dim_cokernel_limit: int
     rows: tuple[tuple[float, int, int], ...]
     threshold: float | None
     violations: tuple[float, ...]
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
 
-def semicontinuity_check(family: ProblemFamily, grid: Grid,
-                         rank_tolerance: float | None = None) -> SemicontinuityReport:
-    """Check dim ker / dim coker never exceed their limit values.
+def semicontinuity(epsilons: Sequence[float], limit: SolvabilityReport,
+                   members: Sequence[SolvabilityReport]) -> SemicontinuityReport:
+    """Check dim ker / dim coker of the members never exceed their limit values.
 
-    The threshold is the largest scheduled eps below which (inclusive)
-    every scheduled value satisfies both inequalities.
+    ``members`` holds one report per scheduled eps, in schedule order.  The
+    threshold is the largest scheduled eps below which (inclusive) every
+    scheduled value satisfies both inequalities.
     """
-    limit_report = _fredholm_report(family.at_zero, grid, rank_tolerance)
-    rows = []
-    ok = []
-    for eps, member in zip(family.epsilons, family.members):
-        report = _fredholm_report(member, grid, rank_tolerance)
-        rows.append((eps, report.dim_kernel, report.dim_cokernel))
-        ok.append(report.dim_kernel <= limit_report.dim_kernel
-                  and report.dim_cokernel <= limit_report.dim_cokernel)
-    threshold = None
-    for i in range(len(ok)):
-        if all(ok[i:]):
-            threshold = family.epsilons[i]
-            break
-    violations = tuple(eps for (eps, _, _), good in zip(rows, ok) if not good)
+    rows = tuple((eps, report.dim_kernel, report.dim_cokernel)
+                 for eps, report in zip(epsilons, members, strict=True))
+    bad = [i for i, (_, ker, coker) in enumerate(rows)
+           if ker > limit.dim_kernel or coker > limit.dim_cokernel]
+    start = bad[-1] + 1 if bad else 0
     return SemicontinuityReport(
-        epsilons=family.epsilons,
-        dim_kernel_limit=limit_report.dim_kernel,
-        dim_cokernel_limit=limit_report.dim_cokernel,
-        rows=tuple(rows),
-        threshold=threshold,
-        violations=violations,
-        passed=not violations,
+        dim_kernel_limit=limit.dim_kernel,
+        dim_cokernel_limit=limit.dim_cokernel,
+        rows=rows,
+        threshold=rows[start][0] if start < len(rows) else None,
+        violations=tuple(rows[i][0] for i in bad),
     )
 
 
@@ -323,10 +309,12 @@ BOUNDED_TABLES = ("gamma_p",)
 
 @dataclass(frozen=True)
 class MultipointAssumptionReport:
-    epsilons: tuple[float, ...]
     tables: dict[str, ConditionReport]
     required: tuple[str, ...]
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(self.tables[name].passed for name in self.required)
 
 
 def _matrix_norm(matrix: np.ndarray) -> float:
@@ -409,8 +397,7 @@ def check_multipoint_assumptions(family: ProblemFamily) -> MultipointAssumptionR
         required = ("alpha", "beta", "gamma", "delta")
     else:
         required = ("alpha", "beta", "gamma_p", "gamma_prime", "delta")
-    passed = all(tables[name].passed for name in required)
-    return MultipointAssumptionReport(family.epsilons, tables, required, passed)
+    return MultipointAssumptionReport(tables, required)
 
 
 # ---------------------------------------------------------------------------
@@ -426,21 +413,26 @@ class LimitRow:
     dim_cokernel: int
     well_posed: bool
     solution_error: float | None
-    discrepancy: float | None
+    discrepancy: float
     ratio: float | None
     flags: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class LimitReport:
-    """Everything the experiment measured, one row per scheduled eps."""
+    """Everything the experiment measured, one row per scheduled eps.
+
+    There is no condition (0) field: the experiment raises
+    NotWellPosedError on a singular limit, so condition (0) holds in
+    every report it returns, and the reports write it as a constant.
+    """
 
     epsilons: tuple[float, ...]
     rows: tuple[LimitRow, ...]
-    condition_0: bool
     condition_I: ConditionReport
     condition_II: ConditionReport
     characteristic_trend: TrendTable
+    semicontinuity: SemicontinuityReport
     error_trend_passed: bool
     ratio_bracket: tuple[float, float] | None
     multipoint: MultipointAssumptionReport | None = None
@@ -459,13 +451,14 @@ class LimitReport:
                 f"{_fmt(row.ratio):>12}  {','.join(row.flags)}"
             )
         lines.append("")
-        lines.append(f"condition (0): {'pass' if self.condition_0 else 'FAIL'}")
+        lines.append("condition (0): pass")
         lines.append(f"condition (I): {'pass' if self.condition_I.passed else 'FAIL'}")
         lines.append(f"condition (II): {'pass' if self.condition_II.passed else 'FAIL'}")
         lines.append(
             "characteristic convergence: "
             f"{'pass' if self.characteristic_trend.passed else 'FAIL'}"
         )
+        lines.append(f"semicontinuity: {'pass' if self.semicontinuity.passed else 'FAIL'}")
         lines.append(f"solution convergence: {'pass' if self.error_trend_passed else 'FAIL'}")
         if self.ratio_bracket is not None:
             lines.append(
@@ -498,12 +491,17 @@ class LimitReport:
                 }
                 for row in self.rows
             ],
-            "condition_0": self.condition_0,
+            "condition_0": True,
             "condition_I": _condition_doc(self.condition_I),
             "condition_II": _condition_doc(self.condition_II),
             "characteristic_convergence": {
                 "values": list(self.characteristic_trend.values),
                 "passed": self.characteristic_trend.passed,
+            },
+            "semicontinuity": {
+                "threshold": self.semicontinuity.threshold,
+                "violations": list(self.semicontinuity.violations),
+                "passed": self.semicontinuity.passed,
             },
             "solution_convergence": self.error_trend_passed,
             "ratio_bracket": list(self.ratio_bracket) if self.ratio_bracket else None,
@@ -559,26 +557,26 @@ def convergence_experiment(family: ProblemFamily, grid: Grid,
     condition_II = check_condition_II(family, grid, extra_probes)
 
     rows = []
+    reports = []
     matrix_values = []
     errors = []
     ratios = []
     for i, (eps, member) in enumerate(zip(family.epsilons, family.members)):
         analysis = analyze(member, grid, rank_tolerance)
         report = analysis.report
+        reports.append(report)
         distances = tuple(table.values[i] for table in condition_I.tables)
         matrix_distance = float(np.abs(analysis.matrix.entries - limit.matrix.entries).max())
         matrix_values.append(matrix_distance)
         flags = []
         error = None
-        disc = None
+        disc = discrepancy(member, y_zero)
         ratio = None
-        if member.rhs is not None:
-            disc = discrepancy(member, y_zero)
-        if report.well_posed and member.rhs is not None:
+        if report.well_posed:
             y_eps, _ = superpose(member, analysis)
             error = sobolev_norm(y_eps - y_zero, zero.exponent)
             errors.append(error)
-            if disc is not None and disc > RATIO_FLOOR * (1.0 + error):
+            if disc > RATIO_FLOOR * (1.0 + error):
                 ratio = error / disc
                 ratios.append(ratio)
             else:
@@ -608,10 +606,10 @@ def convergence_experiment(family: ProblemFamily, grid: Grid,
     return LimitReport(
         epsilons=family.epsilons,
         rows=tuple(rows),
-        condition_0=True,
         condition_I=condition_I,
         condition_II=condition_II,
         characteristic_trend=characteristic_trend,
+        semicontinuity=semicontinuity(family.epsilons, limit.report, reports),
         error_trend_passed=error_trend_passed,
         ratio_bracket=bracket,
         multipoint=multipoint,

@@ -13,10 +13,12 @@ from fredholm_bvp import (
     ProblemFamily,
     ProblemSpec,
     RightHandSide,
+    analyze,
     fundamental_set,
 )
 from fredholm_bvp.expressions import parse_expression
 from fredholm_bvp.grid import P2
+from fredholm_bvp.limits import semicontinuity
 
 UNIT = Interval(0.0, 1.0)
 
@@ -33,7 +35,7 @@ def matrix_polynomial(coeffs):
 
 def scalar_stack(grid, rows):
     """Stack from per-order callables t -> scalar (dimension 1)."""
-    return DerivativeStack.from_callables(grid, rows)
+    return DerivativeStack(grid, np.stack([fn(grid.nodes) for fn in rows])[:, :, None])
 
 
 # Smooth basis with exact derivative towers, used to draw random stacks.
@@ -101,10 +103,10 @@ def interpolate_at(grid, values: np.ndarray, t: float) -> np.ndarray:
     """
     if not grid.interval.contains(t):
         raise ValueError(f"point {t} outside the interval [{grid.interval.a}, {grid.interval.b}]")
-    idx = grid.node_index(t)
-    if idx is not None:
-        return values[idx]
     h = grid.step
+    nearest = min(max(int(round((t - grid.interval.a) / h)), 0), grid.count - 1)
+    if abs(grid.nodes[nearest] - t) <= 1e-12 * max(1.0, abs(grid.interval.a), abs(grid.interval.b)):
+        return values[nearest]
     base = int(np.floor((t - grid.interval.a) / h))
     lo = min(max(base - 1, 0), grid.count - 4)
     ts = grid.nodes[lo : lo + 4]
@@ -145,3 +147,9 @@ def tagged_family(series, epsilons, exponent=P2):
 
     tags = tuple(tag for tag, build in series.items() for _ in build(0.0))
     return ProblemFamily(make(0.0), make, epsilons=epsilons, series=tags)
+
+
+def family_semicontinuity(family, grid):
+    """The semicontinuity rule fed with one analysis of the limit and of each member."""
+    return semicontinuity(family.epsilons, analyze(family.at_zero, grid).report,
+                          [analyze(member, grid).report for member in family.members])

@@ -9,7 +9,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import BETA1, BETA2, UNIT, combine, members, random_complex, split_series, tagged_family
+from conftest import (BETA1, BETA2, UNIT, combine, family_semicontinuity, members, random_complex,
+                      split_series, tagged_family)
 from fredholm_bvp import (
     BoundaryOperator,
     CoefficientSet,
@@ -31,7 +32,6 @@ from fredholm_bvp import (
     phi,
     point_evaluation,
     residual_stack,
-    semicontinuity_check,
     sinc_sqrt,
     solvability_report,
     solve,
@@ -283,7 +283,7 @@ def test_ac09_semicontinuity():
                                point_evaluation(0.0, np.diag([1.0, eps])), P2, rhs)
 
         family = ProblemFamily(rank_jump(0.0), rank_jump)
-        report = semicontinuity_check(family, Grid.uniform(UNIT, 201))
+        report = family_semicontinuity(family, Grid.uniform(UNIT, 201))
         assert report.dim_kernel_limit == 1 and report.dim_cokernel_limit == 1
         assert report.passed and not report.violations
         assert all(ker <= 1 and coker <= 1 for _, ker, coker in report.rows)
@@ -297,7 +297,7 @@ def test_ac09_semicontinuity():
             return ProblemSpec(UNIT, coeffs, point_evaluation(1.0, np.eye(2)), P2, rhs)
 
         smooth_family = ProblemFamily(smooth(0.0), smooth)
-        smooth_report = semicontinuity_check(smooth_family, Grid.uniform(UNIT, 201))
+        smooth_report = family_semicontinuity(smooth_family, Grid.uniform(UNIT, 201))
         assert smooth_report.dim_kernel_limit == 0
         assert all(ker == 0 and coker == 0 for _, ker, coker in smooth_report.rows)
 

@@ -81,6 +81,7 @@ def test_family_command(capsys):
     code, out, _ = run(capsys, "family", SPLITTING, "--nodes", "201")
     assert code == 0
     assert "condition (0): pass" in out
+    assert "semicontinuity: pass" in out
     assert "multipoint assumptions" in out
     assert "pass" in out
 
@@ -91,6 +92,9 @@ def test_family_machine_output(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["condition_0"] is True
+    assert doc["semicontinuity"] == {"threshold": doc["epsilons"][0], "violations": [],
+                                     "passed": True}
+    assert list(doc).index("semicontinuity") == list(doc).index("solution_convergence") - 1
     assert doc["multipoint_assumptions"]["passed"] is True
     assert doc["solution_convergence"] is True
 

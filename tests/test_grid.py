@@ -21,8 +21,6 @@ def test_grid_construction():
     grid = Grid.uniform(UNIT, 11)
     assert grid.count == 11
     assert grid.step == pytest.approx(0.1)
-    assert grid.node_index(0.3) == 3
-    assert grid.node_index(0.35) is None
     with pytest.raises(ValueError):
         Grid(UNIT, np.array([0.0, 0.5, 0.6, 1.0]))
     with pytest.raises(ValueError):

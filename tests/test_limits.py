@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import BETA1, BETA2, UNIT, split_series, tagged_family
+from conftest import BETA1, BETA2, UNIT, family_semicontinuity, split_series, tagged_family
 from fredholm_bvp import (
     BoundaryOperator,
     CoefficientSet,
@@ -15,17 +15,17 @@ from fredholm_bvp import (
     ProblemFamily,
     ProblemSpec,
     RightHandSide,
-    check_condition_0,
+    SolvabilityReport,
+    analyze,
     check_condition_I,
     check_condition_II,
     check_multipoint_assumptions,
     convergence_experiment,
     point_evaluation,
-    semicontinuity_check,
 )
 from fredholm_bvp import limits
 from fredholm_bvp.grid import P2, PINF, vector_magnitude
-from fredholm_bvp.limits import DEFAULT_EPSILONS, tends_to_zero
+from fredholm_bvp.limits import DEFAULT_EPSILONS, semicontinuity, tends_to_zero
 
 GRID = Grid.uniform(UNIT, 201)
 
@@ -85,13 +85,13 @@ def test_vanishing_rule():
 
 
 def test_condition_0_canonical():
-    assert check_condition_0(first_order_problem(np.zeros((2, 2)),
-                                                 identity_boundary(2)), GRID)
+    assert analyze(first_order_problem(np.zeros((2, 2)),
+                                       identity_boundary(2)), GRID).report.well_posed
     zero_matrix = point_evaluation(0.0, np.zeros((2, 2)))
-    assert not check_condition_0(first_order_problem(np.zeros((2, 2)), zero_matrix), GRID)
+    assert not analyze(first_order_problem(np.zeros((2, 2)), zero_matrix), GRID).report.well_posed
     underdetermined = BoundaryOperator(1, (PointTerm(0.0, 0, np.array([[1.0, 1.0]])),))
-    assert not check_condition_0(
-        first_order_problem(np.zeros((2, 2)), underdetermined), GRID)
+    assert not analyze(
+        first_order_problem(np.zeros((2, 2)), underdetermined), GRID).report.well_posed
 
 
 def test_condition_I_constant_family():
@@ -282,7 +282,7 @@ def test_semicontinuity_rank_jump_up_is_allowed():
         return point_evaluation(0.0, np.diag([1.0, eps]))
 
     family = boundary_family(make_boundary)
-    report = semicontinuity_check(family, GRID)
+    report = family_semicontinuity(family, GRID)
     assert report.passed
     assert report.dim_kernel_limit == 1
     assert all(row[1] == 0 for row in report.rows)
@@ -292,7 +292,7 @@ def test_semicontinuity_rank_jump_up_is_allowed():
 
 def test_semicontinuity_constant_family_equality():
     family = coefficient_family(A0, E, lambda e: 0.0)
-    report = semicontinuity_check(family, GRID)
+    report = family_semicontinuity(family, GRID)
     assert report.passed
     assert all(row[1] == report.dim_kernel_limit for row in report.rows)
     assert all(row[2] == report.dim_cokernel_limit for row in report.rows)
@@ -307,7 +307,7 @@ def test_semicontinuity_violation_detected():
         return point_evaluation(0.0, np.diag([1.0, 0.0]))
 
     family = boundary_family(make_boundary)
-    report = semicontinuity_check(family, GRID)
+    report = family_semicontinuity(family, GRID)
     assert not report.passed
     assert report.threshold is None
     assert report.violations == family.epsilons
@@ -316,7 +316,7 @@ def test_semicontinuity_violation_detected():
 def test_invertible_limit_stays_invertible_nearby():
     # the linear coefficient family keeps dim ker = 0 along the schedule
     family = coefficient_family(A0, E, lambda e: e)
-    report = semicontinuity_check(family, GRID)
+    report = family_semicontinuity(family, GRID)
     assert report.passed
     assert report.dim_kernel_limit == 0
     assert all(row[1] == 0 and row[2] == 0 for row in report.rows)
@@ -450,6 +450,54 @@ def test_family_members_must_share_exponent():
         family.at(0.1)
 
 
+def test_family_members_must_share_condition_count():
+    # refused up front, not left to a numpy broadcast between the (3, probes)
+    # and (2, probes) boundary values of condition (II)
+    def make(eps):
+        if eps == 0:
+            return first_order_problem(A0, identity_boundary(2), c=[1.0, -1.0])
+        rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        return first_order_problem(A0, point_evaluation(0.0, rows), c=[1.0, -1.0, 0.0])
+
+    family = ProblemFamily(make(0.0), make)
+    with pytest.raises(ValueError, match="number of boundary conditions"):
+        convergence_experiment(family, GRID)
+
+
+def test_family_members_must_match_the_limit_right_hand_side():
+    # refused up front: a well-posed member without a right-hand side would
+    # have no solution to compare and fail solution convergence
+    def make(eps):
+        return first_order_problem(A0, identity_boundary(2), c=None if eps else [1.0, -1.0])
+
+    with pytest.raises(ValueError, match="right-hand side exactly when"):
+        convergence_experiment(ProblemFamily(make(0.0), make), GRID)
+
+    def unforced_limit(eps):
+        return first_order_problem(A0, identity_boundary(2), c=[1.0, -1.0] if eps else None)
+
+    with pytest.raises(ValueError, match="right-hand side exactly when"):
+        ProblemFamily(unforced_limit(0.0), unforced_limit).at(0.1)
+
+
+def test_experiment_semicontinuity_reads_its_own_rows():
+    def make_boundary(eps):
+        return point_evaluation(0.0, np.diag([1.0, eps - 1e-2]))
+
+    family = boundary_family(make_boundary, epsilons=(1e-1, 1e-2, 1e-3))
+    report = convergence_experiment(family, GRID)
+    members = [SolvabilityReport(0, row.dim_kernel, row.dim_cokernel, row.well_posed)
+               for row in report.rows]
+    expected = semicontinuity(family.epsilons, analyze(family.at_zero, GRID).report, members)
+    assert report.semicontinuity == expected
+    assert report.semicontinuity.violations == (1e-2,)
+    assert report.semicontinuity.threshold == 1e-3
+    assert not report.semicontinuity.passed
+    assert "semicontinuity: FAIL" in report.to_text()
+    assert report.to_document()["semicontinuity"] == {
+        "threshold": 1e-3, "violations": [1e-2], "passed": False}
+
+
 def test_report_rendering():
     family = coefficient_family(A0, E, lambda e: e)
     report = convergence_experiment(family, GRID)
@@ -491,7 +539,7 @@ def test_strong_convergence_implies_semicontinuity():
         cond_i = check_condition_I(family, GRID).passed
         cond_ii = check_condition_II(family, GRID).passed
         if cond_i and cond_ii:
-            report = semicontinuity_check(family, GRID)
+            report = family_semicontinuity(family, GRID)
             assert not report.violations, name
 
 
