@@ -55,7 +55,6 @@ from .limits import (
 )
 from .ode import (
     CoefficientSet,
-    FundamentalSet,
     RightHandSide,
     fundamental_set,
     residual_stack,
@@ -74,7 +73,6 @@ __all__ = [
     "DerivativeStack",
     "ExpressionError",
     "ExpressionFunction",
-    "FundamentalSet",
     "Grid",
     "IllConditionedWarning",
     "IntegralTerm",

@@ -126,39 +126,6 @@ class BoundaryOperator:
             result += np.cumsum(trapezoids, axis=0)[-1]
         return result
 
-    def validate(self, problem) -> list[str]:
-        """Diagnostics against a problem: determinacy, ranges, dimensions."""
-        diagnostics = []
-        state_size = problem.r * problem.m
-        if self.codomain < state_size:
-            diagnostics.append(
-                f"underdetermined: {self.codomain} scalar conditions for "
-                f"{state_size} degrees of freedom"
-            )
-        elif self.codomain > state_size:
-            diagnostics.append(
-                f"overdetermined: {self.codomain} scalar conditions for "
-                f"{state_size} degrees of freedom"
-            )
-        top = problem.coefficients.max_order
-        for i, term in enumerate(self.point_terms):
-            if term.order > top - 1:
-                diagnostics.append(
-                    f"point term {i}: order {term.order} out of range 0..{top - 1}"
-                )
-            if not problem.interval.contains(term.point):
-                diagnostics.append(
-                    f"point term {i}: point {term.point} outside "
-                    f"[{problem.interval.a}, {problem.interval.b}]"
-                )
-            if term.matrix.shape[1] != problem.m:
-                diagnostics.append(
-                    f"point term {i}: matrix has {term.matrix.shape[1]} columns, expected {problem.m}"
-                )
-        if self.integral_term is not None and self.integral_term.kernel.shape[1] != problem.m:
-            diagnostics.append("integral kernel column count does not match the system size")
-        return diagnostics
-
     def continuity_constant(self, interval: Interval, p: LebesgueExponent,
                             grid: Grid | None = None) -> float:
         """An explicit C with |B y| <= C * sobolev_norm(y, p).

@@ -14,6 +14,11 @@ desk-scale problems, and reports carry the full singular-value list so
 borderline calls remain auditable.  A small spectral gap at the cutoff
 is flagged: kernel dimensions can jump under arbitrarily small
 perturbations, so fragile ranks deserve a warning, not silence.
+
+A problem's boundary terms are checked once, when its ``ProblemSpec`` is
+built: each point lies in the interval, each point-term order is below
+n+r, and every matrix and kernel has m columns.  The solvability report
+adds only the determinacy line when q differs from r*m.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .boundary import BoundaryOperator
-from .grid import Grid, Interval, LebesgueExponent
-from .ode import CoefficientSet, FundamentalSet, RightHandSide, fundamental_set
+from .grid import DerivativeStack, Grid, Interval, LebesgueExponent
+from .ode import CoefficientSet, RightHandSide, fundamental_set
 
 RANK_TOLERANCE_FACTOR = 1e-10
 FRAGILE_GAP = 1e3
@@ -43,12 +48,21 @@ class ProblemSpec:
     rhs: RightHandSide | None = None
 
     def __post_init__(self):
-        for term in self.boundary.point_terms:
+        top, interval = self.coefficients.max_order, self.interval
+        for i, term in enumerate(self.boundary.point_terms):
             if term.matrix.shape[1] != self.coefficients.m:
                 raise ValueError(
                     f"boundary matrix columns ({term.matrix.shape[1]}) do not match "
                     f"the system size m={self.coefficients.m}"
                 )
+            if term.order > top - 1:
+                raise ValueError(f"point term {i}: order {term.order} out of range 0..{top - 1}")
+            if not interval.contains(term.point):
+                raise ValueError(f"point term {i}: point {term.point} outside "
+                                 f"[{interval.a}, {interval.b}]")
+        integral = self.boundary.integral_term
+        if integral is not None and integral.kernel.shape[1] != self.coefficients.m:
+            raise ValueError("integral kernel column count does not match the system size")
         if self.rhs is not None:
             if self.rhs.f.shape != (self.coefficients.m,):
                 raise ValueError("right-hand side f has the wrong dimension")
@@ -129,7 +143,7 @@ class Analysis(NamedTuple):
     otherwise it is None.
     """
 
-    fundamental: FundamentalSet
+    fundamental: DerivativeStack
     matrix: CharacteristicMatrix
     report: SolvabilityReport
     boundary_particular: np.ndarray | None
@@ -168,17 +182,17 @@ def characteristic_from_blocks(blocks, rank_tolerance: float | None = None) -> C
     )
 
 
-def characteristic_from_fundamental(problem: ProblemSpec, fset: FundamentalSet,
+def characteristic_from_fundamental(problem: ProblemSpec, stack: DerivativeStack,
                                     rank_tolerance: float | None = None) -> CharacteristicMatrix:
     """B applied once to the whole fundamental matrix [Y_1 ... Y_r]."""
-    return characteristic_from_blocks([problem.boundary.apply(fset.stack)], rank_tolerance)
+    return characteristic_from_blocks([problem.boundary.apply(stack)], rank_tolerance)
 
 
 def build_characteristic_matrix(problem: ProblemSpec, grid: Grid,
                                 rank_tolerance: float | None = None) -> CharacteristicMatrix:
     """Integrate the fundamental set and apply the boundary operator."""
-    fset = fundamental_set(problem.coefficients, grid)
-    return characteristic_from_fundamental(problem, fset, rank_tolerance)
+    stack = fundamental_set(problem.coefficients, grid)
+    return characteristic_from_fundamental(problem, stack, rank_tolerance)
 
 
 def analyze(problem: ProblemSpec, grid: Grid, rank_tolerance: float | None = None) -> Analysis:
@@ -189,12 +203,12 @@ def analyze(problem: ProblemSpec, grid: Grid, rank_tolerance: float | None = Non
     matrix, the last one is B y_p.
     """
     forcing = problem.rhs.f if problem.rhs is not None else None
-    fset = fundamental_set(problem.coefficients, grid, forcing)
-    applied = problem.boundary.apply(fset.stack)
+    stack = fundamental_set(problem.coefficients, grid, forcing)
+    applied = problem.boundary.apply(stack)
     w = problem.state_size
     matrix = characteristic_from_blocks([applied[:, :w]], rank_tolerance)
     particular = applied[:, w] if forcing is not None else None
-    return Analysis(fset, matrix, solvability_report(matrix, problem), particular)
+    return Analysis(stack, matrix, solvability_report(matrix, problem), particular)
 
 
 def solvability_report(matrix: CharacteristicMatrix, problem: ProblemSpec) -> SolvabilityReport:
@@ -202,7 +216,8 @@ def solvability_report(matrix: CharacteristicMatrix, problem: ProblemSpec) -> So
 
     The index is r*m - q regardless of the matrix; the d-characteristics
     come from the numerical rank.  Well-posedness requires a square
-    nonsingular matrix.
+    nonsingular matrix.  The diagnostics are the matrix's, then a line
+    when q differs from r*m.
     """
     q = problem.q
     size = problem.state_size
@@ -211,7 +226,9 @@ def solvability_report(matrix: CharacteristicMatrix, problem: ProblemSpec) -> So
     dim_cokernel = q - rank
     well_posed = q == size and dim_kernel == 0 and dim_cokernel == 0
     diagnostics = list(matrix.diagnostics)
-    diagnostics.extend(problem.boundary.validate(problem))
+    if q != size:
+        kind = "underdetermined" if q < size else "overdetermined"
+        diagnostics.append(f"{kind}: {q} scalar conditions for {size} degrees of freedom")
     return SolvabilityReport(
         index=size - q,
         dim_kernel=dim_kernel,

@@ -32,7 +32,7 @@ from .expressions import ExpressionError
 from .functions import ConstantFunction
 from .grid import DEFAULT_NODE_COUNT, Grid, Interval, LebesgueExponent, vector_magnitude
 from .limits import convergence_experiment
-from .ode import CoefficientSet, residual_stack
+from .ode import CoefficientSet, integration_residual, residual_stack
 from .solver import NotWellPosedError, superpose
 
 EXIT_OK = 0
@@ -207,7 +207,7 @@ def _run_solve(args) -> int:
             "residuals": {
                 "equation_max": equation_residual,
                 "boundary": boundary_residual,
-                "integration": analysis.fundamental.max_residual,
+                "integration": integration_residual(analysis.fundamental, problem.r),
             },
             "condition_number": condition_number,
         }

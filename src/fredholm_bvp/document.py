@@ -160,11 +160,12 @@ class FunctionDoc:
     grid: Grid | None = None
     samples: np.ndarray | None = None
 
-    def build(self, eps: float | None) -> ArrayFunction:
+    def build(self, eps: float | None, path: str) -> ArrayFunction:
+        """The function at ``eps``; expression errors name ``path``, the payload's."""
         if self.kind == "constant":
             return ConstantFunction(self.constant)
         if self.kind == "expression":
-            return ExpressionFunction(self.entries, eps=eps)
+            return ExpressionFunction(self.entries, eps=eps, path=f"{path}.entries")
         return TabulatedFunction(self.grid, self.samples)
 
 
@@ -448,7 +449,9 @@ def _build_boundary(doc: BoundaryDoc, path: str, interval: Interval,
                                 f"[{interval.a}, {interval.b}]", f"{ppath}.t")
         matrix = _resolve_slot_array(point.matrix, eps, f"{ppath}.matrix")
         terms.append(PointTerm(location.real, point.order, matrix))
-    integral = IntegralTerm(doc.integral.build(eps)) if doc.integral is not None else None
+    integral = None
+    if doc.integral is not None:
+        integral = IntegralTerm(doc.integral.build(eps, f"{path}.integral.kernel"))
     return BoundaryOperator(doc.conditions, tuple(terms), integral)
 
 
@@ -473,12 +476,12 @@ def document_problem(doc: ProblemDocument, eps: float | None = None) -> ProblemS
         if fd.kind == "table" and fd.grid.interval != doc.interval:
             raise DocumentError("table nodes must span the problem interval", path)
     coefficients = CoefficientSet(
-        doc.r, doc.m, doc.n, tuple(fd.build(eps) for fd in coeffs_docs)
+        doc.r, doc.m, doc.n, tuple(fd.build(eps, path) for path, fd in payloads[:doc.r])
     )
     boundary = _build_boundary(boundary_doc, boundary_path, doc.interval, eps)
     rhs = None
     if rhs_doc is not None:
-        rhs = RightHandSide(rhs_doc.f.build(eps),
+        rhs = RightHandSide(rhs_doc.f.build(eps, f"{rhs_path}.f"),
                             _resolve_slot_array(rhs_doc.c, eps, f"{rhs_path}.c"))
     return ProblemSpec(doc.interval, coefficients, boundary, doc.exponent, rhs)
 

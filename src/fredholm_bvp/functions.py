@@ -44,13 +44,18 @@ class ConstantFunction(ArrayFunction):
 
 
 class ExpressionFunction(ArrayFunction):
-    """Entrywise expression trees in t, with ``eps`` bound at build time."""
+    """Entrywise expression trees in t, with ``eps`` bound at build time.
 
-    def __init__(self, entries, eps: float | None = None):
+    Errors name an entry by its index, after ``path``: the JSON path of
+    the entries when the function comes from a document.
+    """
+
+    def __init__(self, entries, eps: float | None = None, path: str = "expression entry "):
         entries = np.asarray(entries, dtype=object)
         self.entries = entries
         self.shape = entries.shape
         self.eps = eps
+        self.path = path
         self._derivatives = {0: entries}
 
     def _entries_for(self, order: int):
@@ -73,19 +78,18 @@ class ExpressionFunction(ArrayFunction):
                     out[(slice(None), *idx)] = ex.evaluate(entries[idx], t=ts, eps=self.eps)
                 except ZeroDivisionError:
                     # subtrees free of t evaluate as Python floats, which raise here
-                    raise ValueError(f"expression entry {_entry_name(idx)} divides by zero"
+                    raise ValueError(f"{self._entry_name(idx)} divides by zero"
                                      f" at eps={self.eps}") from None
                 except OverflowError:  # a Python float power out of range
                     out[(slice(None), *idx)] = np.inf
         if not np.isfinite(out.view(float)).all():
             node, *idx = np.argwhere(~np.isfinite(out))[0]
-            raise ValueError(f"expression entry {_entry_name(idx)} (derivative order {order})"
+            raise ValueError(f"{self._entry_name(idx)} (derivative order {order})"
                              f" is not finite at eps={self.eps}, t={float(ts.flat[node])!r}")
         return out
 
-
-def _entry_name(idx) -> str:
-    return "".join(f"[{i}]" for i in idx)
+    def _entry_name(self, idx) -> str:
+        return self.path + "".join(f"[{i}]" for i in idx)
 
 
 class TabulatedFunction(ArrayFunction):

@@ -237,22 +237,14 @@ def default_probes(grid: Grid, dimension: int, max_order: int) -> DerivativeStac
     return DerivativeStack(grid, samples.reshape(max_order + 1, grid.count, dimension, -1))
 
 
-def check_condition_II(family: ProblemFamily, grid: Grid,
-                       extra_probes: list[DerivativeStack] | None = None) -> ConditionReport:
+def check_condition_II(family: ProblemFamily, grid: Grid) -> ConditionReport:
     """Boundary-value convergence on the probe set, table per probe.
 
-    The default polynomial/trigonometric probes are always evaluated;
-    user probes extend the set as further columns of the one probe
-    block, which each operator is applied to once.
+    The polynomial/trigonometric probes form one block, which each
+    operator is applied to once.
     """
     zero = family.at_zero
-    defaults = default_probes(grid, zero.m, zero.coefficients.max_order).samples
-    shape = defaults.shape[:3]
-    for extra in extra_probes or ():
-        if extra.samples.shape[:3] != shape or not np.array_equal(extra.grid.nodes, grid.nodes):
-            raise ValueError("extra probes need the grid and the derivative orders of the default probes")
-    probes = DerivativeStack(grid, np.concatenate(
-        [defaults] + [extra.samples.reshape(*shape, -1) for extra in extra_probes or ()], axis=3))
+    probes = default_probes(grid, zero.m, zero.coefficients.max_order)
     reference = zero.boundary.apply(probes)
     rows = [[vector_magnitude(column) for column in (member.boundary.apply(probes) - reference).T]
             for member in family.members]
@@ -317,10 +309,6 @@ class MultipointAssumptionReport:
         return all(self.tables[name].passed for name in self.required)
 
 
-def _matrix_norm(matrix: np.ndarray) -> float:
-    return float(np.abs(matrix).sum())
-
-
 def _series_matrices(terms: list[PointTerm], orders: int) -> np.ndarray:
     """Each term as its own point of the series: (points, orders, q, m),
     zero at the orders the term does not have."""
@@ -367,21 +355,21 @@ def check_multipoint_assumptions(family: ProblemFamily) -> MultipointAssumptionR
             if j == 0:
                 for d in range(orders):
                     put("delta", f"series {j} order {d}",
-                        sum(_matrix_norm(matrices[k, d]) for k in range(len(points))))
+                        sum(vector_magnitude(matrices[k, d]) for k in range(len(points))))
                 continue
             limit_point, limit_matrices = limits[j]
             offsets = np.abs(points - limit_point)
             put("alpha", f"series {j}", float(offsets.max()))
             for d in range(orders):
                 put("beta", f"series {j} order {d}",
-                    _matrix_norm(matrices[:, d].sum(axis=0) - limit_matrices[d]))
+                    vector_magnitude(matrices[:, d].sum(axis=0) - limit_matrices[d]))
                 weighted = sum(
-                    _matrix_norm(matrices[k, d]) * offsets[k] for k in range(len(points))
+                    vector_magnitude(matrices[k, d]) * offsets[k] for k in range(len(points))
                 )
                 put("gamma", f"series {j} order {d}", weighted)
                 if d == orders - 1:
                     put("gamma_p", f"series {j} order {d}", sum(
-                        _matrix_norm(matrices[k, d]) * offsets[k] ** weight_exponent
+                        vector_magnitude(matrices[k, d]) * offsets[k] ** weight_exponent
                         for k in range(len(points))
                     ))
                 else:
@@ -537,7 +525,6 @@ def _condition_doc(report: ConditionReport) -> dict:
 
 
 def convergence_experiment(family: ProblemFamily, grid: Grid,
-                           extra_probes: list[DerivativeStack] | None = None,
                            rank_tolerance: float | None = None) -> LimitReport:
     """Solve the family along the schedule and tabulate all limit data.
 
@@ -554,7 +541,7 @@ def convergence_experiment(family: ProblemFamily, grid: Grid,
     y_zero, _ = superpose(zero, limit)
 
     condition_I = check_condition_I(family, grid)
-    condition_II = check_condition_II(family, grid, extra_probes)
+    condition_II = check_condition_II(family, grid)
 
     rows = []
     reports = []

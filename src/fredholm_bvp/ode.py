@@ -19,7 +19,9 @@ stack [Y_1 ... Y_r | y_p], with y_p the solution of zero initial data
 in the last column.  Derivative orders r..n+r are not differentiated
 numerically: order r comes from the equation itself and higher orders
 from the Leibniz-differentiated equation, which only needs coefficient
-derivatives up to order n.
+derivatives up to order n.  ``fundamental_set`` returns that stack as a
+``DerivativeStack``; ``integration_residual`` measures its finite-difference
+defect on request.
 """
 
 from __future__ import annotations
@@ -71,26 +73,6 @@ class RightHandSide:
         c = np.asarray(self.c, dtype=complex).reshape(-1)
         c.flags.writeable = False
         object.__setattr__(self, "c", c)
-
-
-@dataclass(frozen=True)
-class FundamentalSet:
-    """The fundamental matrix [Y_1 ... Y_r] with derivative orders 0..n+r.
-
-    ``stack`` is one block stack of samples (n+r+1, nodes, m, r*m), with
-    Y_i in columns i*m .. (i+1)*m; when integrated with a forcing it has
-    one more column, y_p, last.  ``max_residual`` is the reported
-    integration tolerance: the largest node-wise defect of any member
-    Y_i between a 4th-order finite difference of the order-(r-1) samples
-    and the stored order-r samples.
-    """
-
-    stack: DerivativeStack
-    max_residual: float
-
-    @property
-    def grid(self) -> Grid:
-        return self.stack.grid
 
 
 def _coefficient_tables(coeffs: CoefficientSet, ts: np.ndarray, orders: int) -> list[list[np.ndarray]]:
@@ -189,9 +171,11 @@ def _extend_orders(coeffs: CoefficientSet, a_tables, low_orders: np.ndarray,
     return np.stack(orders)
 
 
-def fundamental_set(coeffs: CoefficientSet, grid: Grid, f=None) -> FundamentalSet:
+def fundamental_set(coeffs: CoefficientSet, grid: Grid, f=None) -> DerivativeStack:
     """Integrate the r homogeneous matrix problems on the grid at once.
 
+    Returns the fundamental matrix [Y_1 ... Y_r] as one block stack of
+    samples (n+r+1, nodes, m, r*m), Y_i in columns i*m .. (i+1)*m.
     Member i starts from Y_i^{(j-1)}(a) = delta_{ij} I and carries
     derivative orders 0..n+r.  With a forcing ``f`` the same pass also
     integrates y_p, the solution of L y = f with zero initial data, as
@@ -207,11 +191,23 @@ def fundamental_set(coeffs: CoefficientSet, grid: Grid, f=None) -> FundamentalSe
     # rows below w are the companion state; the forced row w is the constant 1
     low = states[:, :w].reshape(count, r, m, width).transpose(1, 0, 2, 3)
     samples = _extend_orders(coeffs, _coefficient_tables(coeffs, grid.nodes, coeffs.n), low, f_tables)
-    max_residual = 0.0
-    if count >= 5:
-        defect = differentiate_samples(samples[r - 1, ..., :w], grid.step) - samples[r, ..., :w]
-        max_residual = float(np.abs(defect).reshape(count, m, r, m).sum(axis=(1, 3)).max())
-    return FundamentalSet(DerivativeStack(grid, samples), max_residual)
+    return DerivativeStack(grid, samples)
+
+
+def integration_residual(stack: DerivativeStack, r: int) -> float:
+    """Largest node-wise defect of any member Y_i of a fundamental stack.
+
+    The defect is a 4th-order finite difference of the order-(r-1)
+    samples against the stored order-r samples, over the first r*m
+    columns; 0 on grids of fewer than five nodes.  On fine grids it is
+    rounding noise, not an error estimate.
+    """
+    grid, m, samples = stack.grid, stack.dimension, stack.samples
+    if grid.count < 5:
+        return 0.0
+    w = r * m
+    defect = differentiate_samples(samples[r - 1, ..., :w], grid.step) - samples[r, ..., :w]
+    return float(np.abs(defect).reshape(grid.count, m, r, m).sum(axis=(1, 3)).max())
 
 
 def residual_stack(coeffs: CoefficientSet, y: DerivativeStack, f=None,

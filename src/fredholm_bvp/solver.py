@@ -52,7 +52,7 @@ def superpose(problem: ProblemSpec, analysis: Analysis) -> tuple[DerivativeStack
     analysis found the problem not well posed, and warns with
     IllConditionedWarning when M is close to singular.
     """
-    fset, matrix, report, boundary_particular = analysis
+    stack, matrix, report, boundary_particular = analysis
     if problem.rhs is None or boundary_particular is None:
         raise ValueError("problem has no right-hand side to solve against")
     if not report.well_posed:
@@ -65,8 +65,8 @@ def superpose(problem: ProblemSpec, analysis: Analysis) -> tuple[DerivativeStack
             stacklevel=2,
         )
     weights = np.linalg.solve(matrix.entries, problem.rhs.c - boundary_particular)
-    samples = np.einsum("onij,j->oni", fset.stack.samples, np.append(weights, 1.0))
-    return DerivativeStack(fset.grid, samples), weights
+    samples = np.einsum("onij,j->oni", stack.samples, np.append(weights, 1.0))
+    return DerivativeStack(stack.grid, samples), weights
 
 
 def solve(problem: ProblemSpec, grid: Grid, rank_tolerance: float | None = None) -> DerivativeStack:

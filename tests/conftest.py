@@ -81,17 +81,17 @@ def random_complex(rng, *shape):
 
 def combine(fset, weights):
     """The homogeneous solution sum_i Y_i w_i for a weight vector in C^{rm}."""
-    return DerivativeStack(fset.grid, fset.stack.samples @ np.asarray(weights, dtype=complex))
+    return DerivativeStack(fset.grid, fset.samples @ np.asarray(weights, dtype=complex))
 
 
 def particular(coeffs, f, grid):
     """y_p with zero initial data: the last column of the forced fundamental stack."""
-    return DerivativeStack(grid, fundamental_set(coeffs, grid, f).stack.samples[..., -1])
+    return DerivativeStack(grid, fundamental_set(coeffs, grid, f).samples[..., -1])
 
 
 def members(fset):
     """Y_1..Y_r as separate stacks: the column blocks of the fundamental stack."""
-    samples, m = fset.stack.samples, fset.stack.dimension
+    samples, m = fset.samples, fset.dimension
     return [DerivativeStack(fset.grid, samples[..., i : i + m]) for i in range(0, samples.shape[-1], m)]
 
 

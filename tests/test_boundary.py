@@ -12,6 +12,7 @@ from fredholm_bvp import (
     LebesgueExponent,
     PointTerm,
     ProblemSpec,
+    analyze,
     fundamental_set,
     point_evaluation,
     sobolev_norm,
@@ -120,27 +121,33 @@ def _problem(op, r=1, m=2, n=1):
 
 def test_validate_well_formed():
     op = BoundaryOperator(2, (PointTerm(0.0, 0, np.eye(2)),))
-    assert op.validate(_problem(op)) == []
+    assert analyze(_problem(op), Grid.uniform(UNIT, 101)).report.diagnostics == ()
 
 
 def test_validate_underdetermined():
     op = BoundaryOperator(1, (PointTerm(0.0, 0, np.ones((1, 2))),))
-    diagnostics = op.validate(_problem(op))
-    assert any("underdetermined" in d for d in diagnostics)
+    diagnostics = analyze(_problem(op), Grid.uniform(UNIT, 101)).report.diagnostics
+    assert "underdetermined: 1 scalar conditions for 2 degrees of freedom" in diagnostics
 
 
 def test_validate_overdetermined():
     op = BoundaryOperator(3, (PointTerm(0.0, 0, np.ones((3, 2))),))
-    diagnostics = op.validate(_problem(op))
-    assert any("overdetermined" in d for d in diagnostics)
+    diagnostics = analyze(_problem(op), Grid.uniform(UNIT, 101)).report.diagnostics
+    assert diagnostics[-1] == "overdetermined: 3 scalar conditions for 2 degrees of freedom"
 
 
 def test_validate_out_of_range_point_and_order():
-    op = BoundaryOperator(2, (PointTerm(1.5, 0, np.eye(2)),
-                              PointTerm(0.5, 5, np.eye(2))))
-    diagnostics = op.validate(_problem(op))
-    assert any("outside" in d for d in diagnostics)
-    assert any("out of range" in d for d in diagnostics)
+    with pytest.raises(ValueError, match=r"point term 1: point 1\.5 outside \[0\.0, 1\.0\]"):
+        _problem(BoundaryOperator(2, (PointTerm(0.0, 0, np.eye(2)), PointTerm(1.5, 0, np.eye(2)))))
+    # r + n = 2: orders 0 and 1 are continuous, order 2 is not
+    with pytest.raises(ValueError, match=r"point term 0: order 2 out of range 0\.\.1"):
+        _problem(BoundaryOperator(2, (PointTerm(0.5, 2, np.eye(2)),)))
+
+
+def test_problem_rejects_integral_kernel_of_wrong_width():
+    op = BoundaryOperator(2, (PointTerm(0.0, 0, np.eye(2)),), IntegralTerm(np.ones((2, 3))))
+    with pytest.raises(ValueError, match="integral kernel column count does not match the system size"):
+        _problem(op)
 
 
 def test_linearity():

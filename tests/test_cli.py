@@ -154,7 +154,34 @@ def test_family_division_by_zero_in_t_names_entry_eps_and_t(tmp_path, capsys):
         code, _, err = run(capsys, "family", str(path), "--nodes", "201")
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "entry [0][0]" in err and "eps=0.0" in err and "t=0.0" in err
+    assert err == ("error: $.family.coefficients[0].entries[0][0] (derivative order 0)"
+                   " is not finite at eps=0.0, t=0.0\n")
+
+
+@pytest.mark.parametrize("section, payload, kind", [
+    ("coefficients", ["0.3", "0", "0", "1/eps"], "divides by zero at eps=0.0"),
+    ("rhs", ["1", "1/(t - 0.5*eps - 0.5)"], "(derivative order 0) is not finite at eps=0.0, t=0.5"),
+    ("kernel", ["1", "0", "0", "1/(eps*t)"], "(derivative order 0) is not finite at eps=0.0, t=0.0"),
+], ids=["coefficient", "forcing", "kernel"])
+def test_family_expression_errors_name_the_payload_path(tmp_path, capsys, section, payload, kind):
+    doc = json.loads(Path(SPLITTING).read_text())
+    doc["family"].pop("boundary")
+    if section == "coefficients":
+        doc["family"]["coefficients"] = [
+            {"kind": "expression", "entries": [payload[:2], payload[2:]]}]
+        path = "$.family.coefficients[0].entries[1][1]"
+    elif section == "rhs":
+        doc["family"]["rhs"] = {"f": {"kind": "expression", "entries": payload}, "c": [1, 1]}
+        path = "$.family.rhs.f.entries[1]"
+    else:
+        doc["family"]["boundary"] = dict(doc["boundary"], integral={
+            "kernel": {"kind": "expression", "entries": [payload[:2], payload[2:]]}})
+        path = "$.family.boundary.integral.kernel.entries[1][1]"
+    document = tmp_path / "divergent.json"
+    document.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "family", str(document), "--nodes", "201")
+    assert code == 1
+    assert err == f"error: {path} {kind}\n"
 
 
 BUILTIN_EXAMPLES = {

@@ -8,7 +8,6 @@ from fredholm_bvp import (
     BoundaryOperator,
     CoefficientSet,
     ConstantFunction,
-    DerivativeStack,
     Grid,
     NotWellPosedError,
     PointTerm,
@@ -24,7 +23,7 @@ from fredholm_bvp import (
     point_evaluation,
 )
 from fredholm_bvp import limits
-from fredholm_bvp.grid import P2, PINF, vector_magnitude
+from fredholm_bvp.grid import P2, PINF
 from fredholm_bvp.limits import DEFAULT_EPSILONS, semicontinuity, tends_to_zero
 
 GRID = Grid.uniform(UNIT, 201)
@@ -429,16 +428,6 @@ def test_experiment_flags_singular_members_and_continues():
     assert flagged[1e-3].solution_error is not None
 
 
-def test_condition_II_user_probes_extend_defaults():
-    from fredholm_bvp.limits import default_probes
-
-    family = boundary_family(lambda eps: identity_boundary(2))
-    base = check_condition_II(family, GRID)
-    extra = [DerivativeStack(GRID, default_probes(GRID, 2, 2).samples[..., 0])]
-    extended = check_condition_II(family, GRID, extra_probes=extra)
-    assert len(extended.tables) == len(base.tables) + 1
-
-
 def test_family_members_must_share_exponent():
     def make(eps):
         exponent = P2 if eps == 0 else PINF
@@ -567,7 +556,7 @@ def test_default_probes_column_order():
             np.testing.assert_allclose(column, expected, rtol=0, atol=1e-15)
 
 
-def test_condition_II_extra_probes_come_last():
+def test_condition_II_tables_one_per_default_probe():
     from fredholm_bvp.limits import default_probes
 
     def make_boundary(eps):
@@ -575,19 +564,6 @@ def test_condition_II_extra_probes_come_last():
                                     PointTerm(0.5, 1, eps * np.ones((2, 2)))))
 
     family = boundary_family(make_boundary, epsilons=(1e-1, 1e-2))
-    base = check_condition_II(family, GRID)
-    rng = np.random.default_rng(40)
-    extras = [DerivativeStack(GRID, rng.normal(size=(3, GRID.count, 2))) for _ in range(2)]
-    extended = check_condition_II(family, GRID, extra_probes=extras)
-    labels = [table.label for table in extended.tables]
-    assert labels == [f"probe {i}" for i in range(len(base.tables) + 2)]
-    assert extended.tables[:len(base.tables)] == base.tables
-    for table, extra in zip(extended.tables[len(base.tables):], extras):
-        expected = [vector_magnitude(family.at(eps).boundary.apply(extra)
-                                     - family.at_zero.boundary.apply(extra))
-                    for eps in family.epsilons]
-        np.testing.assert_allclose(table.values, expected, rtol=1e-14)
-    assert default_probes(GRID, 2, 2).samples.shape[-1] == len(base.tables)
-    with pytest.raises(ValueError, match="grid and the derivative orders"):
-        check_condition_II(family, GRID, extra_probes=[
-            DerivativeStack(Grid.uniform(UNIT, 11), rng.normal(size=(3, 11, 2)))])
+    report = check_condition_II(family, GRID)
+    assert default_probes(GRID, 2, 2).samples.shape[-1] == len(report.tables) == 10
+    assert [table.label for table in report.tables] == [f"probe {i}" for i in range(10)]

@@ -101,7 +101,7 @@ def test_residual_bounded_by_integrator_tolerance():
     residual = residual_stack(problem.coefficients, solution,
                               problem.rhs.f, orders=0)
     max_residual = np.abs(residual.samples[0]).sum(axis=1).max()
-    assert max_residual <= 10.0 * max(analysis.fundamental.max_residual, 1e-12)
+    assert max_residual <= 10.0 * max(ode.integration_residual(analysis.fundamental, 1), 1e-12)
 
 
 def test_missing_rhs_rejected():
@@ -248,3 +248,23 @@ def test_cli_analyze_leaves_the_forcing_out(passes, tmp_path):
     assert main(["analyze", str(SAMPLES / "two-point-damped.json"), "--nodes", "201",
                  "--out", str(tmp_path / "report.txt")]) == 0
     assert widths == [4]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", str(SAMPLES / "two-point-damped.json")],
+    ["oracle-check", str(SAMPLES / "two-point-damped.json")],
+    ["oracle-check", "ex4"],
+    ["family", str(SAMPLES / "splitting-family.json")],
+], ids=["analyze", "oracle-check", "oracle-check-builtin", "family"])
+def test_only_solve_computes_the_integration_residual(monkeypatch, tmp_path, argv):
+    class ResidualComputed(Exception):
+        pass
+
+    def refuse(values, step):
+        raise ResidualComputed
+
+    monkeypatch.setattr(ode, "differentiate_samples", refuse)
+    out = ["--nodes", "201", "--format", "machine", "--out", str(tmp_path / "report.json")]
+    assert main(argv + out) == 0
+    with pytest.raises(ResidualComputed):
+        main(["solve", str(SAMPLES / "two-point-damped.json")] + out)
