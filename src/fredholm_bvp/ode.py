@@ -11,12 +11,23 @@ with Kronecker-delta initial data produce the fundamental set
 Integration is classical fixed-step RK4 on the companion first-order
 system, with the step equal to the grid step so trajectory samples land
 exactly on the nodes.  One RK4 step of a linear system is a matrix,
-x_{i+1} = P_i x_i: the P_i are formed by batched products, applied in
-one pass and the stored states checked once for blow-up.  A forcing f
-is an extra companion column acting on [x; 1], exactly RK4 of the
-forced system: one integration from the identity on [x; 1] yields the
-stack [Y_1 ... Y_r | y_p], with y_p the solution of zero initial data
-in the last column.  Derivative orders r..n+r are not differentiated
+x_{i+1} = P_i x_i, and one stage formula builds it.  A forcing f is an
+extra companion column acting on [x; 1], exactly RK4 of the forced
+system: one integration from the identity on [x; 1] yields the stack
+[Y_1 ... Y_r | y_p], with y_p the solution of zero initial data in the
+last column.  The stored states are checked once for blow-up.
+
+When every A_d is a ``ConstantFunction`` all P_i are one P, and node j
+holds P^j: the trajectory is filled by doubling, states[k:2k] =
+states[:k] P^k, in log2(N) rounds of GEMMs, and y_p by the affine prefix
+scan of y_{i+1} = P y_i + g_i, with g_i from the stage formula on f at
+the nodes and midpoints.  The arithmetic order differs from stepping, so
+the states agree with per-step RK4 to N * 1e-15 of the largest state
+entry, not to the last bit.  Any other coefficient (expression, table,
+or a constant mixed with either) is stepped: the P_i are formed by
+batched products and applied one step at a time.
+
+Derivative orders r..n+r are not differentiated
 numerically: order r comes from the equation itself and higher orders
 from the Leibniz-differentiated equation, which only needs coefficient
 derivatives up to order n.  ``fundamental_set`` returns that stack as a
@@ -31,7 +42,7 @@ from math import comb
 
 import numpy as np
 
-from .functions import ArrayFunction, as_array_function
+from .functions import ArrayFunction, ConstantFunction, as_array_function
 from .grid import DerivativeStack, Grid, differentiate_samples
 
 
@@ -96,34 +107,116 @@ def _companion(coeffs: CoefficientSet, top: np.ndarray) -> np.ndarray:
 
 
 _BATCH = 256  # grid intervals per batch: a few MB of temporaries at r*m = 16
+_GEMM_MACS = 1 << 15  # multiply-adds per GEMM: BLAS keeps products this small on one thread
 
 
-def _integrate(coeffs: CoefficientSet, grid: Grid, initial: np.ndarray,
-               f: ArrayFunction | None = None) -> np.ndarray:
-    """Fixed-step RK4 on the companion system; returns (nodes, rows, w).
+def _row_chunks(start: int, stop: int, macs_per_row: int):
+    """Ranges [lo, hi) covering rows start..stop, last first, one GEMM each."""
+    rows = max(1, _GEMM_MACS // macs_per_row)
+    for hi in range(stop, start, -rows):
+        yield max(hi - rows, start), hi
 
-    Each step x_{i+1} = P_i x_i applies a propagator built from the
-    stages k1..k4 taken as matrices, in batches of grid intervals.
+
+def _propagators(c_start: np.ndarray, c_mid: np.ndarray, c_end: np.ndarray, h: float) -> np.ndarray:
+    """RK4 propagators I + h/6 (k1 + 2 k2 + 2 k3 + k4), the stages taken as matrices.
+
+    The companion matrices at the start, middle and end of a step are
+    single matrices or stacks, one per grid interval.
     """
-    h = grid.step
-    eye = np.eye(initial.shape[0])
-    states = np.empty((grid.count, *initial.shape), dtype=complex)
-    states[0] = initial
+    eye = np.eye(c_mid.shape[-1])
+    k1 = c_start
+    k2 = c_mid @ (eye + 0.5 * h * k1)
+    k3 = c_mid @ (eye + 0.5 * h * k2)
+    k4 = c_end @ (eye + h * k3)
+    return eye + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _constant_step(coeffs: CoefficientSet, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """One RK4 step with constant A_d: x -> P x + G [f(t_i); f(t_i + h/2); f(t_i + h)].
+
+    By linearity the stage formula yields P and G at once, taken on the
+    companion system widened by three inputs: the values of f at the
+    start, middle and end of the step, each entering the stage taken there.
+    """
+    m, w = coeffs.m, coeffs.r * coeffs.m
+    c = np.zeros((3, w + 3 * m, w + 3 * m), dtype=complex)
+    c[:, :w, :w] = _companion(coeffs, _top_rows(coeffs, np.zeros(1), None))
+    for s in range(3):
+        c[s, w - m : w, w + s * m : w + (s + 1) * m] = np.eye(m)
+    p = _propagators(c[0], c[1], c[2], h)
+    return p[:w, :w], p[:w, w:]
+
+
+def _doubled_states(coeffs: CoefficientSet, grid: Grid, width: int,
+                    f: ArrayFunction | None) -> np.ndarray:
+    """States when every A_d is constant, so every step has one propagator P.
+
+    Node j holds P^j, filled by doubling: states[k:2k] = states[:k] P^k,
+    since powers of P commute.  With a forcing, y_p in the last column is
+    the affine prefix scan of y_{i+1} = P y_i + g_i: after the level of
+    span k each entry sums its last 2k steps, y[k:] += P^k y[:-k].  Both
+    run as GEMMs over row chunks (``_row_chunks``).
+    """
+    w, count = coeffs.r * coeffs.m, grid.count
+    p, g_map = _constant_step(coeffs, grid.step)
+    power = np.eye(width, dtype=complex)  # diag(P^k, 1): the forced row is the constant 1
+    power[:w, :w] = p
+    states = np.empty((count, width, width), dtype=complex)
+    states[0] = np.eye(width)
+    flat = states.reshape(-1, width)  # node j is rows j*width .. (j+1)*width - 1
+    if f is not None:
+        f_nodes = f.eval(grid.nodes)
+        inputs = np.concatenate([f_nodes[:-1], f.eval(grid.midpoints), f_nodes[1:]], axis=1)
+        y_p = np.empty((count - 1, w), dtype=complex)  # g_i, then y_p at node i + 1
+        for lo, hi in _row_chunks(0, count - 1, g_map.size):
+            np.matmul(inputs[lo:hi], g_map.T, out=y_p[lo:hi])
+    k = 1
+    while k < count:
+        for lo, hi in _row_chunks(0, min(k, count - k) * width, width**2):
+            np.matmul(flat[lo:hi], power, out=flat[k * width + lo : k * width + hi])
+        if f is not None:
+            # last rows first, so each chunk reads rows that no chunk has updated
+            for lo, hi in _row_chunks(k, count - 1, w**2):
+                y_p[lo:hi] += y_p[lo - k : hi - k] @ power[:w, :w].T
+        power = power @ power
+        k *= 2
+    if f is not None:
+        states[1:, :w, w] = y_p
+    return states
+
+
+def _stepped_states(coeffs: CoefficientSet, grid: Grid, width: int,
+                    f: ArrayFunction | None) -> np.ndarray:
+    """States for varying coefficients: x_{i+1} = P_i x_i, one step at a time.
+
+    The P_i are built in batches of ``_BATCH`` grid intervals.
+    """
+    states = np.empty((grid.count, width, width), dtype=complex)
+    states[0] = np.eye(width)
     top_nodes = _top_rows(coeffs, grid.nodes, f)
     top_mid = _top_rows(coeffs, grid.midpoints, f)
+    for lo in range(0, grid.count - 1, _BATCH):
+        hi = min(lo + _BATCH, grid.count - 1)
+        c_nodes = _companion(coeffs, top_nodes[lo : hi + 1])
+        props = _propagators(c_nodes[:-1], _companion(coeffs, top_mid[lo:hi]), c_nodes[1:], grid.step)
+        for i, p in enumerate(props, start=lo):
+            np.matmul(p, states[i], out=states[i + 1])
+    return states
+
+
+def _integrate(coeffs: CoefficientSet, grid: Grid, f: ArrayFunction | None = None) -> np.ndarray:
+    """Fixed-step RK4 on the companion system from the identity.
+
+    Returns states (nodes, width, width), width r*m, or r*m + 1 with a
+    forcing f acting on [x; 1].  Constant coefficients (every A_d a
+    ``ConstantFunction``) propagate by doubling, any other by stepping;
+    the stored states are checked once for blow-up.
+    """
+    width = coeffs.r * coeffs.m + (f is not None)
+    constant = all(isinstance(fn, ConstantFunction) for fn in coeffs.by_order)
     # blow-up is detected once below, so overflow warnings are redundant
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, grid.count - 1, _BATCH):
-            hi = min(lo + _BATCH, grid.count - 1)
-            c_nodes = _companion(coeffs, top_nodes[lo : hi + 1])
-            c_mid = _companion(coeffs, top_mid[lo:hi])
-            k1 = c_nodes[:-1]
-            k2 = c_mid @ (eye + 0.5 * h * k1)
-            k3 = c_mid @ (eye + 0.5 * h * k2)
-            k4 = c_nodes[1:] @ (eye + h * k3)
-            props = eye + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            for i, p in enumerate(props, start=lo):
-                np.matmul(p, states[i], out=states[i + 1])
+        states = (_doubled_states if constant else _stepped_states)(coeffs, grid, width, f)
     finite = np.isfinite(states).all(axis=(1, 2))
     if not finite.all():
         i = max(int(np.argmin(finite)) - 1, 0)
@@ -182,14 +275,13 @@ def fundamental_set(coeffs: CoefficientSet, grid: Grid, f=None) -> DerivativeSta
     one last column: the (w+1) x (w+1) identity on [x; 1], w = r*m.
     """
     m, r, count = coeffs.m, coeffs.r, grid.count
-    w = r * m
-    width, f_tables = w, None
+    w, f_tables = r * m, None
     if f is not None:
         f = as_array_function(f, (m,))
-        width, f_tables = w + 1, [f.eval(grid.nodes, order=s) for s in range(coeffs.n + 1)]
-    states = _integrate(coeffs, grid, np.eye(width, dtype=complex), f)
+        f_tables = [f.eval(grid.nodes, order=s) for s in range(coeffs.n + 1)]
+    states = _integrate(coeffs, grid, f)
     # rows below w are the companion state; the forced row w is the constant 1
-    low = states[:, :w].reshape(count, r, m, width).transpose(1, 0, 2, 3)
+    low = states[:, :w].reshape(count, r, m, states.shape[2]).transpose(1, 0, 2, 3)
     samples = _extend_orders(coeffs, _coefficient_tables(coeffs, grid.nodes, coeffs.n), low, f_tables)
     return DerivativeStack(grid, samples)
 

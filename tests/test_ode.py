@@ -12,8 +12,9 @@ from fredholm_bvp import (
     matrix_exp,
     residual_stack,
 )
+from fredholm_bvp import ode
 from fredholm_bvp.expressions import parse_expression
-from fredholm_bvp.functions import ExpressionFunction
+from fredholm_bvp.functions import ArrayFunction, ExpressionFunction
 from fredholm_bvp.ode import integration_residual
 
 
@@ -240,22 +241,99 @@ def test_kernel_agrees_with_per_step_rk4(kind, r, m):
         assert_relative(forced[j, ..., size], expected_p[:, j * m : (j + 1) * m, 0], 1e-12)
 
 
-@pytest.mark.parametrize("r,m", [(1, 1), (2, 2), (1, 4)])
+@pytest.mark.parametrize("r,m", [(1, 1), (2, 2), (1, 4), (4, 4)])
 def test_node_count_sweep_to_1e5(r, m):
     # oracle: with constant coefficients the companion state is
-    # exp(C (t - a)) x(a); refining the grid 100-fold must not lose
-    # accuracy to rounding, on an interval that does not start at 0
+    # exp(C (t - a)), here at every node from the eigendecomposition of C;
+    # refining the grid 100-fold must not lose accuracy to rounding, on an
+    # interval that does not start at 0.  r*m = 16 stops at 10001 nodes,
+    # which keeps its states near 40 MB.
     interval = Interval(1.0, 2.0)
     rng = np.random.default_rng(20 + r * m)
     blocks = [random_complex(rng, m, m) * (0.5 / m) for _ in range(r)]
     companion = np.zeros((r * m, r * m), dtype=complex)
     companion[: (r - 1) * m, m:] = np.eye((r - 1) * m)
     companion[(r - 1) * m :] = -np.concatenate(blocks, axis=1)
-    oracle = matrix_exp(companion, interval.length).value
+    values, vectors = np.linalg.eig(companion)
+    inverse = np.linalg.inv(vectors)
+
+    def oracle(s):
+        return (vectors * np.exp(np.multiply.outer(s, values))[:, None, :]) @ inverse
+
+    np.testing.assert_allclose(oracle(np.array([interval.length]))[0],
+                               matrix_exp(companion, interval.length).value, atol=1e-12)
     coeffs = CoefficientSet(r, m, 0, tuple(blocks))
-    for count in (1001, 10001, 100001):
+    for count in (1001, 10001) if r * m == 16 else (1001, 10001, 100001):
         grid = Grid.uniform(interval, count)
-        fset = fundamental_set(coeffs, grid)
-        assert members(fset)[0].samples.shape[1] == count
-        final = np.concatenate([member.samples[0, -1] for member in members(fset)], axis=1)
-        assert np.abs(final - oracle[:m]).max() <= 1e-10
+        states = ode._integrate(coeffs, grid)
+        assert states.shape == (count, r * m, r * m)
+        for lo in range(0, count, 5000):
+            expected = oracle(grid.nodes[lo : lo + 5000] - interval.a)
+            assert np.abs(states[lo : lo + 5000] - expected).max() <= 1e-10
+
+
+# Constant coefficients propagate by doubling and a forcing by an affine
+# scan, not step by step, so they agree with per-step RK4 to a tolerance
+# that grows with the node count N like the loop's own rounding:
+# N * DOUBLING_RTOL of the largest state entry (measured at most 3.1e-16 N
+# at N = 4001, and 1.5e-16 N at N = 1e5, r*m = 16).
+DOUBLING_RTOL = 1e-15
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+@pytest.mark.parametrize("r,m", [(1, 1), (2, 2), (4, 4)])
+def test_doubling_agrees_with_per_step_rk4(r, m, forced):
+    interval = Interval(0.5, 1.7)
+    grid = Grid.uniform(interval, 4001)
+    rng = np.random.default_rng(30 + 10 * r + m)
+    coeffs = CoefficientSet(r, m, 0, tuple(random_complex(rng, m, m) * (0.6 / m) for _ in range(r)))
+    size, rtol = r * m, DOUBLING_RTOL * grid.count
+    f = None
+    if forced:
+        f = ExpressionFunction(np.array([parse_expression(f"cos({k + 1}*t) + {k}") for k in range(m)],
+                                        dtype=object))
+    samples = fundamental_set(coeffs, grid, f).samples
+    expected = reference_rk4(coeffs, grid, np.eye(size))
+    for j in range(r):
+        assert_relative(samples[j, ..., :size], expected[:, j * m : (j + 1) * m], rtol)
+    if forced:
+        expected_p = reference_rk4(coeffs, grid, np.zeros((size, 1)), f)
+        for j in range(r):
+            assert_relative(samples[j, ..., size], expected_p[:, j * m : (j + 1) * m, 0], rtol)
+
+
+class SteppedConstant(ArrayFunction):
+    """A constant matrix that is not a ``ConstantFunction``: the per-step loop integrates it."""
+
+    def __init__(self, values):
+        self.constant = ConstantFunction(values)
+        self.shape = self.constant.shape
+
+    def eval(self, ts, order=0):
+        return self.constant.eval(ts, order)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+@pytest.mark.parametrize("r,m", [(1, 1), (1, 2), (2, 2), (1, 4), (2, 4)])
+def test_blow_up_interval_matches_per_step_loop(r, m, forced):
+    # doubling reaches node j through other products than the loop, yet the
+    # first node where the states stop being finite, and so the message, is
+    # the same.  reference_rk4 is no judge here: its stages overflow up to
+    # a few nodes before its states do.
+    rng = np.random.default_rng(40 + 10 * r + m + 5 * forced)
+    blew_up = 0
+    for _ in range(6):
+        scale, count = 10.0 ** rng.uniform(3, 9), int(rng.integers(11, 2002))
+        blocks = [random_complex(rng, m, m) * scale for _ in range(r)]
+        f = ConstantFunction(random_complex(rng, m)) if forced else None
+        messages = []
+        for wrap in (ConstantFunction, SteppedConstant):
+            coeffs = CoefficientSet(r, m, 0, tuple(wrap(block) for block in blocks))
+            try:
+                fundamental_set(coeffs, Grid.uniform(UNIT, count), f)
+                messages.append(None)
+            except FloatingPointError as err:
+                messages.append(str(err))
+        assert messages[0] == messages[1]
+        blew_up += messages[0] is not None
+    assert blew_up >= 4

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -203,9 +204,10 @@ def passes(monkeypatch):
     widths, applied = [], []
     integrate, apply = ode._integrate, BoundaryOperator.apply
 
-    def counting_integrate(coeffs, grid, initial, f=None):
-        widths.append(initial.shape[1])
-        return integrate(coeffs, grid, initial, f)
+    def counting_integrate(coeffs, grid, f=None):
+        states = integrate(coeffs, grid, f)
+        widths.append(states.shape[2])
+        return states
 
     def counting_apply(self, stack):
         applied.append(stack.samples.shape[3:])
@@ -268,3 +270,27 @@ def test_only_solve_computes_the_integration_residual(monkeypatch, tmp_path, arg
     assert main(argv + out) == 0
     with pytest.raises(ResidualComputed):
         main(["solve", str(SAMPLES / "two-point-damped.json")] + out)
+
+
+def test_only_constant_coefficients_propagate_by_doubling(monkeypatch, tmp_path):
+    class Doubled(Exception):
+        pass
+
+    def refuse(coeffs, grid, width, f):
+        raise Doubled
+
+    monkeypatch.setattr(ode, "_doubled_states", refuse)
+    doc = json.loads((SAMPLES / "two-point-damped.json").read_text())
+    constant = doc["coefficients"][1]
+    expression = {"kind": "expression", "entries": [["0.6", "0.2 + 0.1*t"], ["-0.1", "0.4"]]}
+    nodes = [0.0, 0.25, 0.5, 0.75, 1.0]
+    table = {"kind": "table", "nodes": nodes, "samples": [[constant["values"]] * len(nodes)]}
+    zero = {"kind": "table", "nodes": nodes, "samples": [[[[0, 0], [0, 0]]] * len(nodes)]}
+    out = ["--nodes", "201", "--out", str(tmp_path / "report.txt")]
+    for name, coefficients in {"expression": [expression, expression], "table": [zero, table],
+                               "mixed": [doc["coefficients"][0], expression]}.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(doc, coefficients=coefficients)))
+        assert main(["analyze", str(path)] + out) == 0
+    with pytest.raises(Doubled):
+        main(["analyze", str(SAMPLES / "two-point-damped.json")] + out)
