@@ -169,16 +169,27 @@ class DerivativeStack:
     vector of length ``dimension``, or a block of such vectors side by
     side, shape ``(dimension, *columns)``.  The fundamental set is one
     such block, ``[Y_1 ... Y_r]`` with r*m columns.  Instances are
-    immutable.
+    immutable: the constructor copies the caller's samples.
     """
 
     def __init__(self, grid: Grid, samples: np.ndarray):
-        samples = np.asarray(samples, dtype=complex)
+        self._hold(grid, np.array(samples, dtype=complex))
+
+    @classmethod
+    def _adopt(cls, grid: Grid, samples: np.ndarray) -> "DerivativeStack":
+        """Stack over a complex array just built for it, without a copy.
+
+        Only for arrays no one else holds: the array is made read-only.
+        """
+        stack = cls.__new__(cls)
+        stack._hold(grid, samples)
+        return stack
+
+    def _hold(self, grid: Grid, samples: np.ndarray) -> None:
         if samples.ndim < 3:
             raise ValueError("stack samples must have shape (orders, nodes, dimension, *columns)")
         if samples.shape[1] != grid.count:
             raise ValueError("stack node count does not match the grid")
-        samples = samples.copy()
         samples.flags.writeable = False
         self.grid = grid
         self.samples = samples
@@ -194,12 +205,12 @@ class DerivativeStack:
     def __add__(self, other: "DerivativeStack") -> "DerivativeStack":
         if self.grid is not other.grid and not np.array_equal(self.grid.nodes, other.grid.nodes):
             raise ValueError("stacks live on different grids")
-        return DerivativeStack(self.grid, self.samples + other.samples)
+        return DerivativeStack._adopt(self.grid, self.samples + other.samples)
 
     def __sub__(self, other: "DerivativeStack") -> "DerivativeStack":
         if self.grid is not other.grid and not np.array_equal(self.grid.nodes, other.grid.nodes):
             raise ValueError("stacks live on different grids")
-        return DerivativeStack(self.grid, self.samples - other.samples)
+        return DerivativeStack._adopt(self.grid, self.samples - other.samples)
 
     def __mul__(self, scalar) -> "DerivativeStack":
         return DerivativeStack(self.grid, self.samples * scalar)

@@ -27,17 +27,26 @@ entry, not to the last bit.  Any other coefficient (expression, table,
 or a constant mixed with either) is stepped: the P_i are formed by
 batched products and applied one step at a time.
 
-Derivative orders r..n+r are not differentiated
-numerically: order r comes from the equation itself and higher orders
+Derivative orders r..n+r are not differentiated numerically.  With
+constant coefficients they are rows of powers of the companion matrix C
+applied to the states, not the Leibniz recurrence: x = [y; ...; y^(r-1)]
+solves x' = C x + L^T f with L = [0 ... 0 I], so order r-1+s is
+R_s x + sum_{i<s} (L C^{s-1-i} L^T) f^(i), R_s = L C^s the last block row
+of C^s, built once per problem; n+1 products with the states write
+orders r..n+r straight into the stack.  Any other coefficients use the
+recurrence: order r comes from the equation itself and higher orders
 from the Leibniz-differentiated equation, which only needs coefficient
-derivatives up to order n.  ``fundamental_set`` returns that stack as a
-``DerivativeStack``; ``integration_residual`` measures its finite-difference
-defect on request.
+derivatives up to order n (the zero derivatives of constant coefficients
+are skipped).  The two agree in exact arithmetic; on the same states
+they agree to N * 1e-15 of the largest entry.  ``fundamental_set``
+returns the stack as a ``DerivativeStack``; ``integration_residual``
+measures its finite-difference defect on request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -72,6 +81,11 @@ class CoefficientSet:
         """Top derivative order carried by solutions: n + r."""
         return self.n + self.r
 
+    @cached_property
+    def constant(self) -> bool:
+        """Every A_d is a ``ConstantFunction``: one companion matrix C for all t."""
+        return all(isinstance(fn, ConstantFunction) for fn in self.by_order)
+
 
 @dataclass(frozen=True)
 class RightHandSide:
@@ -86,9 +100,15 @@ class RightHandSide:
         object.__setattr__(self, "c", c)
 
 
-def _coefficient_tables(coeffs: CoefficientSet, ts: np.ndarray, orders: int) -> list[list[np.ndarray]]:
-    """A_d^{(q)} evaluated at ``ts`` for d = 0..r-1, q = 0..orders."""
-    return [[fn.eval(ts, order=q) for q in range(orders + 1)] for fn in coeffs.by_order]
+def _coefficient_tables(coeffs: CoefficientSet, ts: np.ndarray,
+                        orders: int) -> list[list[np.ndarray | None]]:
+    """A_d^{(q)} evaluated at ``ts`` for d = 0..r-1, q = 0..orders.
+
+    The derivatives q >= 1 of a ``ConstantFunction`` are zero and left out
+    as None.
+    """
+    return [[fn.eval(ts, order=q) if q == 0 or not isinstance(fn, ConstantFunction) else None
+             for q in range(orders + 1)] for fn in coeffs.by_order]
 
 
 def _top_rows(coeffs: CoefficientSet, ts: np.ndarray, f: ArrayFunction | None) -> np.ndarray:
@@ -208,15 +228,14 @@ def _integrate(coeffs: CoefficientSet, grid: Grid, f: ArrayFunction | None = Non
     """Fixed-step RK4 on the companion system from the identity.
 
     Returns states (nodes, width, width), width r*m, or r*m + 1 with a
-    forcing f acting on [x; 1].  Constant coefficients (every A_d a
-    ``ConstantFunction``) propagate by doubling, any other by stepping;
-    the stored states are checked once for blow-up.
+    forcing f acting on [x; 1].  Constant coefficients (``coeffs.constant``)
+    propagate by doubling, any other by stepping; the stored states are
+    checked once for blow-up.
     """
     width = coeffs.r * coeffs.m + (f is not None)
-    constant = all(isinstance(fn, ConstantFunction) for fn in coeffs.by_order)
     # blow-up is detected once below, so overflow warnings are redundant
     with np.errstate(over="ignore", invalid="ignore"):
-        states = (_doubled_states if constant else _stepped_states)(coeffs, grid, width, f)
+        states = (_doubled_states if coeffs.constant else _stepped_states)(coeffs, grid, width, f)
     finite = np.isfinite(states).all(axis=(1, 2))
     if not finite.all():
         i = max(int(np.argmin(finite)) - 1, 0)
@@ -236,6 +255,8 @@ def _lower_order_part(a_tables, y_orders: np.ndarray, s: int) -> np.ndarray:
     total = None
     for d, derivs in enumerate(a_tables):
         for q in range(s + 1):
+            if derivs[q] is None:  # a zero derivative of a constant coefficient
+                continue
             term = comb(s, q) * _matvec(derivs[q], y_orders[d + s - q])
             total = term if total is None else total + term
     return total
@@ -264,6 +285,32 @@ def _extend_orders(coeffs: CoefficientSet, a_tables, low_orders: np.ndarray,
     return np.stack(orders)
 
 
+def _companion_orders(coeffs: CoefficientSet, low: np.ndarray,
+                      f_tables: list[np.ndarray] | None = None) -> np.ndarray:
+    """Orders 0..n+r from samples of orders 0..r-1 when every A_d is constant.
+
+    x = [y; ...; y^(r-1)] solves x' = C x + L^T f with one companion
+    matrix C, L = [0 ... 0 I], so order r-1+s is R_s x plus
+    sum_{i<s} (L C^{s-1-i} L^T) f^{(i)} in the last column, y_p; R_s = L C^s
+    is the last block row of C^s.  One array is allocated and filled in
+    place.  ``f_tables[s]`` holds f^{(s)}.
+    """
+    m, r, n = coeffs.m, coeffs.r, coeffs.n
+    w, (_, count, _, width) = r * m, low.shape
+    companion = _companion(coeffs, _top_rows(coeffs, np.zeros(1), None))[0]
+    samples = np.empty((n + r + 1, count, m, width), dtype=complex)
+    samples[:r] = low
+    states = low.transpose(1, 0, 2, 3).reshape(count, w, width)  # x at each node
+    rows = [np.eye(m, w, k=w - m, dtype=complex)]  # R_0 = L
+    for s in range(1, n + 2):
+        rows.append(rows[-1] @ companion)
+        np.matmul(rows[s], states, out=samples[r - 1 + s])
+        if f_tables is not None:
+            for i in range(s):
+                samples[r - 1 + s, ..., -1] += f_tables[i] @ rows[s - 1 - i][:, w - m :].T
+    return samples
+
+
 def fundamental_set(coeffs: CoefficientSet, grid: Grid, f=None) -> DerivativeStack:
     """Integrate the r homogeneous matrix problems on the grid at once.
 
@@ -282,8 +329,12 @@ def fundamental_set(coeffs: CoefficientSet, grid: Grid, f=None) -> DerivativeSta
     states = _integrate(coeffs, grid, f)
     # rows below w are the companion state; the forced row w is the constant 1
     low = states[:, :w].reshape(count, r, m, states.shape[2]).transpose(1, 0, 2, 3)
-    samples = _extend_orders(coeffs, _coefficient_tables(coeffs, grid.nodes, coeffs.n), low, f_tables)
-    return DerivativeStack(grid, samples)
+    if coeffs.constant:
+        samples = _companion_orders(coeffs, low, f_tables)
+    else:
+        samples = _extend_orders(coeffs, _coefficient_tables(coeffs, grid.nodes, coeffs.n),
+                                 low, f_tables)
+    return DerivativeStack._adopt(grid, samples)
 
 
 def integration_residual(stack: DerivativeStack, r: int) -> float:
@@ -324,4 +375,4 @@ def residual_stack(coeffs: CoefficientSet, y: DerivativeStack, f=None,
         if f_fn is not None:
             value = value - f_fn.eval(grid.nodes, order=s)
         rows.append(value)
-    return DerivativeStack(grid, np.stack(rows))
+    return DerivativeStack._adopt(grid, np.stack(rows))

@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 
 from conftest import UNIT, interpolate_at, random_stack, scalar_stack
-from fredholm_bvp import DerivativeStack, Grid, Interval, LebesgueExponent, lp_norm, sobolev_norm
+from fredholm_bvp import (
+    CoefficientSet,
+    DerivativeStack,
+    Grid,
+    Interval,
+    LebesgueExponent,
+    fundamental_set,
+    lp_norm,
+    sobolev_norm,
+)
+from fredholm_bvp.expressions import parse_expression
+from fredholm_bvp.functions import ExpressionFunction
 from fredholm_bvp.grid import P1, P2, PINF, differentiate_samples, interpolate
 
 
@@ -78,6 +89,25 @@ def test_lp_norm_length_mismatch():
     grid = Grid.uniform(UNIT, 101)
     with pytest.raises(ValueError):
         lp_norm(np.ones((50, 1)), P1, grid)
+
+
+def test_public_stack_copies_and_library_stacks_are_read_only():
+    grid = Grid.uniform(UNIT, 11)
+    samples = np.ones((2, grid.count, 1), dtype=complex)
+    stack = DerivativeStack(grid, samples)
+    assert samples.flags.writeable
+    assert not np.shares_memory(stack.samples, samples)
+    samples[:] = 2.0
+    assert (stack.samples == 1.0).all()
+    assert not stack.samples.flags.writeable
+    built = [stack + stack, stack - stack, 2.0 * stack,
+             fundamental_set(CoefficientSet(1, 1, 1, (np.array([[0.5]]),)), grid),
+             fundamental_set(CoefficientSet(1, 1, 1, (ExpressionFunction(
+                 np.array([[parse_expression("t")]], dtype=object)),)), grid, np.array([1.0]))]
+    for other in built:
+        assert not other.samples.flags.writeable
+        with pytest.raises(ValueError):
+            other.samples[0, 0, 0] = 0.0
 
 
 def test_sobolev_norm_zero_stack():

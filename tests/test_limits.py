@@ -21,9 +21,10 @@ from fredholm_bvp import (
     check_multipoint_assumptions,
     convergence_experiment,
     point_evaluation,
+    solve,
 )
 from fredholm_bvp import limits
-from fredholm_bvp.grid import P2, PINF
+from fredholm_bvp.grid import P2, PINF, sobolev_norm
 from fredholm_bvp.limits import DEFAULT_EPSILONS, semicontinuity, tends_to_zero
 
 GRID = Grid.uniform(UNIT, 201)
@@ -359,6 +360,26 @@ def test_experiment_linear_coefficient_family():
         (errors[i] / errors[i + 1] for i in range(3)),
     ):
         assert err_ratio == pytest.approx(eps_ratio, rel=0.3)
+
+
+def test_rounding_level_row_stays_out_of_the_ratio_bracket():
+    # with a solution of norm ~1e3 the rounding level N 2^-52 ||y(0)|| is
+    # ~1e-10 on 201 nodes; the eps = 1e-14 row's discrepancy lies below it,
+    # though far above an absolute 1e-13, so its ratio is rounding noise
+    def make(eps):
+        return first_order_problem(A0 + eps * E, identity_boundary(2),
+                                   c=[1e3, -1e3], f=[1e3, 5e2])
+
+    family = ProblemFamily(make(0.0), make, epsilons=(1e-2, 1e-4, 1e-14))
+    report = convergence_experiment(family, GRID)
+    y_zero = solve(family.at_zero, GRID)
+    floor = GRID.count * 2.0**-52 * sobolev_norm(y_zero, P2)
+    *kept, noise = report.rows
+    assert 1e-13 < noise.discrepancy <= floor
+    assert noise.ratio is None and "degenerate-ratio" in noise.flags
+    assert all(row.discrepancy > floor and not row.flags for row in kept)
+    ratios = [row.ratio for row in kept]
+    assert report.ratio_bracket == (min(ratios), max(ratios))
 
 
 def test_experiment_builds_each_member_once(monkeypatch):

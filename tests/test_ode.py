@@ -1,5 +1,9 @@
+from pathlib import Path
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from conftest import UNIT, combine, matrix_polynomial, members, particular, random_complex
 from fredholm_bvp import (
@@ -13,9 +17,12 @@ from fredholm_bvp import (
     residual_stack,
 )
 from fredholm_bvp import ode
+from fredholm_bvp.cli import main
 from fredholm_bvp.expressions import parse_expression
 from fredholm_bvp.functions import ArrayFunction, ExpressionFunction
 from fredholm_bvp.ode import integration_residual
+
+SAMPLES = Path(__file__).resolve().parent.parent / "docs" / "samples"
 
 
 def test_zero_coefficient_gives_constant_identity():
@@ -337,3 +344,68 @@ def test_blow_up_interval_matches_per_step_loop(r, m, forced):
         assert messages[0] == messages[1]
         blew_up += messages[0] is not None
     assert blew_up >= 4
+
+
+# ---------------------------------------------------------------------------
+# constant coefficients: orders r..n+r as rows of C^s applied to the states
+
+
+def _recurrence_samples(coeffs, grid, f):
+    """The Leibniz recurrence ``_extend_orders`` on the states that ``fundamental_set`` reads."""
+    w = coeffs.r * coeffs.m
+    states = ode._integrate(coeffs, grid, f)
+    low = states[:, :w].reshape(grid.count, coeffs.r, coeffs.m, -1).transpose(1, 0, 2, 3)
+    f_tables = None if f is None else [f.eval(grid.nodes, order=s) for s in range(coeffs.n + 1)]
+    tables = ode._coefficient_tables(coeffs, grid.nodes, coeffs.n)
+    return ode._extend_orders(coeffs, tables, low, f_tables)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.integers(1, 3), m=st.integers(1, 4), n=st.integers(0, 2),
+       count=st.integers(5, 600), forced=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_companion_orders_match_the_recurrence(r, m, n, count, forced, seed):
+    # the same orders in another arithmetic order: within N * 1e-15 of the
+    # largest entry, as the README states
+    rng = np.random.default_rng(seed)
+    coeffs = CoefficientSet(r, m, n, tuple(random_complex(rng, m, m) * (1.5 / m) for _ in range(r)))
+    grid = Grid.uniform(Interval(-0.3, 0.9), count)
+    f = None
+    if forced:  # every derivative of f is nonzero and enters y_p's orders
+        c = rng.uniform(-1.0, 1.0, (m, 3)).tolist()
+        f = ExpressionFunction(np.array([
+            parse_expression(f"{c[k][0]!r} + ({c[k][1]!r})*sin({k + 2}*t) + ({c[k][2]!r})*exp(t)")
+            for k in range(m)], dtype=object))
+    samples = fundamental_set(coeffs, grid, f).samples
+    expected = _recurrence_samples(coeffs, grid, f)
+    assert samples.shape == expected.shape == (n + r + 1, count, m, r * m + forced)
+    np.testing.assert_array_equal(samples[:r], expected[:r])
+    assert_relative(samples, expected, DOUBLING_RTOL * count)
+
+
+def test_constant_coefficients_build_no_tables(monkeypatch, tmp_path):
+    # the constant branch reads C once: no N-tiled coefficient tables and
+    # no recurrence, forced or not, also through the command line
+    calls = []
+
+    def record(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(ode, name, wrapper)
+
+    for name in ("_extend_orders", "_coefficient_tables"):
+        record(name, getattr(ode, name))
+    rng = np.random.default_rng(50)
+    coeffs = CoefficientSet(2, 2, 2, (random_complex(rng, 2, 2), random_complex(rng, 2, 2)))
+    grid = Grid.uniform(UNIT, 101)
+    fundamental_set(coeffs, grid)
+    fundamental_set(coeffs, grid, ExpressionFunction(np.array(
+        [parse_expression("sin(t)"), parse_expression("t^3")], dtype=object)))
+    assert main(["analyze", str(SAMPLES / "two-point-damped.json"), "--nodes", "201",
+                 "--out", str(tmp_path / "report.txt")]) == 0
+    assert calls == []
+    # a constant mixed with an expression keeps the recurrence
+    entries = np.array([[parse_expression("0.1*t"), parse_expression("0")],
+                        [parse_expression("0"), parse_expression("cos(t)")]], dtype=object)
+    fundamental_set(CoefficientSet(2, 2, 2, (coeffs.by_order[0], ExpressionFunction(entries))), grid)
+    assert calls == ["_coefficient_tables", "_extend_orders"]
