@@ -8,6 +8,17 @@ problem itself, which is what makes desk-scale solvability analysis
 possible: an infinite-dimensional question reduces to the SVD of one
 small matrix.
 
+``build_characteristic_matrix`` needs no fundamental stack when every
+A_d and the integral kernel (if any) are ``ConstantFunction``s: the RK4
+trajectory is then exactly P^j at node j, so the matrix is read off
+powers of P at the nodes the point terms interpolate, and the integral
+term off one trapezoid sum of powers, formed by doubling (see ``ode``).
+The entries agree with the stack path to (N + 100) * 1e-15 of the
+largest entry.  Powers whose growth bound reaches 2^1000 are not
+trusted, and the stack path runs instead, with its blow-up diagnostic.
+Every other problem, and ``analyze``, which returns the stack, integrate
+the fundamental set and apply the boundary operator to it.
+
 Rank decisions need an explicit cutoff.  The default tolerance is
 ``sigma_max * max(q, r*m) * 1e-10``, far above integrator error for
 desk-scale problems, and reports carry the full singular-value list so
@@ -30,8 +41,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .boundary import BoundaryOperator
-from .grid import DerivativeStack, Grid, Interval, LebesgueExponent
-from .ode import CoefficientSet, RightHandSide, fundamental_set
+from .functions import ConstantFunction
+from .grid import DerivativeStack, Grid, Interval, LebesgueExponent, point_stencil
+from .ode import (
+    CoefficientSet,
+    RightHandSide,
+    fundamental_set,
+    order_rows,
+    propagator_power,
+    propagator_squares,
+    propagator_trapezoid,
+)
 
 RANK_TOLERANCE_FACTOR = 1e-10
 FRAGILE_GAP = 1e3
@@ -188,9 +208,55 @@ def characteristic_from_fundamental(problem: ProblemSpec, stack: DerivativeStack
     return characteristic_from_blocks([problem.boundary.apply(stack)], rank_tolerance)
 
 
+def _characteristic_from_powers(problem: ProblemSpec, grid: Grid) -> np.ndarray | None:
+    """The q x (r*m) entries read off powers of P, or None when not taken.
+
+    Taken when every A_d is a ``ConstantFunction`` and the kernel is
+    absent or one, and the powers of P are trusted (``propagator_squares``).
+    The stack at node j is R_k P^j (``order_rows``), so a point term adds
+    W R_d sum_i w_i P^(j_i) over the nodes and weights of its
+    ``point_stencil``, and the integral term adds K R_(n+r) times the
+    ``propagator_trapezoid``.
+    """
+    coeffs, boundary = problem.coefficients, problem.boundary
+    integral = boundary.integral_term
+    kernel = None if integral is None else integral.kernel
+    if not coeffs.constant or not (kernel is None or isinstance(kernel, ConstantFunction)):
+        return None
+    squares = propagator_squares(coeffs, grid)
+    if squares is None:
+        return None
+    points = [term.point for term in boundary.point_terms]
+    nearest, at_node, stencil, weights = point_stencil(grid, points)
+    needed = set(nearest[at_node].tolist())
+    if stencil is not None:
+        needed.update(stencil[~at_node].ravel().tolist())
+    powers = {j: propagator_power(squares, j) for j in needed}
+    rows = order_rows(coeffs)
+    entries = np.zeros((problem.q, problem.state_size), dtype=complex)
+    for i, term in enumerate(boundary.point_terms):
+        if at_node[i]:
+            local = powers[int(nearest[i])]
+        else:
+            local = sum(weight * powers[j] for j, weight in zip(stencil[i].tolist(), weights[i]))
+        entries += term.matrix @ (rows[term.order] @ local)
+    if kernel is not None:
+        entries += kernel.values @ (rows[-1] @ propagator_trapezoid(squares, grid))
+    return entries
+
+
 def build_characteristic_matrix(problem: ProblemSpec, grid: Grid,
                                 rank_tolerance: float | None = None) -> CharacteristicMatrix:
-    """Integrate the fundamental set and apply the boundary operator."""
+    """The characteristic matrix of a problem, without its fundamental stack.
+
+    Constant coefficients read it off powers of the RK4 step
+    (``_characteristic_from_powers``); any other problem, or powers that
+    grow too large to trust, integrate the fundamental set and apply the
+    boundary operator.
+    """
+    entries = _characteristic_from_powers(problem, grid)
+    if entries is not None:
+        return characteristic_from_blocks([entries], rank_tolerance)
     stack = fundamental_set(problem.coefficients, grid)
     return characteristic_from_fundamental(problem, stack, rank_tolerance)
 

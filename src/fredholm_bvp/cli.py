@@ -2,9 +2,10 @@
 
 Machine-readable reports are JSON with a fixed field order and floats
 formatted at 17 significant digits, so identical inputs and flags
-produce byte-identical output.  The handlers call ``analyze`` and
-``superpose`` and hand numpy arrays to the one encoder, ``emit_json``,
-which writes every complex value as an ``[re, im]`` pair.  A float array
+produce byte-identical output.  ``analyze`` and ``oracle-check`` call
+``build_characteristic_matrix``, ``solve`` calls ``analyze`` and
+``superpose``, and each hands numpy arrays to the one encoder,
+``emit_json``, which writes every complex value as an ``[re, im]`` pair.  A float array
 whose values are all finite is written by filling one ``%.17g`` template
 built for its shape; any other array goes through ``tolist()`` and the
 recursive list path, which writes NaN as ``null`` and +-inf as ``"inf"`` and
@@ -24,7 +25,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from .characteristic import ProblemSpec, analyze, build_characteristic_matrix, kernel_directions
+from .characteristic import (
+    ProblemSpec,
+    analyze,
+    build_characteristic_matrix,
+    kernel_directions,
+    solvability_report,
+)
 from .boundary import BoundaryOperator, IntegralTerm, PointTerm
 from .closed_forms import one_point_first_order, two_point_damped, two_point_oscillatory
 from .document import DocumentError, document_family, document_problem, load_document
@@ -139,8 +146,9 @@ def _write_output(text: str, out_path: str | None) -> None:
 def _run_analyze(args) -> int:
     problem = document_problem(load_document(args.document))
     grid = Grid.uniform(problem.interval, args.nodes)
-    # the report concerns (L, B) only, so the forcing is not integrated
-    _, matrix, report, _ = analyze(replace(problem, rhs=None), grid, args.rank_tol)
+    # the report concerns (L, B) only: no forcing and no fundamental stack
+    matrix = build_characteristic_matrix(problem, grid, args.rank_tol)
+    report = solvability_report(matrix, problem)
     directions = kernel_directions(matrix)
     if args.format == "machine":
         doc = {

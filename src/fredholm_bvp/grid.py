@@ -227,13 +227,16 @@ def sobolev_norm(stack: DerivativeStack, p: LebesgueExponent) -> float:
 # interpolation and finite differences on uniform grids
 
 
-def interpolate(grid: Grid, values: np.ndarray, ts) -> np.ndarray:
-    """Node samples evaluated at points of the interval: shape (len(ts), ...).
+def point_stencil(grid: Grid, ts) -> tuple:
+    """Which node samples evaluate at the points ``ts``, and with what weights.
 
-    Exact at nodes (within 1e-12 of the interval's scale); elsewhere the
-    local 4-point (cubic Lagrange) rule, which preserves the O(step^4)
-    accuracy of stored samples.  ``values`` has the node axis first and
-    any trailing axes; points outside the interval raise ``ValueError``.
+    Returns ``(nearest, at_node, stencil, weights)``.  A point within
+    1e-12 of the interval's scale of a node (``at_node``) reads the sample
+    at ``nearest`` alone.  Any other point reads the 4 nodes ``stencil``
+    (shape (len(ts), 4)) of the local cubic Lagrange rule with
+    ``weights``; both are None when every point is at a node.  Points
+    outside the interval, and off-node points on grids of fewer than four
+    nodes, raise ``ValueError``.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     a, b = grid.interval.a, grid.interval.b
@@ -243,20 +246,35 @@ def interpolate(grid: Grid, values: np.ndarray, ts) -> np.ndarray:
     nearest = np.clip(np.rint((ts - a) / grid.step).astype(int), 0, grid.count - 1)
     at_node = np.abs(grid.nodes[nearest] - ts) <= 1e-12 * max(1.0, abs(a), abs(b))
     if at_node.all():
-        return values[nearest]
+        return nearest, at_node, None, None
     if grid.count < 4:
         raise ValueError("off-node interpolation needs at least four nodes")
     lo = np.clip(np.floor((ts - a) / grid.step).astype(int) - 1, 0, grid.count - 4)
     stencil = lo[:, None] + np.arange(4)
     knots = grid.nodes[stencil]
-    trailing = (slice(None),) + (None,) * (values.ndim - 1)
-    result = np.zeros((ts.size, *values.shape[1:]), dtype=np.result_type(values, float))
+    weights = np.ones((ts.size, 4))
     for i in range(4):
-        weight = np.ones(ts.size)
         for j in range(4):
             if j != i:
-                weight *= (ts - knots[:, j]) / (knots[:, i] - knots[:, j])
-        result = result + weight[trailing] * values[stencil[:, i]]
+                weights[:, i] *= (ts - knots[:, j]) / (knots[:, i] - knots[:, j])
+    return nearest, at_node, stencil, weights
+
+
+def interpolate(grid: Grid, values: np.ndarray, ts) -> np.ndarray:
+    """Node samples evaluated at points of the interval: shape (len(ts), ...).
+
+    Exact at nodes (within 1e-12 of the interval's scale); elsewhere the
+    local 4-point (cubic Lagrange) rule, which preserves the O(step^4)
+    accuracy of stored samples.  ``values`` has the node axis first and
+    any trailing axes; the nodes and weights are ``point_stencil``'s.
+    """
+    nearest, at_node, stencil, weights = point_stencil(grid, ts)
+    if stencil is None:
+        return values[nearest]
+    trailing = (slice(None),) + (None,) * (values.ndim - 1)
+    result = np.zeros((nearest.size, *values.shape[1:]), dtype=np.result_type(values, float))
+    for i in range(4):
+        result = result + weights[:, i][trailing] * values[stencil[:, i]]
     result[at_node] = values[nearest[at_node]]
     return result
 

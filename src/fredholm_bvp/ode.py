@@ -17,23 +17,35 @@ system: one integration from the identity on [x; 1] yields the stack
 [Y_1 ... Y_r | y_p], with y_p the solution of zero initial data in the
 last column.  The stored states are checked once for blow-up.
 
-When every A_d is a ``ConstantFunction`` all P_i are one P, and node j
-holds P^j: the trajectory is filled by doubling, states[k:2k] =
-states[:k] P^k, in log2(N) rounds of GEMMs, and y_p by the affine prefix
-scan of y_{i+1} = P y_i + g_i, with g_i from the stage formula on f at
-the nodes and midpoints.  The arithmetic order differs from stepping, so
-the states agree with per-step RK4 to N * 1e-15 of the largest state
-entry, not to the last bit.  Any other coefficient (expression, table,
-or a constant mixed with either) is stepped: the P_i are formed by
-batched products and applied one step at a time.
+There are three routes.  When every A_d is a ``ConstantFunction`` all
+P_i are one P, and node j holds P^j.
+
+* Powers, for a characteristic matrix alone: ``propagator_squares``
+  forms the squares P^(2^i), ``propagator_power`` the P^j at the few
+  nodes a boundary operator reads, and ``propagator_trapezoid`` the
+  trapezoid sum over all nodes by doubling; no trajectory is stored.  The
+  entries agree with the stack path to (N + 100) * 1e-15 of the largest
+  entry.  While prod_i max(1, ||P^(2^i)||_inf) is not below 2^1000 no
+  power is trusted, and the stack path runs instead.
+* Doubling, for a stack with constant coefficients: the trajectory is
+  filled by states[k:2k] = states[:k] P^k, in log2(N) rounds of GEMMs,
+  and y_p by the affine prefix scan of y_{i+1} = P y_i + g_i, with g_i
+  from the stage formula on f at the nodes and midpoints.  The
+  arithmetic order differs from stepping, so the states agree with
+  per-step RK4 to N * 1e-15 of the largest state entry, not to the last
+  bit.
+* Stepping, for a stack with any other coefficient (expression, table,
+  or a constant mixed with either): the P_i are formed by batched
+  products and applied one step at a time.
 
 Derivative orders r..n+r are not differentiated numerically.  With
 constant coefficients they are rows of powers of the companion matrix C
 applied to the states, not the Leibniz recurrence: x = [y; ...; y^(r-1)]
 solves x' = C x + L^T f with L = [0 ... 0 I], so order r-1+s is
 R_s x + sum_{i<s} (L C^{s-1-i} L^T) f^(i), R_s = L C^s the last block row
-of C^s, built once per problem; n+1 products with the states write
-orders r..n+r straight into the stack.  Any other coefficients use the
+of C^s, built once per problem (``order_rows``); n+1 products with the
+states write orders r..n+r straight into the stack.  Any other
+coefficients use the
 recurrence: order r comes from the equation itself and higher orders
 from the Leibniz-differentiated equation, which only needs coefficient
 derivatives up to order n (the zero derivatives of constant coefficients
@@ -46,8 +58,8 @@ measures its finite-difference defect on request.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from math import comb
+from functools import cached_property, reduce
+from math import comb, isfinite, log2
 
 import numpy as np
 
@@ -104,11 +116,12 @@ def _coefficient_tables(coeffs: CoefficientSet, ts: np.ndarray,
                         orders: int) -> list[list[np.ndarray | None]]:
     """A_d^{(q)} evaluated at ``ts`` for d = 0..r-1, q = 0..orders.
 
-    The derivatives q >= 1 of a ``ConstantFunction`` are zero and left out
-    as None.
+    A ``ConstantFunction`` enters as its one (m, m) block, which
+    ``_matvec`` broadcasts over the nodes, and its derivatives q >= 1,
+    all zero, are left out as None.
     """
-    return [[fn.eval(ts, order=q) if q == 0 or not isinstance(fn, ConstantFunction) else None
-             for q in range(orders + 1)] for fn in coeffs.by_order]
+    return [[fn.values] + [None] * orders if isinstance(fn, ConstantFunction)
+            else [fn.eval(ts, order=q) for q in range(orders + 1)] for fn in coeffs.by_order]
 
 
 def _top_rows(coeffs: CoefficientSet, ts: np.ndarray, f: ArrayFunction | None) -> np.ndarray:
@@ -246,6 +259,58 @@ def _integrate(coeffs: CoefficientSet, grid: Grid, f: ArrayFunction | None = Non
     return states
 
 
+_GROWTH_BITS = 1000  # powers are trusted while prod_i max(1, ||P^(2^i)||) is below 2^1000
+
+
+def propagator_squares(coeffs: CoefficientSet, grid: Grid) -> list[np.ndarray] | None:
+    """The squares P^(2^i), 2^i < N, of the constant-coefficient RK4 step P.
+
+    Every power P^j at a node, j < N, is a product of these.  Their
+    growth bound prod_i max(1, ||P^(2^i)||_inf) bounds every such power;
+    when it is not below 2^``_GROWTH_BITS`` no power is trusted and
+    None is returned.
+    """
+    square, _ = _constant_step(coeffs, grid.step)
+    squares, bits = [], 0.0
+    # a square past the bound may overflow; the bound reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range((grid.count - 1).bit_length()):
+            if i:
+                square = square @ square
+            norm = float(np.abs(square).sum(axis=1).max())
+            if not isfinite(norm):
+                return None
+            bits += log2(max(norm, 1.0))
+            if bits >= _GROWTH_BITS:
+                return None
+            squares.append(square)
+    return squares
+
+
+def propagator_power(squares: list[np.ndarray], j: int) -> np.ndarray:
+    """P^j, j < N: the product of the squares of j's binary digits, lowest first."""
+    factors = [square for i, square in enumerate(squares) if j >> i & 1]
+    return reduce(np.matmul, factors) if factors else np.eye(squares[0].shape[0], dtype=complex)
+
+
+def propagator_trapezoid(squares: list[np.ndarray], grid: Grid) -> np.ndarray:
+    """The trapezoid rule over the nodes, h (sum_{j<N} P^j - (I + P^(N-1))/2).
+
+    The sum S_N is formed by doubling over the binary digits of N: the
+    block T_{i+1} = T_i + P^(2^i) T_i sums the first 2^i powers, and
+    S_N = T_i + P^(2^i) S_(N - 2^i) for the top digit i of N.
+    """
+    count = grid.count
+    eye = np.eye(squares[0].shape[0], dtype=complex)
+    block, total = eye, None  # block = T_i
+    for i in range(count.bit_length()):
+        if count >> i & 1:
+            total = block if total is None else block + squares[i] @ total
+        if i + 1 < count.bit_length():
+            block = block + squares[i] @ block
+    return grid.step * (total - (eye + propagator_power(squares, count - 1)) / 2.0)
+
+
 def _lower_order_part(a_tables, y_orders: np.ndarray, s: int) -> np.ndarray:
     """sum_d sum_{q<=s} binom(s,q) A_d^{(q)} y^{(d+s-q)} at all nodes.
 
@@ -263,9 +328,12 @@ def _lower_order_part(a_tables, y_orders: np.ndarray, s: int) -> np.ndarray:
 
 
 def _matvec(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Node-wise product A(t) y(t) for vector or block samples y."""
+    """Node-wise product A(t) y(t) for vector or block samples y.
+
+    ``a`` holds one matrix per node, or one (m, m) matrix for all nodes.
+    """
     if y.ndim == 2:
-        return np.einsum("nij,nj->ni", a, y)
+        return np.einsum("ij,nj->ni" if a.ndim == 2 else "nij,nj->ni", a, y)
     return a @ y
 
 
@@ -285,6 +353,21 @@ def _extend_orders(coeffs: CoefficientSet, a_tables, low_orders: np.ndarray,
     return np.stack(orders)
 
 
+def order_rows(coeffs: CoefficientSet) -> list[np.ndarray]:
+    """Rows R_k with y^(k) = R_k x on the homogeneous equation, k = 0..n+r.
+
+    x = [y; ...; y^(r-1)] is the companion state.  R_k is block row k of
+    the identity for k < r and L C^(k-r+1) above, with L = [0 ... 0 I]
+    and C the companion matrix of constant coefficients.
+    """
+    m, r = coeffs.m, coeffs.r
+    companion = _companion(coeffs, _top_rows(coeffs, np.zeros(1), None))[0]
+    rows = [np.eye(m, r * m, k=d * m, dtype=complex) for d in range(r)]
+    for _ in range(coeffs.n + 1):
+        rows.append(rows[-1] @ companion)
+    return rows
+
+
 def _companion_orders(coeffs: CoefficientSet, low: np.ndarray,
                       f_tables: list[np.ndarray] | None = None) -> np.ndarray:
     """Orders 0..n+r from samples of orders 0..r-1 when every A_d is constant.
@@ -292,18 +375,16 @@ def _companion_orders(coeffs: CoefficientSet, low: np.ndarray,
     x = [y; ...; y^(r-1)] solves x' = C x + L^T f with one companion
     matrix C, L = [0 ... 0 I], so order r-1+s is R_s x plus
     sum_{i<s} (L C^{s-1-i} L^T) f^{(i)} in the last column, y_p; R_s = L C^s
-    is the last block row of C^s.  One array is allocated and filled in
-    place.  ``f_tables[s]`` holds f^{(s)}.
+    is the last block row of C^s (``order_rows``).  One array is allocated
+    and filled in place.  ``f_tables[s]`` holds f^{(s)}.
     """
     m, r, n = coeffs.m, coeffs.r, coeffs.n
     w, (_, count, _, width) = r * m, low.shape
-    companion = _companion(coeffs, _top_rows(coeffs, np.zeros(1), None))[0]
     samples = np.empty((n + r + 1, count, m, width), dtype=complex)
     samples[:r] = low
     states = low.transpose(1, 0, 2, 3).reshape(count, w, width)  # x at each node
-    rows = [np.eye(m, w, k=w - m, dtype=complex)]  # R_0 = L
+    rows = order_rows(coeffs)[r - 1 :]  # rows[s] = L C^s
     for s in range(1, n + 2):
-        rows.append(rows[-1] @ companion)
         np.matmul(rows[s], states, out=samples[r - 1 + s])
         if f_tables is not None:
             for i in range(s):

@@ -331,3 +331,101 @@ def test_block_application_matches_column_by_column_reference(count):
         assert matrix.numerical_rank == reference.numerical_rank, name
         ours, theirs = solvability_report(matrix, problem), solvability_report(reference, problem)
         assert (ours.dim_kernel, ours.dim_cokernel) == (theirs.dim_kernel, theirs.dim_cokernel), name
+
+
+# ---------------------------------------------------------------------------
+# constant coefficients: the matrix read off powers of P, no stack built
+
+# the powers path sums in another order than the stack path: entries agree
+# to (N + 100) * POWERS_RTOL of the largest entry, as the README states
+POWERS_RTOL = 1e-15
+
+
+def _random_constant_problem(rng, r, m, n, grid, kernel):
+    """Random constant coefficients with q conditions, some of them dependent,
+    at points on and off the nodes."""
+    coeffs = CoefficientSet(r, m, n, tuple(random_complex(rng, m, m) * (1.5 / m) for _ in range(r)))
+    q = int(rng.integers(1, r * m + 3))
+    mix = random_complex(rng, q, q)
+    mix[:, max(q // 2, 1) :] = 0.0  # the rows span at most max(q // 2, 1) dimensions
+    terms = []
+    for _ in range(int(rng.integers(1, 5))):
+        t = float(grid.nodes[rng.integers(grid.count)]) if rng.random() < 0.5 \
+            else float(rng.uniform(grid.interval.a, grid.interval.b))
+        terms.append(PointTerm(t, int(rng.integers(n + r)), mix @ random_complex(rng, q, m)))
+    integral = IntegralTerm(ConstantFunction(mix @ random_complex(rng, q, m))) if kernel else None
+    return ProblemSpec(grid.interval, coeffs, BoundaryOperator(q, tuple(terms), integral), P2)
+
+
+def _assert_agrees_with_stack(problem, grid):
+    matrix = build_characteristic_matrix(problem, grid)
+    stack = characteristic_from_fundamental(problem, fundamental_set(problem.coefficients, grid))
+    scale = np.abs(stack.entries).max()
+    assert np.abs(matrix.entries - stack.entries).max() <= (grid.count + 100) * POWERS_RTOL * scale
+    assert matrix.numerical_rank == stack.numerical_rank
+    ours, theirs = solvability_report(matrix, problem), solvability_report(stack, problem)
+    assert (ours.dim_kernel, ours.dim_cokernel) == (theirs.dim_kernel, theirs.dim_cokernel)
+    return matrix
+
+
+@pytest.mark.parametrize("count,sizes", [
+    (4, [(1, 1, 0), (2, 2, 1), (4, 4, 0), (1, 16, 0)]),
+    (11, [(1, 3, 2), (3, 2, 1), (2, 8, 0), (4, 4, 1)]),
+    (101, [(1, 1, 2), (2, 3, 2), (4, 4, 1), (1, 16, 1)]),
+    (997, [(2, 1, 1), (1, 4, 2), (2, 4, 1), (4, 4, 0)]),
+    (20001, [(1, 1, 1), (1, 2, 0), (2, 2, 1), (3, 1, 0)]),
+])
+def test_powers_agree_with_the_stack_path(count, sizes):
+    rng = np.random.default_rng(60 + count)
+    grid = Grid.uniform(Interval(-0.3, 0.9), count)
+    kernels = 0
+    for r, m, n in sizes:
+        for kernel in (False, True):
+            problem = _random_constant_problem(rng, r, m, n, grid, kernel)
+            _assert_agrees_with_stack(problem, grid)
+            kernels += kernel
+    assert kernels == len(sizes)
+
+
+@pytest.mark.parametrize("count", [1001, 20001])
+def test_powers_agree_with_the_stack_path_on_the_damped_sample(count):
+    from fredholm_bvp.document import document_problem, load_document
+
+    problem = document_problem(load_document(SAMPLES / "two-point-damped.json"))
+    assert problem.coefficients.constant
+    _assert_agrees_with_stack(problem, Grid.uniform(problem.interval, count))
+
+
+def test_powers_blow_up_like_the_stack_path():
+    # y' = 1e8 y on 101 nodes: the squares' growth bound passes 2^1000, so the
+    # stack path runs and names the nodes where the states overflow
+    coeffs = CoefficientSet(1, 1, 0, (np.array([[-1e8]]),))
+    problem = ProblemSpec(UNIT, coeffs, BoundaryOperator(1, (PointTerm(0.0, 0, np.eye(1)),)), P2)
+    grid = Grid.uniform(UNIT, 101)
+    message = r"integration blew up between nodes 13 and 14 \(t = 0\.13\)"
+    with pytest.raises(FloatingPointError, match=message):
+        fundamental_set(coeffs, grid)
+    with pytest.raises(FloatingPointError, match=message):
+        build_characteristic_matrix(problem, grid)
+
+
+def test_powers_need_four_nodes_off_the_grid():
+    rng = np.random.default_rng(61)
+    coeffs = CoefficientSet(1, 2, 0, (random_complex(rng, 2, 2),))
+    grid = Grid.uniform(UNIT, 3)
+    problem = ProblemSpec(UNIT, coeffs, BoundaryOperator(2, (PointTerm(0.3, 0, np.eye(2)),)), P2)
+    message = "off-node interpolation needs at least four nodes"
+    with pytest.raises(ValueError, match=message):
+        characteristic_from_fundamental(problem, fundamental_set(coeffs, grid))
+    with pytest.raises(ValueError, match=message):
+        build_characteristic_matrix(problem, grid)
+
+
+def test_powers_on_a_two_node_grid():
+    rng = np.random.default_rng(62)
+    coeffs = CoefficientSet(2, 1, 1, tuple(random_complex(rng, 1, 1) for _ in range(2)))
+    terms = (PointTerm(0.0, 0, random_complex(rng, 2, 1)),
+             PointTerm(1.0, 2, random_complex(rng, 2, 1)))
+    boundary = BoundaryOperator(2, terms, IntegralTerm(ConstantFunction(random_complex(rng, 2, 1))))
+    problem = ProblemSpec(UNIT, coeffs, boundary, P2)
+    _assert_agrees_with_stack(problem, Grid.uniform(UNIT, 2))

@@ -28,7 +28,7 @@ from fredholm_bvp import (
     superpose,
 )
 from fredholm_bvp.cli import main
-from fredholm_bvp.document import document_family, load_document
+from fredholm_bvp.document import document_family, document_problem, load_document
 from fredholm_bvp.grid import P2, vector_magnitude
 
 
@@ -246,9 +246,17 @@ def test_family_integrates_once_per_problem(passes):
 
 
 def test_cli_analyze_leaves_the_forcing_out(passes, tmp_path):
+    # a varying coefficient integrates [Y_1 Y_2] alone, width r*m = 4; the
+    # constant sample reads its matrix off powers of P and integrates nothing
     widths, _ = passes
-    assert main(["analyze", str(SAMPLES / "two-point-damped.json"), "--nodes", "201",
-                 "--out", str(tmp_path / "report.txt")]) == 0
+    doc = json.loads((SAMPLES / "two-point-damped.json").read_text())
+    varying = {"kind": "expression", "entries": [["0.6", "0.2 + 0.1*t"], ["-0.1", "0.4"]]}
+    path = tmp_path / "varying.json"
+    path.write_text(json.dumps(dict(doc, coefficients=[doc["coefficients"][0], varying])))
+    out = ["--nodes", "201", "--out", str(tmp_path / "report.txt")]
+    assert main(["analyze", str(path)] + out) == 0
+    assert widths == [4]
+    assert main(["analyze", str(SAMPLES / "two-point-damped.json")] + out) == 0
     assert widths == [4]
 
 
@@ -292,5 +300,52 @@ def test_only_constant_coefficients_propagate_by_doubling(monkeypatch, tmp_path)
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(dict(doc, coefficients=coefficients)))
         assert main(["analyze", str(path)] + out) == 0
+    # analyze reads a constant problem off powers of P; solve still builds its stack
     with pytest.raises(Doubled):
-        main(["analyze", str(SAMPLES / "two-point-damped.json")] + out)
+        main(["solve", str(SAMPLES / "two-point-damped.json")] + out)
+
+
+def test_only_constant_problems_skip_the_stack(monkeypatch, tmp_path):
+    # build_characteristic_matrix and analyze read a constant problem off
+    # powers of P; any other coefficient, or a kernel that is not a
+    # ConstantFunction, integrates the fundamental set
+    class Integrated(Exception):
+        pass
+
+    def refuse(coeffs, grid, f=None):
+        raise Integrated
+
+    monkeypatch.setattr(ode, "_integrate", refuse)
+    doc = json.loads((SAMPLES / "two-point-damped.json").read_text())
+    constant = doc["coefficients"][1]
+    expression = {"kind": "expression", "entries": [["0.6", "0.2 + 0.1*t"], ["-0.1", "0.4"]]}
+    nodes = [0.0, 0.25, 0.5, 0.75, 1.0]
+    table = {"kind": "table", "nodes": nodes, "samples": [[constant["values"]] * len(nodes)]}
+    zero = {"kind": "table", "nodes": nodes, "samples": [[[[0, 0], [0, 0]]] * len(nodes)]}
+    kernel = [[1, 0], [0, 1], [0, 0], [0.5, 0]]
+
+    def variant(name, coefficients=doc["coefficients"], kernel_fn=None):
+        boundary = dict(doc["boundary"])
+        if kernel_fn is not None:
+            boundary["integral"] = {"kernel": kernel_fn}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(doc, coefficients=coefficients, boundary=boundary)))
+        return str(path)
+
+    out = ["--nodes", "201", "--out", str(tmp_path / "report.txt")]
+    constant_docs = [str(path) for path in sorted(SAMPLES.glob("*.json"))]
+    constant_kernel = {"kind": "constant", "values": kernel}
+    constant_docs.append(variant("constant-kernel", kernel_fn=constant_kernel))
+    for path in constant_docs:
+        problem = document_problem(load_document(path))
+        build_characteristic_matrix(problem, Grid.uniform(problem.interval, 201))
+        assert main(["analyze", path] + out) in (0, 2)
+    expression_kernel = {"kind": "expression", "entries": [[str(v) for v in row] for row in kernel]}
+    for path in (variant("expression", [expression, expression]), variant("table", [zero, table]),
+                 variant("mixed", [doc["coefficients"][0], expression]),
+                 variant("expression-kernel", kernel_fn=expression_kernel)):
+        problem = document_problem(load_document(path))
+        with pytest.raises(Integrated):
+            build_characteristic_matrix(problem, Grid.uniform(problem.interval, 201))
+        with pytest.raises(Integrated):
+            main(["analyze", path] + out)
