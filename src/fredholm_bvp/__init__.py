@@ -55,7 +55,9 @@ from .limits import (
 )
 from .ode import (
     CoefficientSet,
+    CoefficientTable,
     RightHandSide,
+    coefficient_table,
     fundamental_set,
     residual_stack,
 )
@@ -69,6 +71,7 @@ __all__ = [
     "BoundaryOperator",
     "CharacteristicMatrix",
     "CoefficientSet",
+    "CoefficientTable",
     "ConstantFunction",
     "DerivativeStack",
     "ExpressionError",
@@ -93,6 +96,7 @@ __all__ = [
     "check_condition_I",
     "check_condition_II",
     "check_multipoint_assumptions",
+    "coefficient_table",
     "cokernel_directions",
     "convergence_experiment",
     "cos_sqrt",

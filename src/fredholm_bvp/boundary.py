@@ -8,6 +8,15 @@ optionally plus ``integral of kernel(t) @ y^(top)(t) dt``.  The same
 representation covers one-point canonical conditions, two-point and
 multipoint conditions.
 
+An operator keeps its point terms as three arrays, built once: points
+(T,), orders (T,) and matrices (T, q, m).  ``apply`` interpolates each
+derivative order once, at the points of all its terms, scatters the
+values into one (T, m, *columns) array in term order, forms every
+product with one ``einsum`` and sums the products in term order from
+zero with ``cumsum``.  That is the arithmetic of adding the terms one by
+one, so each column of a block result is bit-identical to the operator
+applied to that column alone, signed zeros included.
+
 Point evaluation of the top derivative is rejected: the top derivative
 is merely integrable, so its point values carry no meaning (and no
 continuity bound).  Fractional derivative orders are rejected as well;
@@ -17,7 +26,7 @@ Caputo-style fractional derivatives must be reformulated before use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,47 +85,62 @@ class BoundaryOperator:
     codomain: int
     point_terms: tuple[PointTerm, ...] = ()
     integral_term: IntegralTerm | None = None
+    # the point terms as arrays, term by term, set from point_terms
+    points: np.ndarray = field(init=False, repr=False, compare=False)  # (T,)
+    orders: np.ndarray = field(init=False, repr=False, compare=False)  # (T,)
+    matrices: np.ndarray = field(init=False, repr=False, compare=False)  # (T, q, m)
 
     def __post_init__(self):
         if self.codomain < 1:
             raise ValueError("codomain must be positive")
-        object.__setattr__(self, "point_terms", tuple(self.point_terms))
-        for term in self.point_terms:
+        terms = tuple(self.point_terms)
+        object.__setattr__(self, "point_terms", terms)
+        for term in terms:
             if term.matrix.shape[0] != self.codomain:
                 raise ValueError(
                     f"point-term matrix has {term.matrix.shape[0]} rows, expected {self.codomain}"
                 )
+        if len({term.matrix.shape[1] for term in terms}) > 1:
+            raise ValueError("point-term matrices must all have the same column count")
         if self.integral_term is not None and self.integral_term.kernel.shape[0] != self.codomain:
             raise ValueError("integral kernel row count does not match the codomain")
+        orders = np.array([term.order for term in terms], dtype=int)
+        matrices = (np.stack([term.matrix for term in terms]) if terms
+                    else np.zeros((0, self.codomain, 0), dtype=complex))
+        for name, value in (("points", np.array([term.point for term in terms], dtype=float)),
+                            ("orders", orders), ("matrices", matrices)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def _check_stack(self, stack: DerivativeStack) -> None:
-        for term in self.point_terms:
-            if term.order >= stack.max_order:
-                raise ValueError(
-                    f"point term of order {term.order} is not continuous on stacks "
-                    f"of top order {stack.max_order}; orders up to {stack.max_order - 1} only"
-                )
-            if term.matrix.shape[1] != stack.dimension:
-                raise ValueError("point-term matrix column count does not match the stack")
+        too_high = np.flatnonzero(self.orders >= stack.max_order)
+        if too_high.size:
+            raise ValueError(
+                f"point term of order {self.orders[too_high[0]]} is not continuous on stacks "
+                f"of top order {stack.max_order}; orders up to {stack.max_order - 1} only"
+            )
+        if self.point_terms and self.matrices.shape[2] != stack.dimension:
+            raise ValueError("point-term matrix column count does not match the stack")
 
     def apply(self, stack: DerivativeStack) -> np.ndarray:
         """Value of the operator on a derivative stack, shape (q, *columns).
 
         A vector stack gives a C^q vector, a block stack one such vector
         per column.  Each derivative order is interpolated once, at all
-        the points of its terms; the terms are summed in their given
-        order with ``einsum``, which keeps each column of a block
-        bit-identical to the operator applied to that column alone.
+        the points of its terms; one ``einsum`` forms every term's product
+        and ``cumsum`` adds them in term order, starting from zero, which
+        keeps each column of a block bit-identical to the operator
+        applied to that column alone.
         """
         self._check_stack(stack)
-        points: dict[int, list[float]] = {}
-        for term in self.point_terms:
-            points.setdefault(term.order, []).append(term.point)
-        values = {order: iter(interpolate(stack.grid, stack.samples[order], ts))
-                  for order, ts in points.items()}
-        result = np.zeros((self.codomain, *stack.samples.shape[3:]), dtype=complex)
-        for term in self.point_terms:
-            result += np.einsum("qm,m...->q...", term.matrix, next(values[term.order]))
+        columns = stack.samples.shape[3:]
+        values = np.empty((self.orders.size, self.matrices.shape[2], *columns), dtype=complex)
+        for order in np.unique(self.orders).tolist():
+            at = self.orders == order
+            values[at] = interpolate(stack.grid, stack.samples[order], self.points[at])
+        products = np.einsum("tqm,tm...->tq...", self.matrices, values)
+        zero = np.zeros((1, self.codomain, *columns), dtype=complex)
+        result = np.cumsum(np.concatenate([zero, products]), axis=0)[-1]
         if self.integral_term is not None:
             kernel = self.integral_term.kernel.eval(stack.grid.nodes)
             integrand = np.einsum("nqm,nm...->nq...", kernel, stack.samples[stack.max_order])

@@ -20,6 +20,13 @@ evaluation of its generators, so generators must stay finite there.
 Integer ``series`` tags on all of the family boundary's points, or on
 none, make it a multipoint family (see ``limits.ProblemFamily``).
 
+Member data that does not depend on eps is built once per document,
+not once per member.  A matrix or vector of slots that are all numbers
+is parsed into a read-only complex array, which every member uses as it
+is; only slots holding expressions are evaluated per eps.  An expression
+payload keeps the derivative trees of its entries, which every function
+built from it shares, so each entry is differentiated once.
+
 The full schema is documented in docs/problem-document.md with complete
 sample files next to it.
 """
@@ -29,7 +36,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -137,7 +144,20 @@ def _resolve_slot(slot, eps: float | None, path: str, index: tuple[int, ...] = (
     return value
 
 
+def _parse_slot_array(raw, path: str, shape: tuple[int, ...], eps_ok: bool) -> np.ndarray:
+    """Nested scalar slots: a read-only complex array when every slot is a
+    number, else an object array of numbers and expression trees."""
+    slots = _parse_nested(raw, path, shape, partial(_parse_scalar_slot, eps_ok=eps_ok))
+    if all(isinstance(slot, complex) for slot in slots.flat):
+        slots = slots.astype(complex)
+        slots.flags.writeable = False
+    return slots
+
+
 def _resolve_slot_array(arr: np.ndarray, eps: float | None, path: str) -> np.ndarray:
+    """The slots' values at eps; an array of numbers is returned as it is."""
+    if arr.dtype != object:
+        return arr
     out = np.empty(arr.shape, dtype=complex)
     for idx in np.ndindex(arr.shape):
         out[idx] = _resolve_slot(arr[idx], eps, path, idx)
@@ -159,13 +179,16 @@ class FunctionDoc:
     entries: np.ndarray | None = None  # object array of Expression
     grid: Grid | None = None
     samples: np.ndarray | None = None
+    # the entries' derivative trees by order, shared by every function built
+    derivatives: dict = field(default_factory=dict, repr=False, compare=False)
 
     def build(self, eps: float | None, path: str) -> ArrayFunction:
         """The function at ``eps``; expression errors name ``path``, the payload's."""
         if self.kind == "constant":
             return ConstantFunction(self.constant)
         if self.kind == "expression":
-            return ExpressionFunction(self.entries, eps=eps, path=f"{path}.entries")
+            return ExpressionFunction(self.entries, eps=eps, path=f"{path}.entries",
+                                      derivatives=self.derivatives)
         return TabulatedFunction(self.grid, self.samples)
 
 
@@ -225,7 +248,7 @@ def _parse_function(raw, path: str, shape: tuple[int, ...], eps_ok: bool) -> Fun
 class PointDoc:
     location: object  # scalar slot
     order: int
-    matrix: np.ndarray  # object array of slots, (q, m)
+    matrix: np.ndarray  # slot array, (q, m)
     series: int | None = None
 
 
@@ -239,7 +262,7 @@ class BoundaryDoc:
 @dataclass(frozen=True)
 class RhsDoc:
     f: FunctionDoc
-    c: np.ndarray  # object array of slots, (q,)
+    c: np.ndarray  # slot array, (q,)
 
 
 @dataclass(frozen=True)
@@ -302,8 +325,8 @@ def _parse_boundary(raw, path: str, m: int, top_order: int,
         if order > top_order - 1:
             raise DocumentError(
                 f"order {order} out of range 0..{top_order - 1}", f"{ppath}.order")
-        matrix = _parse_nested(_require(item, "matrix", ppath), f"{ppath}.matrix",
-                               (conditions, m), partial(_parse_scalar_slot, eps_ok=eps_ok))
+        matrix = _parse_slot_array(_require(item, "matrix", ppath), f"{ppath}.matrix",
+                                   (conditions, m), eps_ok)
         series = item.get("series")
         if series is not None:
             if not eps_ok:
@@ -327,8 +350,7 @@ def _parse_rhs(raw, path: str, m: int, q: int, eps_ok: bool) -> RhsDoc:
     if not isinstance(raw, dict):
         raise DocumentError("expected an rhs object", path)
     f = _parse_function(_require(raw, "f", path), f"{path}.f", (m,), eps_ok)
-    c = _parse_nested(_require(raw, "c", path), f"{path}.c", (q,),
-                      partial(_parse_scalar_slot, eps_ok=eps_ok))
+    c = _parse_slot_array(_require(raw, "c", path), f"{path}.c", (q,), eps_ok)
     return RhsDoc(f, c)
 
 

@@ -47,16 +47,22 @@ class ExpressionFunction(ArrayFunction):
     """Entrywise expression trees in t, with ``eps`` bound at build time.
 
     Errors name an entry by its index, after ``path``: the JSON path of
-    the entries when the function comes from a document.
+    the entries when the function comes from a document.  The trees of
+    each derivative order are built on first use and kept in
+    ``derivatives``, a dict from order to trees.  Functions given the
+    same dict share them: they do not depend on eps, so the members of a
+    family built from one payload differentiate each entry once.
     """
 
-    def __init__(self, entries, eps: float | None = None, path: str = "expression entry "):
+    def __init__(self, entries, eps: float | None = None, path: str = "expression entry ",
+                 derivatives: dict[int, np.ndarray] | None = None):
         entries = np.asarray(entries, dtype=object)
         self.entries = entries
         self.shape = entries.shape
         self.eps = eps
         self.path = path
-        self._derivatives = {0: entries}
+        self._derivatives = {} if derivatives is None else derivatives
+        self._derivatives.setdefault(0, entries)
 
     def _entries_for(self, order: int):
         if order not in self._derivatives:

@@ -25,6 +25,14 @@ tags; they get their own assumption checks (point clustering,
 coefficient-sum convergence, weighted-norm smallness, zero-series decay),
 read off the members' boundary operators, with the selection rule
 depending on whether p is finite.
+
+The experiment works per problem, not per term or per evaluation.  Each
+member's coefficients, and the limit's, are tabulated once on the grid
+(``ode.coefficient_table``); the integration, condition (I) and the
+discrepancy read that one table.  Each series of a member is read off
+the boundary operator's term arrays as one magnitude table and one
+matrix sum, and each multipoint table entry is one reduction of those
+over the terms, added in term order.
 """
 
 from __future__ import annotations
@@ -36,9 +44,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .boundary import PointTerm
+from .boundary import BoundaryOperator
 from .characteristic import ProblemSpec, SolvabilityReport, analyze
-from .grid import DerivativeStack, Grid, lp_norm, sobolev_norm, vector_magnitude
+from .grid import DerivativeStack, Grid, LebesgueExponent, lp_norm, sobolev_norm, vector_magnitude
+from .ode import CoefficientTable, coefficient_table
 from .solver import discrepancy, superpose
 
 DEFAULT_EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -159,12 +168,6 @@ class ProblemFamily:
         if self.series is not None and count != len(self.series):
             raise ValueError(f"{len(self.series)} series tags for {count} boundary point terms")
 
-    def _series_terms(self, problem: ProblemSpec) -> dict[int, list[PointTerm]]:
-        """The point terms of ``problem`` by series tag, tags ascending, terms in order."""
-        terms = problem.boundary.point_terms
-        return {tag: [term for term, s in zip(terms, self.series) if s == tag]
-                for tag in sorted(set(self.series))}
-
     def stray_limit_term(self) -> int | None:
         """The index of the first limit-problem point term that lies more than
         LIMIT_POINT_TOL from the first point of its converging series, or None."""
@@ -180,30 +183,42 @@ class ProblemFamily:
         return tuple(self.at(eps) for eps in self.epsilons)
 
 
-def coefficient_distances(problem_eps: ProblemSpec, problem_zero: ProblemSpec,
-                          grid: Grid) -> list[float]:
-    """Order-n Sobolev distance of each coefficient matrix, by order d."""
-    n = problem_zero.n
+def coefficient_distances(table_eps: CoefficientTable, table_zero: CoefficientTable,
+                          exponent: LebesgueExponent) -> list[float]:
+    """Order-n Sobolev distance of each coefficient matrix, by order d.
+
+    Both tables are on one grid; the derivatives of a constant
+    coefficient, all zero, are None there and add nothing.
+    """
+    grid = table_zero.grid
     distances = []
-    for d in range(problem_zero.r):
+    for derivs_eps, derivs_zero in zip(table_eps.nodes, table_zero.nodes):
         total = 0.0
-        for k in range(n + 1):
-            diff = (problem_eps.coefficients.by_order[d].eval(grid.nodes, order=k)
-                    - problem_zero.coefficients.by_order[d].eval(grid.nodes, order=k))
-            total += lp_norm(diff, problem_zero.exponent, grid)
+        for a_eps, a_zero in zip(derivs_eps, derivs_zero):
+            if a_eps is None and a_zero is None:
+                continue
+            diff = (0.0 if a_eps is None else a_eps) - (0.0 if a_zero is None else a_zero)
+            total += lp_norm(np.broadcast_to(diff, (grid.count, *diff.shape[-2:])), exponent, grid)
         distances.append(total)
     return distances
 
 
+def _condition_I(epsilons, rows) -> ConditionReport:
+    """Coefficient convergence tables from per-eps rows of distances, one per order d."""
+    return ConditionReport("condition-I", tuple(
+        TrendTable.vanishing(f"coefficient of y^({d})", epsilons, column)
+        for d, column in enumerate(zip(*rows))
+    ))
+
+
 def check_condition_I(family: ProblemFamily, grid: Grid) -> ConditionReport:
     """Coefficient convergence tables, one per derivative order d."""
-    rows = [coefficient_distances(member, family.at_zero, grid) for member in family.members]
-    tables = []
-    for d in range(family.at_zero.r):
-        tables.append(TrendTable.vanishing(
-            f"coefficient of y^({d})", family.epsilons, [row[d] for row in rows]
-        ))
-    return ConditionReport("condition-I", tuple(tables))
+    zero = coefficient_table(family.at_zero.coefficients, grid)
+    return _condition_I(family.epsilons, [
+        coefficient_distances(coefficient_table(member.coefficients, grid), zero,
+                              family.at_zero.exponent)
+        for member in family.members
+    ])
 
 
 def default_probes(grid: Grid, dimension: int, max_order: int) -> DerivativeStack:
@@ -311,13 +326,31 @@ class MultipointAssumptionReport:
         return all(self.tables[name].passed for name in self.required)
 
 
-def _series_matrices(terms: list[PointTerm], orders: int) -> np.ndarray:
-    """Each term as its own point of the series: (points, orders, q, m),
-    zero at the orders the term does not have."""
-    out = np.zeros((len(terms), orders, *terms[0].matrix.shape), dtype=complex)
-    for k, term in enumerate(terms):
-        out[k, term.order] = term.matrix
-    return out
+def _term_sum(values: np.ndarray) -> np.ndarray:
+    """The sum over axis 0, terms added in order: the same bits for any shape.
+
+    A plain ``sum`` over terms is reordered pairwise by numpy for some
+    shapes, and compensated by Python's builtin ``sum`` since 3.12.
+    """
+    return np.cumsum(values, axis=0)[-1]
+
+
+def _series_table(boundary: BoundaryOperator, tags: np.ndarray, tag: int,
+                  orders: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of one series of ``boundary``, each term its own point k.
+
+    Returns the points (K,), the magnitudes |M_k^(d)| (K, orders), zero
+    at the orders a term does not have, and the summed matrices
+    sum_k M_k^(d), shape (orders, q, m).
+    """
+    at = tags == tag
+    points, term_orders, matrices = boundary.points[at], boundary.orders[at], boundary.matrices[at]
+    k = np.arange(points.size)
+    magnitudes = np.zeros((points.size, orders))
+    magnitudes[k, term_orders] = np.abs(matrices).sum(axis=(1, 2))
+    by_order = np.zeros((points.size, orders, *matrices.shape[1:]), dtype=complex)
+    by_order[k, term_orders] = matrices
+    return points, magnitudes, _term_sum(by_order)
 
 
 def check_multipoint_assumptions(family: ProblemFamily) -> MultipointAssumptionReport:
@@ -330,6 +363,12 @@ def check_multipoint_assumptions(family: ProblemFamily) -> MultipointAssumptionR
     zero-series}; for finite p the weighted-decay requirement splits into
     a boundedness condition on the top derivative order (with the
     conjugate-exponent weight) and a decay condition on the lower orders.
+
+    Each member's series is read as one magnitude table |M_k^(d)| and
+    one sum of its matrices (``_series_table``); every table entry is a
+    reduction of those over the terms k, in term order (``_term_sum``).
+    The limit's sums are reduced the same way, so a series whose
+    matrices do not depend on eps has beta exactly 0.
     """
     if family.series is None:
         raise ValueError("the family's boundary point terms carry no series tags")
@@ -339,8 +378,13 @@ def check_multipoint_assumptions(family: ProblemFamily) -> MultipointAssumptionR
                          "must share the eps = 0 limit")
     zero = family.at_zero
     orders = zero.n + zero.r
-    limits = {tag: (terms[0].point, _series_matrices(terms, orders).sum(axis=0))
-              for tag, terms in family._series_terms(zero).items() if tag != 0}
+    tags = np.array(family.series)
+    present = sorted(set(family.series))
+    limits = {}
+    for tag in present:
+        if tag != 0:
+            points, _, sums = _series_table(zero.boundary, tags, tag, orders)
+            limits[tag] = (points[0], sums)
     columns: dict[str, dict[str, list[float]]] = {
         key: {} for key in ("alpha", "beta", "gamma", "delta", "gamma_p", "gamma_prime")
     }
@@ -351,31 +395,27 @@ def check_multipoint_assumptions(family: ProblemFamily) -> MultipointAssumptionR
     conj = zero.exponent.conjugate
     weight_exponent = 0.0 if np.isinf(conj) else 1.0 / conj
     for member in family.members:
-        for j, terms in family._series_terms(member).items():
-            points = np.array([term.point for term in terms], dtype=float)
-            matrices = _series_matrices(terms, orders)
+        for j in present:
+            points, magnitudes, sums = _series_table(member.boundary, tags, j, orders)
+            labels = [f"series {j} order {d}" for d in range(orders)]
             if j == 0:
-                for d in range(orders):
-                    put("delta", f"series {j} order {d}",
-                        sum(vector_magnitude(matrices[k, d]) for k in range(len(points))))
+                for label, value in zip(labels, _term_sum(magnitudes).tolist()):
+                    put("delta", label, value)
                 continue
-            limit_point, limit_matrices = limits[j]
+            limit_point, limit_sums = limits[j]
             offsets = np.abs(points - limit_point)
+            # scalar powers, as libm computes them: numpy's array power may not
+            weights = np.array([offset ** weight_exponent for offset in offsets.tolist()])
+            beta = np.abs(sums - limit_sums).sum(axis=(1, 2)).tolist()
+            weighted = _term_sum(magnitudes * offsets[:, None]).tolist()
             put("alpha", f"series {j}", float(offsets.max()))
-            for d in range(orders):
-                put("beta", f"series {j} order {d}",
-                    vector_magnitude(matrices[:, d].sum(axis=0) - limit_matrices[d]))
-                weighted = sum(
-                    vector_magnitude(matrices[k, d]) * offsets[k] for k in range(len(points))
-                )
-                put("gamma", f"series {j} order {d}", weighted)
+            for d, label in enumerate(labels):
+                put("beta", label, beta[d])
+                put("gamma", label, weighted[d])
                 if d == orders - 1:
-                    put("gamma_p", f"series {j} order {d}", sum(
-                        vector_magnitude(matrices[k, d]) * offsets[k] ** weight_exponent
-                        for k in range(len(points))
-                    ))
+                    put("gamma_p", label, float(_term_sum(magnitudes[:, d] * weights)))
                 else:
-                    put("gamma_prime", f"series {j} order {d}", weighted)
+                    put("gamma_prime", label, weighted[d])
 
     tables = {}
     for name, rows in columns.items():
@@ -539,11 +579,11 @@ def convergence_experiment(family: ProblemFamily, grid: Grid,
     zero = family.at_zero
     if zero.rhs is None:
         raise ValueError("the limit problem needs a right-hand side for the experiment")
-    limit = analyze(zero, grid, rank_tolerance)
+    zero_table = coefficient_table(zero.coefficients, grid)
+    limit = analyze(zero, grid, rank_tolerance, zero_table)
     y_zero, _ = superpose(zero, limit)
     ratio_floor = grid.count * MACHINE_EPSILON * sobolev_norm(y_zero, zero.exponent)
 
-    condition_I = check_condition_I(family, grid)
     condition_II = check_condition_II(family, grid)
 
     rows = []
@@ -551,16 +591,17 @@ def convergence_experiment(family: ProblemFamily, grid: Grid,
     matrix_values = []
     errors = []
     ratios = []
-    for i, (eps, member) in enumerate(zip(family.epsilons, family.members)):
-        analysis = analyze(member, grid, rank_tolerance)
+    for eps, member in zip(family.epsilons, family.members):
+        table = coefficient_table(member.coefficients, grid)
+        analysis = analyze(member, grid, rank_tolerance, table)
         report = analysis.report
         reports.append(report)
-        distances = tuple(table.values[i] for table in condition_I.tables)
+        distances = tuple(coefficient_distances(table, zero_table, zero.exponent))
         matrix_distance = float(np.abs(analysis.matrix.entries - limit.matrix.entries).max())
         matrix_values.append(matrix_distance)
         flags = []
         error = None
-        disc = discrepancy(member, y_zero)
+        disc = discrepancy(member, y_zero, table)
         ratio = None
         if report.well_posed:
             y_eps, _ = superpose(member, analysis)
@@ -592,6 +633,7 @@ def convergence_experiment(family: ProblemFamily, grid: Grid,
     error_trend_passed = bool(errors) and len(errors) == len(family.epsilons) \
         and tends_to_zero(errors)
     bracket = (min(ratios), max(ratios)) if ratios else None
+    condition_I = _condition_I(family.epsilons, [row.coefficient_distances for row in rows])
     multipoint = check_multipoint_assumptions(family) if family.series is not None else None
     return LimitReport(
         epsilons=family.epsilons,

@@ -53,6 +53,12 @@ are skipped).  The two agree in exact arithmetic; on the same states
 they agree to N * 1e-15 of the largest entry.  ``fundamental_set``
 returns the stack as a ``DerivativeStack``; ``integration_residual``
 measures its finite-difference defect on request.
+
+Varying coefficients are read from one ``CoefficientTable`` per problem
+and grid (``coefficient_table``): A_d^(k) at the nodes for k <= n, A_d at
+the midpoints, a constant A_d as its one (m, m) block.  Stepping, the
+recurrence and ``residual_stack`` take it, so a caller that integrates a
+problem and then measures its residuals evaluates each coefficient once.
 """
 
 from __future__ import annotations
@@ -124,12 +130,43 @@ def _coefficient_tables(coeffs: CoefficientSet, ts: np.ndarray,
             else [fn.eval(ts, order=q) for q in range(orders + 1)] for fn in coeffs.by_order]
 
 
-def _top_rows(coeffs: CoefficientSet, ts: np.ndarray, f: ArrayFunction | None) -> np.ndarray:
-    """Order-(r-1) block rows [-A_0, ..., -A_{r-1} (, f)] of C at ``ts``."""
-    blocks = [-fn.eval(ts) for fn in coeffs.by_order]
-    if f is not None:
-        blocks.append(f.eval(ts)[:, :, None])
-    return np.concatenate(blocks, axis=2)
+@dataclass(frozen=True)
+class CoefficientTable:
+    """The coefficients of one problem, tabulated once on one grid.
+
+    ``nodes[d][q]`` is A_d^{(q)} at the grid's nodes, q = 0..n, and
+    ``midpoints[d]`` is A_d at the midpoints of the grid intervals.  A
+    ``ConstantFunction`` enters as its one (m, m) block in both, and its
+    derivatives q >= 1, all zero, as None.  ``coefficient_table`` builds
+    it; the integration, the residuals and the coefficient distances
+    of a family all read the same table.
+    """
+
+    grid: Grid
+    nodes: list[list[np.ndarray | None]]
+    midpoints: list[np.ndarray]
+
+
+def coefficient_table(coeffs: CoefficientSet, grid: Grid) -> CoefficientTable:
+    """Every A_d^{(q)}, q <= n, at the nodes and every A_d at the midpoints, once."""
+    nodes = _coefficient_tables(coeffs, grid.nodes, coeffs.n)
+    midpoints = [fn.values if isinstance(fn, ConstantFunction) else fn.eval(grid.midpoints)
+                 for fn in coeffs.by_order]
+    return CoefficientTable(grid, nodes, midpoints)
+
+
+def _top_rows(a_values, count: int, f_values: np.ndarray | None = None) -> np.ndarray:
+    """Order-(r-1) block rows [-A_0, ..., -A_{r-1} (, f)] of C at ``count`` points.
+
+    Each A_d is given at the points, or as one (m, m) block for all of them.
+    """
+    m = a_values[0].shape[-1]
+    top = np.empty((count, m, len(a_values) * m + (f_values is not None)), dtype=complex)
+    for d, a in enumerate(a_values):
+        top[:, :, d * m : (d + 1) * m] = -a
+    if f_values is not None:
+        top[:, :, -1] = f_values
+    return top
 
 
 def _companion(coeffs: CoefficientSet, top: np.ndarray) -> np.ndarray:
@@ -173,7 +210,7 @@ def _constant_step(coeffs: CoefficientSet, h: float) -> tuple[np.ndarray, np.nda
     """
     m, w = coeffs.m, coeffs.r * coeffs.m
     c = np.zeros((3, w + 3 * m, w + 3 * m), dtype=complex)
-    c[:, :w, :w] = _companion(coeffs, _top_rows(coeffs, np.zeros(1), None))
+    c[:, :w, :w] = _companion(coeffs, _top_rows([fn.values for fn in coeffs.by_order], 1))
     for s in range(3):
         c[s, w - m : w, w + s * m : w + (s + 1) * m] = np.eye(m)
     p = _propagators(c[0], c[1], c[2], h)
@@ -218,16 +255,20 @@ def _doubled_states(coeffs: CoefficientSet, grid: Grid, width: int,
     return states
 
 
-def _stepped_states(coeffs: CoefficientSet, grid: Grid, width: int,
+def _stepped_states(coeffs: CoefficientSet, table: CoefficientTable, width: int,
                     f: ArrayFunction | None) -> np.ndarray:
     """States for varying coefficients: x_{i+1} = P_i x_i, one step at a time.
 
-    The P_i are built in batches of ``_BATCH`` grid intervals.
+    The A_d come from the problem's table; the P_i are built in batches
+    of ``_BATCH`` grid intervals.
     """
+    grid = table.grid
     states = np.empty((grid.count, width, width), dtype=complex)
     states[0] = np.eye(width)
-    top_nodes = _top_rows(coeffs, grid.nodes, f)
-    top_mid = _top_rows(coeffs, grid.midpoints, f)
+    top_nodes = _top_rows([derivs[0] for derivs in table.nodes], grid.count,
+                          None if f is None else f.eval(grid.nodes))
+    top_mid = _top_rows(table.midpoints, grid.count - 1,
+                        None if f is None else f.eval(grid.midpoints))
     for lo in range(0, grid.count - 1, _BATCH):
         hi = min(lo + _BATCH, grid.count - 1)
         c_nodes = _companion(coeffs, top_nodes[lo : hi + 1])
@@ -237,18 +278,23 @@ def _stepped_states(coeffs: CoefficientSet, grid: Grid, width: int,
     return states
 
 
-def _integrate(coeffs: CoefficientSet, grid: Grid, f: ArrayFunction | None = None) -> np.ndarray:
+def _integrate(coeffs: CoefficientSet, grid: Grid, f: ArrayFunction | None = None,
+               table: CoefficientTable | None = None) -> np.ndarray:
     """Fixed-step RK4 on the companion system from the identity.
 
     Returns states (nodes, width, width), width r*m, or r*m + 1 with a
     forcing f acting on [x; 1].  Constant coefficients (``coeffs.constant``)
-    propagate by doubling, any other by stepping; the stored states are
+    propagate by doubling, any other by stepping through ``table``, the
+    problem's coefficient table on ``grid``; the stored states are
     checked once for blow-up.
     """
     width = coeffs.r * coeffs.m + (f is not None)
     # blow-up is detected once below, so overflow warnings are redundant
     with np.errstate(over="ignore", invalid="ignore"):
-        states = (_doubled_states if coeffs.constant else _stepped_states)(coeffs, grid, width, f)
+        if coeffs.constant:
+            states = _doubled_states(coeffs, grid, width, f)
+        else:
+            states = _stepped_states(coeffs, table, width, f)
     finite = np.isfinite(states).all(axis=(1, 2))
     if not finite.all():
         i = max(int(np.argmin(finite)) - 1, 0)
@@ -361,7 +407,7 @@ def order_rows(coeffs: CoefficientSet) -> list[np.ndarray]:
     and C the companion matrix of constant coefficients.
     """
     m, r = coeffs.m, coeffs.r
-    companion = _companion(coeffs, _top_rows(coeffs, np.zeros(1), None))[0]
+    companion = _companion(coeffs, _top_rows([fn.values for fn in coeffs.by_order], 1))[0]
     rows = [np.eye(m, r * m, k=d * m, dtype=complex) for d in range(r)]
     for _ in range(coeffs.n + 1):
         rows.append(rows[-1] @ companion)
@@ -392,7 +438,8 @@ def _companion_orders(coeffs: CoefficientSet, low: np.ndarray,
     return samples
 
 
-def fundamental_set(coeffs: CoefficientSet, grid: Grid, f=None) -> DerivativeStack:
+def fundamental_set(coeffs: CoefficientSet, grid: Grid, f=None,
+                    table: CoefficientTable | None = None) -> DerivativeStack:
     """Integrate the r homogeneous matrix problems on the grid at once.
 
     Returns the fundamental matrix [Y_1 ... Y_r] as one block stack of
@@ -401,20 +448,24 @@ def fundamental_set(coeffs: CoefficientSet, grid: Grid, f=None) -> DerivativeSta
     derivative orders 0..n+r.  With a forcing ``f`` the same pass also
     integrates y_p, the solution of L y = f with zero initial data, as
     one last column: the (w+1) x (w+1) identity on [x; 1], w = r*m.
+    Varying coefficients are read from ``table``, the problem's
+    ``coefficient_table`` on ``grid``, built here when not given;
+    constant ones need no table.
     """
     m, r, count = coeffs.m, coeffs.r, grid.count
     w, f_tables = r * m, None
     if f is not None:
         f = as_array_function(f, (m,))
         f_tables = [f.eval(grid.nodes, order=s) for s in range(coeffs.n + 1)]
-    states = _integrate(coeffs, grid, f)
+    if not coeffs.constant and table is None:
+        table = coefficient_table(coeffs, grid)
+    states = _integrate(coeffs, grid, f, table)
     # rows below w are the companion state; the forced row w is the constant 1
     low = states[:, :w].reshape(count, r, m, states.shape[2]).transpose(1, 0, 2, 3)
     if coeffs.constant:
         samples = _companion_orders(coeffs, low, f_tables)
     else:
-        samples = _extend_orders(coeffs, _coefficient_tables(coeffs, grid.nodes, coeffs.n),
-                                 low, f_tables)
+        samples = _extend_orders(coeffs, table.nodes, low, f_tables)
     return DerivativeStack._adopt(grid, samples)
 
 
@@ -435,19 +486,24 @@ def integration_residual(stack: DerivativeStack, r: int) -> float:
 
 
 def residual_stack(coeffs: CoefficientSet, y: DerivativeStack, f=None,
-                   orders: int | None = None) -> DerivativeStack:
-    """Samples of (L y - f) and its derivatives 0..orders (default n).
+                   orders: int | None = None,
+                   table: CoefficientTable | None = None) -> DerivativeStack:
+    """Samples of (L y - f) and its derivatives 0..orders (default n, at most n).
 
-    ``y`` must carry derivative orders up to r + orders.
+    ``y`` must carry derivative orders up to r + orders.  The
+    coefficients are read from ``table``, the problem's
+    ``coefficient_table`` on y's grid, built here when not given.
     """
     if orders is None:
         orders = coeffs.n
+    if orders > coeffs.n:
+        raise ValueError(f"the residual has derivative orders 0..{coeffs.n}, not {orders}")
     if y.max_order < coeffs.r + orders:
         raise ValueError(
             f"stack carries orders 0..{y.max_order}, need {coeffs.r + orders}"
         )
     grid = y.grid
-    a_tables = _coefficient_tables(coeffs, grid.nodes, orders)
+    a_tables = (coefficient_table(coeffs, grid) if table is None else table).nodes
     f_fn = as_array_function(f, (coeffs.m,)) if f is not None else None
     rows = []
     y_orders = [y.samples[k] for k in range(y.max_order + 1)]

@@ -134,16 +134,17 @@ def split_series(limit_point, limit_matrices):
     return terms
 
 
-def tagged_family(series, epsilons, exponent=P2):
-    """First-order 2x2 system (n = 1, coefficient 0.3 I, f = (1, 0)) on [0, 1]
-    whose boundary operator is the point terms of ``series``, a dict from
-    series tag to builder, with boundary data (1, -0.5)."""
-    coeffs = CoefficientSet(1, 2, 1, (0.3 * np.eye(2),))
-    rhs = RightHandSide(ConstantFunction(np.array([1.0, 0.0])), np.array([1.0, -0.5]))
+def tagged_family(series, epsilons, exponent=P2, m=2):
+    """First-order m x m system, m = 1 or 2 (n = 1, coefficient 0.3 I,
+    f = (1, 0)[:m]) on [0, 1] whose boundary operator is the point terms of
+    ``series``, a dict from series tag to builder, with boundary data
+    (1, -0.5)[:m]."""
+    coeffs = CoefficientSet(1, m, 1, (0.3 * np.eye(m),))
+    rhs = RightHandSide(ConstantFunction(np.array([1.0, 0.0])[:m]), np.array([1.0, -0.5])[:m])
 
     def make(eps):
         terms = tuple(PointTerm(*term) for build in series.values() for term in build(eps))
-        return ProblemSpec(UNIT, coeffs, BoundaryOperator(2, terms), exponent, rhs)
+        return ProblemSpec(UNIT, coeffs, BoundaryOperator(m, terms), exponent, rhs)
 
     tags = tuple(tag for tag, build in series.items() for _ in build(0.0))
     return ProblemFamily(make(0.0), make, epsilons=epsilons, series=tags)

@@ -257,3 +257,82 @@ def test_apply_interpolates_each_order_once(monkeypatch):
                                    for k, d in enumerate(orders)))
     op.apply(DerivativeStack(grid, random_complex(rng, 3, grid.count, 2, 4)))
     assert sorted(calls) == [2, 3]
+
+
+# ---------------------------------------------------------------------------
+# apply against a per-term reference
+
+
+def _apply_per_term(op, stack):
+    """B applied term by term: each order interpolated once, each product
+    added to a zero result in term order, then the trapezoid integral."""
+    points = {}
+    for term in op.point_terms:
+        points.setdefault(term.order, []).append(term.point)
+    values = {order: iter(interpolate(stack.grid, stack.samples[order], ts))
+              for order, ts in points.items()}
+    result = np.zeros((op.codomain, *stack.samples.shape[3:]), dtype=complex)
+    for term in op.point_terms:
+        result += np.einsum("qm,m...->q...", term.matrix, next(values[term.order]))
+    if op.integral_term is not None:
+        kernel = op.integral_term.kernel.eval(stack.grid.nodes)
+        integrand = np.einsum("nqm,nm...->nq...", kernel, stack.samples[stack.max_order])
+        trapezoids = stack.grid.step * (integrand[1:] + integrand[:-1]) / 2.0
+        result += np.cumsum(trapezoids, axis=0)[-1]
+    return result
+
+
+def assert_same_bits(actual, expected):
+    np.testing.assert_array_equal(actual, expected)
+    for part in (np.real, np.imag):
+        np.testing.assert_array_equal(np.signbit(part(actual)), np.signbit(part(expected)))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_apply_matches_the_per_term_sum_bit_for_bit(seed):
+    # up to 100 terms of mixed orders at repeated points, on and off the
+    # nodes, some with an integral term; vector, block and probe stacks
+    from fredholm_bvp.limits import default_probes
+
+    rng = np.random.default_rng(60 + seed)
+    grid = Grid.uniform(UNIT, 41)
+    m, top = 2, 3
+    q = int(rng.integers(1, 4))
+    pool = np.concatenate([grid.nodes[[0, 7, 20, 40]], rng.uniform(0.0, 1.0, 4)])
+    count = int(rng.integers(1, 101))
+    terms = tuple(PointTerm(float(rng.choice(pool)), int(rng.integers(0, top)),
+                            random_complex(rng, q, m)) for _ in range(count))
+    integral = IntegralTerm(random_complex(rng, q, m)) if seed % 3 == 0 else None
+    op = BoundaryOperator(q, terms, integral)
+    stacks = [
+        random_stack(grid, rng, m, top),
+        DerivativeStack(grid, random_complex(rng, top + 1, grid.count, m, 5)),
+        DerivativeStack(grid, random_complex(rng, top + 1, grid.count, m, 2, 3)),
+        default_probes(grid, m, top),
+    ]
+    for stack in stacks:
+        assert_same_bits(op.apply(stack), _apply_per_term(op, stack))
+
+
+def test_apply_adds_a_negative_zero_product_to_zero():
+    # the one product is -1 * (+0.0), which IEEE arithmetic makes -0.0;
+    # added to a zero result it reads +0.0, as the per-term sum does
+    grid = Grid.uniform(UNIT, 11)
+    stack = constant_stack(grid, np.zeros(1))
+    op = point_evaluation(0.5, -np.eye(1))
+    assert np.signbit(op.point_terms[0].matrix.real * stack.samples[0, 5].real).all()
+    result = op.apply(stack)
+    assert_same_bits(result, _apply_per_term(op, stack))
+    assert not np.signbit(result.real).any()
+
+
+def test_apply_with_an_integral_term_alone_or_no_term():
+    grid = Grid.uniform(UNIT, 31)
+    rng = np.random.default_rng(70)
+    stack = DerivativeStack(grid, random_complex(rng, 2, grid.count, 2, 3))
+    for op in (BoundaryOperator(2, (), IntegralTerm(random_complex(rng, 2, 2))),
+               BoundaryOperator(2)):
+        result = op.apply(stack)
+        assert result.shape == (2, 3)
+        assert_same_bits(result, _apply_per_term(op, stack))
+    assert_same_bits(BoundaryOperator(2).apply(stack), np.zeros((2, 3), dtype=complex))

@@ -24,7 +24,7 @@ from fredholm_bvp import (
     solve,
 )
 from fredholm_bvp import limits
-from fredholm_bvp.grid import P2, PINF, sobolev_norm
+from fredholm_bvp.grid import P2, PINF, LebesgueExponent, sobolev_norm, vector_magnitude
 from fredholm_bvp.limits import DEFAULT_EPSILONS, semicontinuity, tends_to_zero
 
 GRID = Grid.uniform(UNIT, 201)
@@ -237,6 +237,118 @@ def test_converging_series_needs_one_limit_point():
         check_multipoint_assumptions(family)
 
 
+def _multipoint_per_term(family):
+    """The multipoint tables term by term, as rows {table: {label: values}}.
+
+    Magnitudes are taken term by term, and every sum adds its terms in
+    order from zero, the limit's matrix sums as well as the members'.
+    The sums are plain loops: Python's builtin ``sum`` is compensated
+    since 3.12.
+    """
+    zero = family.at_zero
+    orders = zero.n + zero.r
+    conj = zero.exponent.conjugate
+    weight_exponent = 0.0 if np.isinf(conj) else 1.0 / conj
+
+    def by_series(problem):
+        terms = problem.boundary.point_terms
+        return {tag: [term for term, s in zip(terms, family.series) if s == tag]
+                for tag in sorted(set(family.series))}
+
+    def total(values):
+        result = 0.0
+        for value in values:
+            result += value
+        return result
+
+    def matrix_sums(terms):
+        sums = np.zeros((orders, *terms[0].matrix.shape), dtype=complex)
+        for term in terms:
+            sums[term.order] += term.matrix
+        return sums
+
+    limits_ = {tag: (terms[0].point, matrix_sums(terms))
+               for tag, terms in by_series(zero).items() if tag != 0}
+    columns = {key: {} for key in ("alpha", "beta", "gamma", "delta", "gamma_p", "gamma_prime")}
+
+    def put(table, label, value):
+        columns[table].setdefault(label, []).append(value)
+
+    def magnitude(term, d):
+        return vector_magnitude(term.matrix) if term.order == d else 0.0
+
+    for member in family.members:
+        for j, terms in by_series(member).items():
+            if j == 0:
+                for d in range(orders):
+                    put("delta", f"series {j} order {d}", total(magnitude(t, d) for t in terms))
+                continue
+            limit_point, limit_sums = limits_[j]
+            offsets = [abs(term.point - limit_point) for term in terms]
+            sums = matrix_sums(terms)
+            put("alpha", f"series {j}", max(offsets))
+            for d in range(orders):
+                label = f"series {j} order {d}"
+                put("beta", label, vector_magnitude(sums[d] - limit_sums[d]))
+                weighted = total(magnitude(t, d) * o for t, o in zip(terms, offsets))
+                put("gamma", label, weighted)
+                if d == orders - 1:
+                    put("gamma_p", label, total(magnitude(t, d) * o ** weight_exponent
+                                                for t, o in zip(terms, offsets)))
+                else:
+                    put("gamma_prime", label, weighted)
+    return columns
+
+
+def _scattered_series(rng, limit_point, count, m, scale=None):
+    """``count`` points limit_point + delta_k eps at random orders 0 and 1,
+    with random m x m matrices times ``scale(eps)``, or fixed ones."""
+    deltas = rng.uniform(-1.0, 1.0, count)
+    orders = rng.integers(0, 2, count)
+    matrices = rng.normal(size=(count, m, m)) + 1j * rng.normal(size=(count, m, m))
+
+    def terms(eps):
+        factor = 1.0 if scale is None else scale(eps)
+        return [(limit_point + float(delta) * eps, int(d), matrix * factor)
+                for delta, d, matrix in zip(deltas, orders, matrices)]
+
+    return terms
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_multipoint_tables_match_the_per_term_loop_bit_for_bit(m):
+    # 48 points: two converging series whose matrices move with eps, and a
+    # zero series; with m = 1 numpy's own sum over the terms is pairwise
+    rng = np.random.default_rng(80 + m)
+    epsilons = (1e-1, 1e-3, 1e-5, 1e-8)
+    for exponent in (P2, PINF, LebesgueExponent(3.0)):
+        family = tagged_family({
+            0: _scattered_series(rng, 0.55, 8, m, scale=lambda eps: eps),
+            1: _scattered_series(rng, 0.3, 20, m, scale=lambda eps: 1.0 + eps),
+            2: _scattered_series(rng, 0.8, 20, m, scale=lambda eps: 1.0 - 2.0 * eps),
+        }, epsilons, exponent=exponent, m=m)
+        assert len(family.series) == 48
+        report = check_multipoint_assumptions(family)
+        expected = _multipoint_per_term(family)
+        assert list(report.tables) == list(expected)
+        for name, rows in expected.items():
+            assert [(row.label, row.values) for row in report.tables[name].tables] \
+                == [(label, tuple(values)) for label, values in rows.items()]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_beta_is_zero_when_the_series_matrices_do_not_depend_on_eps(m):
+    # the members' matrix sums and the limit's are reduced the same way,
+    # so equal matrices give beta exactly 0, not a rounding residue
+    rng = np.random.default_rng(90 + m)
+    family = tagged_family({1: _scattered_series(rng, 0.3, 24, m),
+                            2: _scattered_series(rng, 0.8, 24, m)}, (1e-2, 1e-4, 1e-6), m=m)
+    report = check_multipoint_assumptions(family)
+    beta = table_rows(report, "beta")
+    assert list(beta) == [f"series {j} order {d}" for j in (1, 2) for d in (0, 1)]
+    assert all(value == 0.0 for values in beta.values() for value in values)
+
+
 # ---------------------------------------------------------------------------
 # characteristic convergence and semicontinuity
 
@@ -403,6 +515,54 @@ def test_experiment_builds_each_member_once(monkeypatch):
     assert built == list(family.epsilons)
     assert len(distances) == len(family.epsilons)
     assert report.to_document() == expected.to_document()
+
+
+def test_experiment_tabulates_each_coefficient_once(monkeypatch):
+    # expression coefficients and forcing, from one document: every A_d^(k),
+    # k <= n, of each member and of the limit is evaluated once on the
+    # nodes and A_d once on the midpoints, and each entry of a payload is
+    # differentiated once for all of them
+    from fredholm_bvp import expressions
+    from fredholm_bvp.document import document_family, load_document
+    from fredholm_bvp.functions import ExpressionFunction
+
+    schedule = [1e-2, 1e-4, 1e-6]
+    entries = [["0.3 + eps*sin(t)", "0.1*t"], ["eps*t^2", "0.2 + eps*cos(2*t)"]]
+    doc = load_document({
+        "interval": {"a": 0, "b": 1}, "orders": {"r": 1, "m": 2, "n": 2}, "exponent": 2,
+        "coefficients": [{"kind": "constant", "values": [[0.3, 0], [0, 0.2]]}],
+        "boundary": {"conditions": 2, "points": [{"t": 0, "order": 0, "matrix": [[1, 0], [0, 1]]}]},
+        "rhs": {"f": {"kind": "expression", "entries": ["1 + t", "sin(t)"]}, "c": [1, -1]},
+        "family": {"schedule": schedule,
+                   "coefficients": [{"kind": "expression", "entries": entries}]},
+    })
+    evaluations, differentiated = [], []
+    evaluate, differentiate = ExpressionFunction.eval, expressions.symbolic_derivative
+    depth = [0]
+
+    def counting_eval(self, ts, order=0):
+        evaluations.append((self.path, self.eps, order, len(ts)))
+        return evaluate(self, ts, order)
+
+    def counting_derivative(expr, var="t"):
+        if not depth[0]:  # the outermost call builds one entry's tree
+            differentiated.append(id(expr))
+        depth[0] += 1
+        try:
+            return differentiate(expr, var)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(ExpressionFunction, "eval", counting_eval)
+    monkeypatch.setattr(expressions, "symbolic_derivative", counting_derivative)
+    convergence_experiment(document_family(doc), GRID)
+    path = "$.family.coefficients[0].entries"
+    tabulated = [call for call in evaluations if call[0] == path]
+    expected = [(path, eps, k, GRID.count) for eps in [0.0, *schedule] for k in range(3)]
+    expected += [(path, eps, 0, GRID.count - 1) for eps in [0.0, *schedule]]
+    assert sorted(tabulated) == sorted(expected)
+    # two derivative orders of 4 coefficient entries and 2 forcing entries
+    assert len(differentiated) == len(set(differentiated)) == 2 * (4 + 2)
 
 
 def _splitting_problem_family(extra_series=None, epsilons=(1e-2, 1e-4, 1e-7)):
