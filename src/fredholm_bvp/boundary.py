@@ -8,14 +8,16 @@ optionally plus ``integral of kernel(t) @ y^(top)(t) dt``.  The same
 representation covers one-point canonical conditions, two-point and
 multipoint conditions.
 
-An operator keeps its point terms as three arrays, built once: points
-(T,), orders (T,) and matrices (T, q, m).  ``apply`` interpolates each
-derivative order once, at the points of all its terms, scatters the
-values into one (T, m, *columns) array in term order, forms every
-product with one ``einsum`` and sums the products in term order from
-zero with ``cumsum``.  That is the arithmetic of adding the terms one by
-one, so each column of a block result is bit-identical to the operator
-applied to that column alone, signed zeros included.
+An operator keeps its point terms as three arrays: points (T,), orders
+(T,) and matrices (T, q, m).  Documents build operators straight from
+their arrays (``BoundaryOperator.from_arrays``), with no ``PointTerm``
+per term.  ``apply`` interpolates each derivative order once, at the
+points of all its terms, scatters the values into one (T, m, *columns)
+array in term order, forms every product with one ``einsum`` and sums
+the products in term order from zero with ``cumsum``.  That is the
+arithmetic of adding the terms one by one, so each column of a block
+result is bit-identical to the operator applied to that column alone,
+signed zeros included.
 
 Point evaluation of the top derivative is rejected: the top derivative
 is merely integrable, so its point values carry no meaning (and no
@@ -26,7 +28,9 @@ Caputo-style fractional derivatives must be reformulated before use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -78,39 +82,77 @@ class IntegralTerm:
             raise ValueError("integral kernel must be matrix-valued")
 
 
-@dataclass(frozen=True)
 class BoundaryOperator:
-    """q scalar conditions assembled from point terms and an integral term."""
+    """q scalar conditions assembled from point terms and an integral term.
+
+    ``BoundaryOperator(codomain, point_terms, integral_term)`` takes the
+    terms as ``PointTerm``s; ``from_arrays`` takes them as the arrays the
+    operator keeps, read-only and in term order: ``points`` (T,),
+    ``orders`` (T,) and ``matrices`` (T, q, m).  ``point_terms`` is built
+    from the arrays on first use.
+    """
 
     codomain: int
-    point_terms: tuple[PointTerm, ...] = ()
-    integral_term: IntegralTerm | None = None
-    # the point terms as arrays, term by term, set from point_terms
-    points: np.ndarray = field(init=False, repr=False, compare=False)  # (T,)
-    orders: np.ndarray = field(init=False, repr=False, compare=False)  # (T,)
-    matrices: np.ndarray = field(init=False, repr=False, compare=False)  # (T, q, m)
+    points: np.ndarray
+    orders: np.ndarray
+    matrices: np.ndarray
+    integral_term: IntegralTerm | None
 
-    def __post_init__(self):
-        if self.codomain < 1:
+    def __init__(self, codomain: int, point_terms: Sequence[PointTerm] = (),
+                 integral_term: IntegralTerm | None = None):
+        terms = tuple(point_terms)
+        if codomain < 1:
             raise ValueError("codomain must be positive")
-        terms = tuple(self.point_terms)
-        object.__setattr__(self, "point_terms", terms)
         for term in terms:
-            if term.matrix.shape[0] != self.codomain:
+            if term.matrix.shape[0] != codomain:
                 raise ValueError(
-                    f"point-term matrix has {term.matrix.shape[0]} rows, expected {self.codomain}"
+                    f"point-term matrix has {term.matrix.shape[0]} rows, expected {codomain}"
                 )
         if len({term.matrix.shape[1] for term in terms}) > 1:
             raise ValueError("point-term matrices must all have the same column count")
-        if self.integral_term is not None and self.integral_term.kernel.shape[0] != self.codomain:
-            raise ValueError("integral kernel row count does not match the codomain")
-        orders = np.array([term.order for term in terms], dtype=int)
         matrices = (np.stack([term.matrix for term in terms]) if terms
-                    else np.zeros((0, self.codomain, 0), dtype=complex))
-        for name, value in (("points", np.array([term.point for term in terms], dtype=float)),
-                            ("orders", orders), ("matrices", matrices)):
+                    else np.zeros((0, codomain, 0), dtype=complex))
+        self._adopt(codomain, np.array([term.point for term in terms], dtype=float),
+                    np.array([term.order for term in terms], dtype=int), matrices, integral_term)
+        self.point_terms = terms
+
+    @classmethod
+    def from_arrays(cls, codomain: int, points: np.ndarray, orders: np.ndarray,
+                    matrices: np.ndarray, integral_term: IntegralTerm | None = None
+                    ) -> "BoundaryOperator":
+        """The operator of the terms ``matrices[k] @ y^(orders[k])(points[k])``.
+
+        The arrays are kept, copied only when not contiguous, and made
+        read-only; the caller vouches for the terms: integer orders >= 0
+        and real points.
+        """
+        if codomain < 1:
+            raise ValueError("codomain must be positive")
+        matrices = np.asarray(matrices, dtype=complex)
+        if matrices.ndim != 3 or matrices.shape[1] != codomain:
+            raise ValueError(f"point-term matrices must have shape (T, {codomain}, m)")
+        if np.shape(points) != matrices.shape[:1] or np.shape(orders) != matrices.shape[:1]:
+            raise ValueError("one point and one order per point-term matrix")
+        operator = cls.__new__(cls)
+        operator._adopt(codomain, points, orders, matrices, integral_term)
+        return operator
+
+    def _adopt(self, codomain, points, orders, matrices, integral_term) -> None:
+        if integral_term is not None and integral_term.kernel.shape[0] != codomain:
+            raise ValueError("integral kernel row count does not match the codomain")
+        self.codomain = codomain
+        self.integral_term = integral_term
+        for name, value in (("points", np.ascontiguousarray(points, dtype=float)),
+                            ("orders", np.ascontiguousarray(orders, dtype=int)),
+                            ("matrices", np.ascontiguousarray(matrices, dtype=complex))):
             value.flags.writeable = False
-            object.__setattr__(self, name, value)
+            setattr(self, name, value)
+
+    @cached_property
+    def point_terms(self) -> tuple[PointTerm, ...]:
+        """The point terms, one ``PointTerm`` each, in term order."""
+        return tuple(PointTerm(point, order, matrix) for point, order, matrix
+                     in zip(self.points.tolist(), self.orders.tolist(), self.matrices))
 
     def _check_stack(self, stack: DerivativeStack) -> None:
         too_high = np.flatnonzero(self.orders >= stack.max_order)
@@ -119,7 +161,7 @@ class BoundaryOperator:
                 f"point term of order {self.orders[too_high[0]]} is not continuous on stacks "
                 f"of top order {stack.max_order}; orders up to {stack.max_order - 1} only"
             )
-        if self.point_terms and self.matrices.shape[2] != stack.dimension:
+        if self.orders.size and self.matrices.shape[2] != stack.dimension:
             raise ValueError("point-term matrix column count does not match the stack")
 
     def apply(self, stack: DerivativeStack) -> np.ndarray:
@@ -166,8 +208,7 @@ class BoundaryOperator:
             embed = length ** (1.0 / p.conjugate) if np.isfinite(p.conjugate) else 1.0
         embed *= max(1.0 / length, 1.0)
         constant = sum(
-            _INTERP_CONSTANT * vector_magnitude(term.matrix) * embed
-            for term in self.point_terms
+            _INTERP_CONSTANT * vector_magnitude(matrix) * embed for matrix in self.matrices
         )
         if self.integral_term is not None:
             if grid is None:

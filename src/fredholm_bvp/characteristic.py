@@ -69,19 +69,22 @@ class ProblemSpec:
     rhs: RightHandSide | None = None
 
     def __post_init__(self):
-        top, interval = self.coefficients.max_order, self.interval
-        for i, term in enumerate(self.boundary.point_terms):
-            if term.matrix.shape[1] != self.coefficients.m:
-                raise ValueError(
-                    f"boundary matrix columns ({term.matrix.shape[1]}) do not match "
-                    f"the system size m={self.coefficients.m}"
-                )
+        top, interval, boundary = self.coefficients.max_order, self.interval, self.boundary
+        if boundary.orders.size and boundary.matrices.shape[2] != self.coefficients.m:
+            raise ValueError(
+                f"boundary matrix columns ({boundary.matrices.shape[2]}) do not match "
+                f"the system size m={self.coefficients.m}"
+            )
+        inside = (interval.a <= boundary.points) & (boundary.points <= interval.b)
+        bad = (boundary.orders > top - 1) | ~inside
+        if bad.any():
+            i = int(np.argmax(bad))
+            term = boundary.point_terms[i]  # as given, for the message
             if term.order > top - 1:
                 raise ValueError(f"point term {i}: order {term.order} out of range 0..{top - 1}")
-            if not interval.contains(term.point):
-                raise ValueError(f"point term {i}: point {term.point} outside "
-                                 f"[{interval.a}, {interval.b}]")
-        integral = self.boundary.integral_term
+            raise ValueError(f"point term {i}: point {term.point} outside "
+                             f"[{interval.a}, {interval.b}]")
+        integral = boundary.integral_term
         if integral is not None and integral.kernel.shape[1] != self.coefficients.m:
             raise ValueError("integral kernel column count does not match the system size")
         if self.rhs is not None:
@@ -227,20 +230,19 @@ def _characteristic_from_powers(problem: ProblemSpec, grid: Grid) -> np.ndarray 
     squares = propagator_squares(coeffs, grid)
     if squares is None:
         return None
-    points = [term.point for term in boundary.point_terms]
-    nearest, at_node, stencil, weights = point_stencil(grid, points)
+    nearest, at_node, stencil, weights = point_stencil(grid, boundary.points)
     needed = set(nearest[at_node].tolist())
     if stencil is not None:
         needed.update(stencil[~at_node].ravel().tolist())
     powers = {j: propagator_power(squares, j) for j in needed}
     rows = order_rows(coeffs)
     entries = np.zeros((problem.q, problem.state_size), dtype=complex)
-    for i, term in enumerate(boundary.point_terms):
+    for i, (order, matrix) in enumerate(zip(boundary.orders.tolist(), boundary.matrices)):
         if at_node[i]:
             local = powers[int(nearest[i])]
         else:
             local = sum(weight * powers[j] for j, weight in zip(stencil[i].tolist(), weights[i]))
-        entries += term.matrix @ (rows[term.order] @ local)
+        entries += matrix @ (rows[order] @ local)
     if kernel is not None:
         entries += kernel.values @ (rows[-1] @ propagator_trapezoid(squares, grid))
     return entries

@@ -13,12 +13,14 @@ recursive list path, which writes NaN as ``null`` and +-inf as ``"inf"`` and
 takes each closed form from the recognised configuration of the problem,
 whether it comes from a document or is one of the builtins ``ex1``..``ex5``.
 Exit status: 0 on success, 2 when an analysis completes but the problem
-is not well posed, 1 on any error.
+is not well posed, 1 on any error.  ``main`` builds its argument parser
+once per process and parses every command line with it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -198,7 +200,8 @@ def _run_analyze(args) -> int:
 def _run_solve(args) -> int:
     problem = document_problem(load_document(args.document))
     grid = Grid.uniform(problem.interval, args.nodes)
-    table = coefficient_table(problem.coefficients, grid)
+    forcing = problem.rhs.f if problem.rhs is not None else None
+    table = coefficient_table(problem.coefficients, grid, forcing)
     analysis = analyze(problem, grid, args.rank_tol, table)
     y, weights = superpose(problem, analysis)
     condition_number = analysis.matrix.condition_number
@@ -498,9 +501,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one argument parser: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.handler(args)
     except NotWellPosedError as err:
         print(f"not well posed: {err}", file=sys.stderr)

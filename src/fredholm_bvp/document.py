@@ -20,12 +20,21 @@ evaluation of its generators, so generators must stay finite there.
 Integer ``series`` tags on all of the family boundary's points, or on
 none, make it a multipoint family (see ``limits.ProblemFamily``).
 
-Member data that does not depend on eps is built once per document,
-not once per member.  A matrix or vector of slots that are all numbers
-is parsed into a read-only complex array, which every member uses as it
-is; only slots holding expressions are evaluated per eps.  An expression
-payload keeps the derivative trees of its entries, which every function
-built from it shares, so each entry is differentiated once.
+Nested lists are read against their declared shapes, lengths first, so
+nothing of a declared size that the document does not hold is allocated.
+A list of numbers, or of ``[re, im]`` pairs, becomes one read-only complex
+array in one numpy conversion (``_number_array``); any other list is
+walked entry by entry (``_parse_nested``), which also raises every error.
+
+Member data that does not depend on eps is built once per document, not
+once per member.  Scalar slots are held as a ``SlotArray``: the numbers
+in one complex array, which every member uses as it is, and the
+expressions in eps by index, which alone are evaluated per eps.  A
+boundary section is held as arrays, its locations, orders and one
+(T, q, m) matrix array, and each member's ``BoundaryOperator`` is built
+straight from them, every term checked at once.  An expression payload
+keeps the derivative trees of its entries, which every function built
+from it shares, so each entry is differentiated once.
 
 The full schema is documented in docs/problem-document.md with complete
 sample files next to it.
@@ -38,12 +47,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import expressions as ex
-from .boundary import BoundaryOperator, IntegralTerm, PointTerm
+from .boundary import BoundaryOperator, IntegralTerm
 from .characteristic import ProblemSpec
 from .functions import ArrayFunction, ConstantFunction, ExpressionFunction, TabulatedFunction
 from .grid import Grid, Interval, LebesgueExponent
@@ -112,56 +122,143 @@ def _parse_tree(source: str, path: str):
         raise DocumentError(f"bad expression: {err}", path) from None
 
 
-def _parse_nested(raw, path: str, shape: tuple[int, ...], leaf, dtype=object) -> np.ndarray:
-    """Nested lists of the given shape; ``leaf(item, path)`` parses each entry."""
-    out = np.empty(shape, dtype=dtype)
+def _number_array(raw, shape: tuple[int, ...]) -> np.ndarray | None:
+    """Nested lists of ``shape`` whose leaves are all finite JSON numbers, or
+    all ``[re, im]`` pairs of them, as one read-only complex array; else None.
 
-    def walk(item, path: str, index: tuple[int, ...]) -> None:
-        if len(index) == len(shape):
-            out[index] = leaf(item, path)
+    The lists are checked and flattened one level at a time, their lengths
+    against ``shape`` before anything of that size is allocated, and every
+    leaf must be an int or a float, the types JSON numbers have; numpy
+    alone would also read booleans, numeric strings and null as floats.
+    One numpy conversion then reads the numbers.  A view of the pairs as
+    complex keeps the sign of a zero part, as ``complex(re, im)`` does and
+    ``re + 1j * im`` does not.
+    """
+    level = [raw]
+    for length in shape:
+        if set(map(type, level)) != {list} or set(map(len, level)) != {length}:
+            return None
+        level = list(chain.from_iterable(level))
+    pairs = set(map(type, level)) == {list}
+    if pairs:
+        if set(map(len, level)) != {2}:
+            return None
+        level = list(chain.from_iterable(level))
+    if not set(map(type, level)) <= {int, float}:
+        return None
+    try:
+        values = np.array(level, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    if not np.isfinite(values).all():
+        return None
+    values = (values.view(complex) if pairs else values.astype(complex)).reshape(shape)
+    values.flags.writeable = False
+    return values
+
+
+def _parse_nested(raw, path: str, shape: tuple[int, ...], leaf) -> list:
+    """The leaves of nested lists of the given shape, in C order, each parsed
+    by ``leaf(item, path)``.
+
+    A list's length is checked before its items are read, so nothing of a
+    declared size that the document does not hold is allocated.
+    """
+    leaves = []
+
+    def walk(item, path: str, depth: int) -> None:
+        if depth == len(shape):
+            leaves.append(leaf(item, path))
             return
-        length = shape[len(index)]
+        length = shape[depth]
         if not isinstance(item, list) or len(item) != length:
             raise DocumentError(f"expected a list of length {length}", path)
         for i, sub in enumerate(item):
-            walk(sub, f"{path}[{i}]", (*index, i))
+            walk(sub, f"{path}[{i}]", depth + 1)
 
-    walk(raw, path, ())
-    return out
-
-
-def _resolve_slot(slot, eps: float | None, path: str, index: tuple[int, ...] = ()) -> complex:
-    """The slot's value at eps; an error names ``path`` followed by ``index``."""
-    if isinstance(slot, complex):
-        return slot
-    try:
-        value = complex(ex.evaluate(slot, eps=eps))
-    except (ZeroDivisionError, OverflowError):
-        value = complex("nan")
-    if not cmath.isfinite(value):
-        raise DocumentError(f"expression is not finite at eps={eps}",
-                            path + "".join(f"[{i}]" for i in index))
-    return value
+    walk(raw, path, 0)
+    return leaves
 
 
-def _parse_slot_array(raw, path: str, shape: tuple[int, ...], eps_ok: bool) -> np.ndarray:
-    """Nested scalar slots: a read-only complex array when every slot is a
-    number, else an object array of numbers and expression trees."""
-    slots = _parse_nested(raw, path, shape, partial(_parse_scalar_slot, eps_ok=eps_ok))
-    if all(isinstance(slot, complex) for slot in slots.flat):
-        slots = slots.astype(complex)
-        slots.flags.writeable = False
-    return slots
+def _parse_numbers(raw, path: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Nested finite numbers, as one read-only complex array.
+
+    Payloads that are not all numbers or all pairs, such as numbers mixed
+    with pairs, are walked, which also raises the error of a bad leaf.
+    """
+    values = _number_array(raw, shape)
+    if values is None:
+        leaves = _parse_nested(raw, path, shape, partial(_parse_scalar_slot, eps_ok=False))
+        values = np.array(leaves, dtype=complex).reshape(shape)
+        values.flags.writeable = False
+    return values
 
 
-def _resolve_slot_array(arr: np.ndarray, eps: float | None, path: str) -> np.ndarray:
-    """The slots' values at eps; an array of numbers is returned as it is."""
-    if arr.dtype != object:
-        return arr
-    out = np.empty(arr.shape, dtype=complex)
-    for idx in np.ndindex(arr.shape):
-        out[idx] = _resolve_slot(arr[idx], eps, path, idx)
-    return out
+@dataclass(frozen=True)
+class SlotArray:
+    """Nested scalar slots: the numbers as one read-only complex array, zero
+    where a slot holds an expression in eps, and those expressions with
+    their flat indices."""
+
+    values: np.ndarray
+    expressions: tuple[tuple[int, object], ...] = ()
+
+    @classmethod
+    def of(cls, slots: list, shape: tuple[int, ...]) -> "SlotArray":
+        """From slots in C order, each a complex number or an expression tree."""
+        values = np.array([s if isinstance(s, complex) else 0j for s in slots],
+                          dtype=complex).reshape(shape)
+        values.flags.writeable = False
+        return cls(values, tuple((i, s) for i, s in enumerate(slots) if not isinstance(s, complex)))
+
+    @classmethod
+    def stack(cls, arrays: list["SlotArray"], shape: tuple[int, ...]) -> "SlotArray":
+        """Slot arrays of one ``shape``, stacked on a new first axis."""
+        if not arrays:
+            return cls(np.zeros((0, *shape), dtype=complex))
+        values = np.stack([a.values for a in arrays])
+        values.flags.writeable = False
+        size = math.prod(shape)
+        return cls(values, tuple((k * size + i, tree) for k, a in enumerate(arrays)
+                                 for i, tree in a.expressions))
+
+    def resolve(self, eps: float | None) -> np.ndarray:
+        """The slots' values at eps, NaN or infinite where an expression is
+        not finite; with no expressions, ``values`` itself."""
+        if not self.expressions:
+            return self.values
+        out = self.values.copy()
+        flat = out.reshape(-1)
+        for i, tree in self.expressions:
+            try:
+                flat[i] = complex(ex.evaluate(tree, eps=eps))
+            except (ZeroDivisionError, OverflowError):
+                flat[i] = complex("nan")
+        return out
+
+
+def _not_finite(values: np.ndarray, eps: float | None, path: str) -> DocumentError:
+    """The error for the first value that is not finite; ``path`` names the array."""
+    index = np.unravel_index(int(np.argmin(np.isfinite(values))), values.shape)
+    return DocumentError(f"expression is not finite at eps={eps}",
+                         path + "".join(f"[{i}]" for i in index))
+
+
+def _resolve_slots(slots: SlotArray, eps: float | None, path: str) -> np.ndarray:
+    """The slots' values at eps, which must be finite."""
+    values = slots.resolve(eps)
+    if slots.expressions and not np.isfinite(values).all():
+        raise _not_finite(values, eps, path)
+    return values
+
+
+def _parse_slot_array(raw, path: str, shape: tuple[int, ...], eps_ok: bool) -> SlotArray:
+    """Nested scalar slots: numbers, and with ``eps_ok`` expressions in eps."""
+    values = _number_array(raw, shape)
+    if values is not None:
+        return SlotArray(values)
+    return SlotArray.of(_parse_nested(raw, path, shape, partial(_parse_scalar_slot, eps_ok=eps_ok)),
+                        shape)
 
 
 # ---------------------------------------------------------------------------
@@ -213,19 +310,21 @@ def _parse_function(raw, path: str, shape: tuple[int, ...], eps_ok: bool) -> Fun
             f"kind must be one of {', '.join(_FUNCTION_KINDS)} (or 'polynomial')", path
         )
     if kind == "constant":
-        values = _require(raw, "values", path)
-        return FunctionDoc("constant", constant=_parse_nested(
-            values, f"{path}.values", shape, partial(_parse_scalar_slot, eps_ok=False), complex))
+        return FunctionDoc("constant", constant=_parse_numbers(
+            _require(raw, "values", path), f"{path}.values", shape))
     if kind == "expression":
         entries = _parse_nested(_require(raw, "entries", path), f"{path}.entries", shape,
                                 partial(_parse_entry, eps_ok=eps_ok))
-        return FunctionDoc("expression", entries=entries)
+        return FunctionDoc("expression", entries=np.array(entries, dtype=object).reshape(shape))
     nodes_raw = _require(raw, "nodes", path)
     if not isinstance(nodes_raw, list) or len(nodes_raw) < 4:
         raise DocumentError("table nodes must be a list of at least four numbers", f"{path}.nodes")
     if not all(type(t) in (int, float) for t in nodes_raw):
         raise DocumentError("table nodes must be numbers", f"{path}.nodes")
-    nodes = [_finite((t,), f"{path}.nodes[{i}]").real for i, t in enumerate(nodes_raw)]
+    values = _number_array(nodes_raw, (len(nodes_raw),))
+    if values is None:  # a node that is not finite: the walk names it
+        values = [_finite((t,), f"{path}.nodes[{i}]") for i, t in enumerate(nodes_raw)]
+    nodes = np.real(values).tolist()
     try:
         grid = Grid(Interval(nodes[0], nodes[-1]), nodes)
     except ValueError as err:
@@ -235,8 +334,7 @@ def _parse_function(raw, path: str, shape: tuple[int, ...], eps_ok: bool) -> Fun
         raise DocumentError("table samples must be a non-empty list (one entry per order)",
                             f"{path}.samples")
     orders = len(samples_raw)
-    samples = _parse_nested(samples_raw, f"{path}.samples", (orders, grid.count, *shape),
-                            partial(_parse_scalar_slot, eps_ok=False), complex)
+    samples = _parse_numbers(samples_raw, f"{path}.samples", (orders, grid.count, *shape))
     return FunctionDoc("table", grid=grid, samples=samples)
 
 
@@ -245,24 +343,21 @@ def _parse_function(raw, path: str, shape: tuple[int, ...], eps_ok: bool) -> Fun
 
 
 @dataclass(frozen=True)
-class PointDoc:
-    location: object  # scalar slot
-    order: int
-    matrix: np.ndarray  # slot array, (q, m)
-    series: int | None = None
-
-
-@dataclass(frozen=True)
 class BoundaryDoc:
+    """A boundary section, its T point terms held as arrays in term order."""
+
     conditions: int
-    points: tuple[PointDoc, ...]
+    locations: SlotArray  # (T,)
+    orders: np.ndarray  # (T,), read-only
+    matrices: SlotArray  # (T, q, m)
+    series: tuple[int, ...] | None = None
     integral: FunctionDoc | None = None
 
 
 @dataclass(frozen=True)
 class RhsDoc:
     f: FunctionDoc
-    c: np.ndarray  # slot array, (q,)
+    c: SlotArray  # (q,)
 
 
 @dataclass(frozen=True)
@@ -308,7 +403,12 @@ def _parse_boundary(raw, path: str, m: int, top_order: int,
     points_raw = raw.get("points", [])
     if not isinstance(points_raw, list):
         raise DocumentError("points must be a list", f"{path}.points")
-    points = []
+    shape = (conditions, m)
+    # every matrix of the section in one conversion when all are numbers
+    stacked = None
+    if points_raw and all(type(item) is dict and "matrix" in item for item in points_raw):
+        stacked = _number_array([item["matrix"] for item in points_raw], (len(points_raw), *shape))
+    locations, orders, matrices, series_tags = [], [], [], []
     for i, item in enumerate(points_raw):
         ppath = f"{path}.points[{i}]"
         if not isinstance(item, dict):
@@ -325,17 +425,20 @@ def _parse_boundary(raw, path: str, m: int, top_order: int,
         if order > top_order - 1:
             raise DocumentError(
                 f"order {order} out of range 0..{top_order - 1}", f"{ppath}.order")
-        matrix = _parse_slot_array(_require(item, "matrix", ppath), f"{ppath}.matrix",
-                                   (conditions, m), eps_ok)
+        if stacked is None:
+            matrices.append(_parse_slot_array(_require(item, "matrix", ppath), f"{ppath}.matrix",
+                                              shape, eps_ok))
         series = item.get("series")
         if series is not None:
             if not eps_ok:
                 raise DocumentError("series tags belong to the family boundary only",
                                     f"{ppath}.series")
             series = _integer(series, f"{ppath}.series", 0)
-        if points and (series is None) != (points[0].series is None):
+        if series_tags and (series is None) != (series_tags[0] is None):
             raise DocumentError("series tags are all or none: tag every point or no point", ppath)
-        points.append(PointDoc(location, order, matrix, series))
+        locations.append(location)
+        orders.append(order)
+        series_tags.append(series)
     integral = None
     if "integral" in raw and raw["integral"] is not None:
         ipath = f"{path}.integral"
@@ -343,7 +446,12 @@ def _parse_boundary(raw, path: str, m: int, top_order: int,
             raise DocumentError("expected an integral-term object", ipath)
         integral = _parse_function(_require(raw["integral"], "kernel", ipath),
                                    f"{ipath}.kernel", (conditions, m), eps_ok)
-    return BoundaryDoc(conditions, tuple(points), integral)
+    orders = np.array(orders, dtype=int)
+    orders.flags.writeable = False
+    tagged = bool(series_tags) and series_tags[0] is not None
+    return BoundaryDoc(conditions, SlotArray.of(locations, (len(locations),)), orders,
+                       SlotArray(stacked) if stacked is not None else SlotArray.stack(matrices, shape),
+                       tuple(series_tags) if tagged else None, integral)
 
 
 def _parse_rhs(raw, path: str, m: int, q: int, eps_ok: bool) -> RhsDoc:
@@ -460,21 +568,34 @@ def load_document(source) -> ProblemDocument:
 
 def _build_boundary(doc: BoundaryDoc, path: str, interval: Interval,
                     eps: float | None) -> BoundaryOperator:
-    terms = []
-    for i, point in enumerate(doc.points):
+    """The section's operator at eps, built from its arrays.
+
+    Every check runs on all terms at once; an error names the first term
+    that fails, and within it the first failing check in the order
+    location, realness, interval, matrix.
+    """
+    locations = doc.locations.resolve(eps)
+    matrices = doc.matrices.resolve(eps)
+    points = locations.real
+    inside = (interval.a <= points) & (points <= interval.b)
+    matrix_ok = np.isfinite(matrices).all(axis=(1, 2))
+    bad = ~(np.isfinite(locations) & (locations.imag == 0) & inside & matrix_ok)
+    if bad.any():
+        i = int(np.argmax(bad))
         ppath = f"{path}.points[{i}]"
-        location = _resolve_slot(point.location, eps, f"{ppath}.t")
+        location = complex(locations[i])
+        if not cmath.isfinite(location):
+            raise DocumentError(f"expression is not finite at eps={eps}", f"{ppath}.t")
         if abs(location.imag) > 0:
             raise DocumentError("boundary point locations must be real", f"{ppath}.t")
-        if not interval.contains(location.real):
+        if not inside[i]:
             raise DocumentError(f"boundary point {location.real} outside the interval "
                                 f"[{interval.a}, {interval.b}]", f"{ppath}.t")
-        matrix = _resolve_slot_array(point.matrix, eps, f"{ppath}.matrix")
-        terms.append(PointTerm(location.real, point.order, matrix))
+        raise _not_finite(matrices[i], eps, f"{ppath}.matrix")
     integral = None
     if doc.integral is not None:
         integral = IntegralTerm(doc.integral.build(eps, f"{path}.integral.kernel"))
-    return BoundaryOperator(doc.conditions, tuple(terms), integral)
+    return BoundaryOperator.from_arrays(doc.conditions, points, doc.orders, matrices, integral)
 
 
 def document_problem(doc: ProblemDocument, eps: float | None = None) -> ProblemSpec:
@@ -504,7 +625,7 @@ def document_problem(doc: ProblemDocument, eps: float | None = None) -> ProblemS
     rhs = None
     if rhs_doc is not None:
         rhs = RightHandSide(rhs_doc.f.build(eps, f"{rhs_path}.f"),
-                            _resolve_slot_array(rhs_doc.c, eps, f"{rhs_path}.c"))
+                            _resolve_slots(rhs_doc.c, eps, f"{rhs_path}.c"))
     return ProblemSpec(doc.interval, coefficients, boundary, doc.exponent, rhs)
 
 
@@ -512,15 +633,14 @@ def document_family(doc: ProblemDocument) -> ProblemFamily:
     """The eps-indexed family declared by the document's family section."""
     if doc.family is None:
         raise DocumentError("document has no family section")
-    points = doc.family.boundary.points if doc.family.boundary is not None else ()
-    tagged = bool(points) and points[0].series is not None
+    series = doc.family.boundary.series if doc.family.boundary is not None else None
     family = ProblemFamily(
         at_zero=document_problem(doc, eps=0.0),
         generator=lambda eps: document_problem(doc, eps=eps),
         epsilons=doc.family.schedule,
-        series=tuple(point.series for point in points) if tagged else None,
+        series=series,
     )
-    stray = family.stray_limit_term() if tagged else None
+    stray = family.stray_limit_term() if series is not None else None
     if stray is not None:
         raise DocumentError("all points of a converging series must share the eps = 0 limit",
                             f"$.family.boundary.points[{stray}].t")

@@ -10,10 +10,14 @@ generators are written as strings like ``"sin(t)*exp(-2*t)"`` or
 ``^`` binds tighter than unary minus and only accepts a non-negative
 integer literal exponent, which keeps symbolic differentiation exact
 (no logarithms ever appear).
+
+A source is read into plain ``(kind, text, offset)`` tuples by one
+compiled regular expression, and parsed by recursive descent.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,60 +83,35 @@ ONE = Num(1.0)
 
 # ---------------------------------------------------------------------------
 # tokenizer
+#
+# One compiled pattern reads a source into (kind, text, offset) tuples:
+# whitespace is skipped, and every other character starts an operator, a
+# number, a name or, alone, a "bad" token.  A number is a run of decimal
+# digits and dots with an optional exponent part (``1e-3``) and must parse
+# as a float.  A numeral that is not a decimal digit, such as "²", reads as
+# a name, which no grammar rule accepts.
+
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<op>[-+*/^()])
+  | (?P<num>[\d.]+(?:[eE][+-]?\d+)?)
+  | (?P<name>[^\W\d]\w*)
+  | (?P<bad>\S))""", re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num" | "name" | "op" | "end"
-    text: str
-    pos: int
-
-
-_OPS = set("+-*/^()")
-
-
-def _tokenize(source: str) -> list[_Token]:
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                j += 1
-            # exponent part of a float literal, e.g. 1e-3
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    while k < n and source[k].isdigit():
-                        k += 1
-                    j = k
-            text = source[i:j]
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        text, pos = match.group(kind), match.start(kind)
+        if kind == "bad":
+            raise ExpressionError(f"unexpected character {text!r}", pos)
+        if kind == "num":
             try:
                 float(text)
             except ValueError:
-                raise ExpressionError(f"malformed number {text!r}", i) from None
-            tokens.append(_Token("num", text, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", source[i:j], i))
-            i = j
-            continue
-        raise ExpressionError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
+                raise ExpressionError(f"malformed number {text!r}", pos) from None
+        tokens.append((kind, text, pos))
+    tokens.append(("end", "", len(source)))
     return tokens
 
 
@@ -140,90 +119,78 @@ def _tokenize(source: str) -> list[_Token]:
 # recursive-descent parser
 #
 # precedence (high to low):  ^  /  unary -  /  * /  /  + -
-# binary operators of equal precedence associate to the left.
+# binary operators of equal precedence associate to the left; ``binary``
+# reads both binary levels by precedence climbing.
+
+_BINARY_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 class _Parser:
     def __init__(self, source: str):
-        self.source = source
         self.tokens = _tokenize(source)
         self.index = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
     def expect_op(self, text: str) -> None:
-        token = self.peek()
-        if token.kind != "op" or token.text != text:
-            raise ExpressionError(f"expected {text!r}", token.pos)
-        self.advance()
+        kind, found, pos = self.tokens[self.index]
+        if kind != "op" or found != text:
+            raise ExpressionError(f"expected {text!r}", pos)
+        self.index += 1
 
     def parse(self) -> Expression:
-        expr = self.sum()
-        token = self.peek()
-        if token.kind != "end":
-            raise ExpressionError(f"unexpected trailing input {token.text!r}", token.pos)
+        expr = self.binary(1)
+        kind, text, pos = self.tokens[self.index]
+        if kind != "end":
+            raise ExpressionError(f"unexpected trailing input {text!r}", pos)
         return expr
 
-    def sum(self) -> Expression:
-        expr = self.product()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            expr = BinOp(op, expr, self.product())
-        return expr
-
-    def product(self) -> Expression:
+    def binary(self, lowest: int) -> Expression:
+        """Operands joined by binary operators of precedence ``lowest`` or above."""
         expr = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            expr = BinOp(op, expr, self.unary())
-        return expr
+        while True:
+            kind, text, _ = self.tokens[self.index]
+            precedence = _BINARY_PRECEDENCE.get(text, 0) if kind == "op" else 0
+            if precedence < lowest:
+                return expr
+            self.index += 1
+            expr = BinOp(text, expr, self.binary(precedence + 1))
 
     def unary(self) -> Expression:
-        token = self.peek()
-        if token.kind == "op" and token.text == "-":
-            self.advance()
+        kind, text, _ = self.tokens[self.index]
+        if kind == "op" and text == "-":
+            self.index += 1
             return Neg(self.unary())
         return self.power()
 
     def power(self) -> Expression:
         expr = self.atom()
-        while self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            token = self.peek()
-            if token.kind != "num" or not token.text.isdigit():
-                raise ExpressionError(
-                    "exponent must be a non-negative integer literal", token.pos
-                )
-            self.advance()
-            expr = Pow(expr, int(token.text))
+        while self.tokens[self.index][:2] == ("op", "^"):
+            kind, text, pos = self.tokens[self.index + 1]
+            if kind != "num" or not text.isdigit():
+                raise ExpressionError("exponent must be a non-negative integer literal", pos)
+            self.index += 2
+            expr = Pow(expr, int(text))
         return expr
 
     def atom(self) -> Expression:
-        token = self.advance()
-        if token.kind == "num":
-            return Num(float(token.text))
-        if token.kind == "name":
-            if token.text in FUNCTIONS:
+        kind, text, pos = self.tokens[self.index]
+        self.index += 1
+        if kind == "num":
+            return Num(float(text))
+        if kind == "name":
+            if text in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.sum()
+                arg = self.binary(1)
                 self.expect_op(")")
-                return Call(token.text, arg)
-            if token.text in VARIABLES:
-                return Var(token.text)
-            raise ExpressionError(f"unknown identifier {token.text!r}", token.pos)
-        if token.kind == "op" and token.text == "(":
-            expr = self.sum()
+                return Call(text, arg)
+            if text in VARIABLES:
+                return Var(text)
+            raise ExpressionError(f"unknown identifier {text!r}", pos)
+        if kind == "op" and text == "(":
+            expr = self.binary(1)
             self.expect_op(")")
             return expr
         raise ExpressionError(
-            f"expected a value, got {token.text!r}" if token.text else "unexpected end of input",
-            token.pos,
+            f"expected a value, got {text!r}" if text else "unexpected end of input", pos
         )
 
 

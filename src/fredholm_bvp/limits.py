@@ -27,9 +27,9 @@ read off the members' boundary operators, with the selection rule
 depending on whether p is finite.
 
 The experiment works per problem, not per term or per evaluation.  Each
-member's coefficients, and the limit's, are tabulated once on the grid
-(``ode.coefficient_table``); the integration, condition (I) and the
-discrepancy read that one table.  Each series of a member is read off
+member's coefficients and forcing, and the limit's, are tabulated once on
+the grid (``ode.coefficient_table``); the integration, condition (I) and
+the discrepancy read that one table.  Each series of a member is read off
 the boundary operator's term arrays as one magnitude table and one
 matrix sum, and each multipoint table entry is one reduction of those
 over the terms, added in term order.
@@ -164,7 +164,7 @@ class ProblemFamily:
         return member
 
     def _check_tags(self, problem: ProblemSpec) -> None:
-        count = len(problem.boundary.point_terms)
+        count = problem.boundary.orders.size
         if self.series is not None and count != len(self.series):
             raise ValueError(f"{len(self.series)} series tags for {count} boundary point terms")
 
@@ -172,8 +172,8 @@ class ProblemFamily:
         """The index of the first limit-problem point term that lies more than
         LIMIT_POINT_TOL from the first point of its converging series, or None."""
         first: dict[int, float] = {}
-        for i, (tag, term) in enumerate(zip(self.series, self.at_zero.boundary.point_terms)):
-            if tag != 0 and abs(term.point - first.setdefault(tag, term.point)) > LIMIT_POINT_TOL:
+        for i, (tag, point) in enumerate(zip(self.series, self.at_zero.boundary.points.tolist())):
+            if tag != 0 and abs(point - first.setdefault(tag, point)) > LIMIT_POINT_TOL:
                 return i
         return None
 
@@ -579,7 +579,7 @@ def convergence_experiment(family: ProblemFamily, grid: Grid,
     zero = family.at_zero
     if zero.rhs is None:
         raise ValueError("the limit problem needs a right-hand side for the experiment")
-    zero_table = coefficient_table(zero.coefficients, grid)
+    zero_table = coefficient_table(zero.coefficients, grid, zero.rhs.f)
     limit = analyze(zero, grid, rank_tolerance, zero_table)
     y_zero, _ = superpose(zero, limit)
     ratio_floor = grid.count * MACHINE_EPSILON * sobolev_norm(y_zero, zero.exponent)
@@ -592,7 +592,7 @@ def convergence_experiment(family: ProblemFamily, grid: Grid,
     errors = []
     ratios = []
     for eps, member in zip(family.epsilons, family.members):
-        table = coefficient_table(member.coefficients, grid)
+        table = coefficient_table(member.coefficients, grid, member.rhs.f)
         analysis = analyze(member, grid, rank_tolerance, table)
         report = analysis.report
         reports.append(report)

@@ -56,9 +56,11 @@ measures its finite-difference defect on request.
 
 Varying coefficients are read from one ``CoefficientTable`` per problem
 and grid (``coefficient_table``): A_d^(k) at the nodes for k <= n, A_d at
-the midpoints, a constant A_d as its one (m, m) block.  Stepping, the
-recurrence and ``residual_stack`` take it, so a caller that integrates a
-problem and then measures its residuals evaluates each coefficient once.
+the midpoints, a constant A_d as its one (m, m) block.  The table holds
+the forcing too (``ForcingTable``): f^(s) at the nodes for s <= n and f
+at the midpoints.  Stepping, doubling, the derivative orders and
+``residual_stack`` take it, so a caller that integrates a problem and
+then measures its residuals evaluates each coefficient, and f, once.
 """
 
 from __future__ import annotations
@@ -131,28 +133,57 @@ def _coefficient_tables(coeffs: CoefficientSet, ts: np.ndarray,
 
 
 @dataclass(frozen=True)
+class ForcingTable:
+    """A forcing f tabulated once on one grid: ``nodes[s]`` is f^{(s)} at the
+    nodes, s = 0..n, and ``midpoints`` is f at the midpoints."""
+
+    nodes: list[np.ndarray]
+    midpoints: np.ndarray
+
+
+def forcing_table(f, grid: Grid, coeffs: CoefficientSet) -> ForcingTable:
+    """f^{(s)}, s <= n, at the nodes and f at the midpoints, each evaluated once."""
+    f = as_array_function(f, (coeffs.m,))
+    return ForcingTable([f.eval(grid.nodes, order=s) for s in range(coeffs.n + 1)],
+                        f.eval(grid.midpoints))
+
+
+@dataclass(frozen=True)
 class CoefficientTable:
-    """The coefficients of one problem, tabulated once on one grid.
+    """The coefficients of one problem, and its forcing, tabulated once on one grid.
 
     ``nodes[d][q]`` is A_d^{(q)} at the grid's nodes, q = 0..n, and
     ``midpoints[d]`` is A_d at the midpoints of the grid intervals.  A
     ``ConstantFunction`` enters as its one (m, m) block in both, and its
-    derivatives q >= 1, all zero, as None.  ``coefficient_table`` builds
-    it; the integration, the residuals and the coefficient distances
-    of a family all read the same table.
+    derivatives q >= 1, all zero, as None.  ``forcing`` is the forcing's
+    ``ForcingTable``, or None for a table built without one.
+    ``coefficient_table`` builds it; the integration, the residuals and
+    the coefficient distances of a family all read the same table.
     """
 
     grid: Grid
     nodes: list[list[np.ndarray | None]]
     midpoints: list[np.ndarray]
+    forcing: ForcingTable | None = None
 
 
-def coefficient_table(coeffs: CoefficientSet, grid: Grid) -> CoefficientTable:
-    """Every A_d^{(q)}, q <= n, at the nodes and every A_d at the midpoints, once."""
+def coefficient_table(coeffs: CoefficientSet, grid: Grid, f=None) -> CoefficientTable:
+    """Every A_d^{(q)}, q <= n, at the nodes and every A_d at the midpoints,
+    once, and the same of a forcing ``f`` when given (``forcing_table``)."""
     nodes = _coefficient_tables(coeffs, grid.nodes, coeffs.n)
     midpoints = [fn.values if isinstance(fn, ConstantFunction) else fn.eval(grid.midpoints)
                  for fn in coeffs.by_order]
-    return CoefficientTable(grid, nodes, midpoints)
+    return CoefficientTable(grid, nodes, midpoints,
+                            None if f is None else forcing_table(f, grid, coeffs))
+
+
+def _table_forcing(table: CoefficientTable, f) -> ForcingTable | None:
+    """The table's forcing when ``f`` is given, which the table must hold; else None."""
+    if f is None:
+        return None
+    if table.forcing is None:
+        raise ValueError("the coefficient table was built without the forcing")
+    return table.forcing
 
 
 def _top_rows(a_values, count: int, f_values: np.ndarray | None = None) -> np.ndarray:
@@ -218,7 +249,7 @@ def _constant_step(coeffs: CoefficientSet, h: float) -> tuple[np.ndarray, np.nda
 
 
 def _doubled_states(coeffs: CoefficientSet, grid: Grid, width: int,
-                    f: ArrayFunction | None) -> np.ndarray:
+                    forcing: ForcingTable | None) -> np.ndarray:
     """States when every A_d is constant, so every step has one propagator P.
 
     Node j holds P^j, filled by doubling: states[k:2k] = states[:k] P^k,
@@ -234,9 +265,9 @@ def _doubled_states(coeffs: CoefficientSet, grid: Grid, width: int,
     states = np.empty((count, width, width), dtype=complex)
     states[0] = np.eye(width)
     flat = states.reshape(-1, width)  # node j is rows j*width .. (j+1)*width - 1
-    if f is not None:
-        f_nodes = f.eval(grid.nodes)
-        inputs = np.concatenate([f_nodes[:-1], f.eval(grid.midpoints), f_nodes[1:]], axis=1)
+    if forcing is not None:
+        f_nodes = forcing.nodes[0]
+        inputs = np.concatenate([f_nodes[:-1], forcing.midpoints, f_nodes[1:]], axis=1)
         y_p = np.empty((count - 1, w), dtype=complex)  # g_i, then y_p at node i + 1
         for lo, hi in _row_chunks(0, count - 1, g_map.size):
             np.matmul(inputs[lo:hi], g_map.T, out=y_p[lo:hi])
@@ -244,19 +275,19 @@ def _doubled_states(coeffs: CoefficientSet, grid: Grid, width: int,
     while k < count:
         for lo, hi in _row_chunks(0, min(k, count - k) * width, width**2):
             np.matmul(flat[lo:hi], power, out=flat[k * width + lo : k * width + hi])
-        if f is not None:
+        if forcing is not None:
             # last rows first, so each chunk reads rows that no chunk has updated
             for lo, hi in _row_chunks(k, count - 1, w**2):
                 y_p[lo:hi] += y_p[lo - k : hi - k] @ power[:w, :w].T
         power = power @ power
         k *= 2
-    if f is not None:
+    if forcing is not None:
         states[1:, :w, w] = y_p
     return states
 
 
 def _stepped_states(coeffs: CoefficientSet, table: CoefficientTable, width: int,
-                    f: ArrayFunction | None) -> np.ndarray:
+                    forcing: ForcingTable | None) -> np.ndarray:
     """States for varying coefficients: x_{i+1} = P_i x_i, one step at a time.
 
     The A_d come from the problem's table; the P_i are built in batches
@@ -266,9 +297,9 @@ def _stepped_states(coeffs: CoefficientSet, table: CoefficientTable, width: int,
     states = np.empty((grid.count, width, width), dtype=complex)
     states[0] = np.eye(width)
     top_nodes = _top_rows([derivs[0] for derivs in table.nodes], grid.count,
-                          None if f is None else f.eval(grid.nodes))
+                          None if forcing is None else forcing.nodes[0])
     top_mid = _top_rows(table.midpoints, grid.count - 1,
-                        None if f is None else f.eval(grid.midpoints))
+                        None if forcing is None else forcing.midpoints)
     for lo in range(0, grid.count - 1, _BATCH):
         hi = min(lo + _BATCH, grid.count - 1)
         c_nodes = _companion(coeffs, top_nodes[lo : hi + 1])
@@ -278,23 +309,23 @@ def _stepped_states(coeffs: CoefficientSet, table: CoefficientTable, width: int,
     return states
 
 
-def _integrate(coeffs: CoefficientSet, grid: Grid, f: ArrayFunction | None = None,
+def _integrate(coeffs: CoefficientSet, grid: Grid, forcing: ForcingTable | None = None,
                table: CoefficientTable | None = None) -> np.ndarray:
     """Fixed-step RK4 on the companion system from the identity.
 
     Returns states (nodes, width, width), width r*m, or r*m + 1 with a
-    forcing f acting on [x; 1].  Constant coefficients (``coeffs.constant``)
-    propagate by doubling, any other by stepping through ``table``, the
-    problem's coefficient table on ``grid``; the stored states are
-    checked once for blow-up.
+    forcing f, tabulated in ``forcing``, acting on [x; 1].  Constant
+    coefficients (``coeffs.constant``) propagate by doubling, any other by
+    stepping through ``table``, the problem's coefficient table on
+    ``grid``; the stored states are checked once for blow-up.
     """
-    width = coeffs.r * coeffs.m + (f is not None)
+    width = coeffs.r * coeffs.m + (forcing is not None)
     # blow-up is detected once below, so overflow warnings are redundant
     with np.errstate(over="ignore", invalid="ignore"):
         if coeffs.constant:
-            states = _doubled_states(coeffs, grid, width, f)
+            states = _doubled_states(coeffs, grid, width, forcing)
         else:
-            states = _stepped_states(coeffs, table, width, f)
+            states = _stepped_states(coeffs, table, width, forcing)
     finite = np.isfinite(states).all(axis=(1, 2))
     if not finite.all():
         i = max(int(np.argmin(finite)) - 1, 0)
@@ -448,18 +479,21 @@ def fundamental_set(coeffs: CoefficientSet, grid: Grid, f=None,
     derivative orders 0..n+r.  With a forcing ``f`` the same pass also
     integrates y_p, the solution of L y = f with zero initial data, as
     one last column: the (w+1) x (w+1) identity on [x; 1], w = r*m.
-    Varying coefficients are read from ``table``, the problem's
-    ``coefficient_table`` on ``grid``, built here when not given;
-    constant ones need no table.
+    Varying coefficients, and f, are read from ``table``, the problem's
+    ``coefficient_table`` on ``grid``, which holds f's ``ForcingTable``
+    exactly when f is given; it is built here when not given.  Constant
+    coefficients need no table: f alone is tabulated then.
     """
     m, r, count = coeffs.m, coeffs.r, grid.count
-    w, f_tables = r * m, None
-    if f is not None:
-        f = as_array_function(f, (m,))
-        f_tables = [f.eval(grid.nodes, order=s) for s in range(coeffs.n + 1)]
-    if not coeffs.constant and table is None:
-        table = coefficient_table(coeffs, grid)
-    states = _integrate(coeffs, grid, f, table)
+    w = r * m
+    if table is None and not coeffs.constant:
+        table = coefficient_table(coeffs, grid, f)
+    if table is not None:
+        forcing = _table_forcing(table, f)
+    else:
+        forcing = None if f is None else forcing_table(f, grid, coeffs)
+    states = _integrate(coeffs, grid, forcing, table)
+    f_tables = None if forcing is None else forcing.nodes
     # rows below w are the companion state; the forced row w is the constant 1
     low = states[:, :w].reshape(count, r, m, states.shape[2]).transpose(1, 0, 2, 3)
     if coeffs.constant:
@@ -491,8 +525,9 @@ def residual_stack(coeffs: CoefficientSet, y: DerivativeStack, f=None,
     """Samples of (L y - f) and its derivatives 0..orders (default n, at most n).
 
     ``y`` must carry derivative orders up to r + orders.  The
-    coefficients are read from ``table``, the problem's
-    ``coefficient_table`` on y's grid, built here when not given.
+    coefficients, and f, are read from ``table``, the problem's
+    ``coefficient_table`` on y's grid, which holds f's ``ForcingTable``
+    when f is given; it is built here when not given.
     """
     if orders is None:
         orders = coeffs.n
@@ -503,13 +538,14 @@ def residual_stack(coeffs: CoefficientSet, y: DerivativeStack, f=None,
             f"stack carries orders 0..{y.max_order}, need {coeffs.r + orders}"
         )
     grid = y.grid
-    a_tables = (coefficient_table(coeffs, grid) if table is None else table).nodes
-    f_fn = as_array_function(f, (coeffs.m,)) if f is not None else None
+    if table is None:
+        table = coefficient_table(coeffs, grid, f)
+    forcing = _table_forcing(table, f)
     rows = []
     y_orders = [y.samples[k] for k in range(y.max_order + 1)]
     for s in range(orders + 1):
-        value = y_orders[coeffs.r + s] + _lower_order_part(a_tables, y_orders, s)
-        if f_fn is not None:
-            value = value - f_fn.eval(grid.nodes, order=s)
+        value = y_orders[coeffs.r + s] + _lower_order_part(table.nodes, y_orders, s)
+        if forcing is not None:
+            value = value - forcing.nodes[s]
         rows.append(value)
     return DerivativeStack._adopt(grid, np.stack(rows))

@@ -409,3 +409,40 @@ def test_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_main_builds_the_parser_once_per_process(monkeypatch, capsys):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        assert main(["analyze"]) == 1
+        assert main(["analyze", ONE_POINT, "--nodes", "51"]) == 0
+        assert main(["oracle-check", "ex1", "--nodes", "51", "--format", "machine"]) == 0
+    finally:
+        cli._parser.cache_clear()  # later calls build a parser without the counter
+    assert builds == [1]
+
+
+def test_repeated_commands_in_one_process_match_fresh_processes(capsys):
+    # one process serves every command, as the benchmark calls it: the one
+    # parser keeps no state from a call, and neither does anything else
+    commands = [
+        ["family"],
+        ["family", SPLITTING, "--nodes", "101", "--format", "machine", "--eps-schedule", "1e-2,1e-4"],
+        ["family", SPLITTING, "--nodes", "101", "--format", "machine"],
+        ["solve", TWO_POINT, "--nodes", "101", "--format", "machine"],
+        ["analyze", ONE_POINT, "--nodes", "101", "--format", "machine"],
+    ]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    results = [run(capsys, *argv) for argv in commands]
+    for argv, result in zip(commands, results):
+        fresh = subprocess.run([sys.executable, "-m", "fredholm_bvp.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=120)
+        assert result == (fresh.returncode, fresh.stdout, fresh.stderr)
+    # the usage error exits 1 with one error line
+    code, _, err = results[0]
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,9 +1,13 @@
 import json
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
+from fredholm_bvp import boundary, document
+from fredholm_bvp.cli import main
 from fredholm_bvp.document import (
     DocumentError,
     document_family,
@@ -354,7 +358,7 @@ def test_non_integer_point_order_rejected_with_path(order):
 def test_integral_valued_float_order_still_loads():
     raw = minimal_document()
     raw["boundary"]["points"][0]["order"] = 0.0
-    assert load_document(raw).boundary.points[0].order == 0
+    assert load_document(raw).boundary.orders.tolist() == [0]
 
 
 def one_point_document():
@@ -480,3 +484,166 @@ def test_bad_table_nodes_rejected_with_path(nodes, message):
     family["family"] = {"schedule": [0.1, 0.01], "coefficients": [table(nodes, A0)]}
     with pytest.raises(DocumentError, match=rf"^\$\.family\.coefficients\[0\]\.nodes: .*{message}"):
         load_document(family)
+
+
+# ---------------------------------------------------------------------------
+# number payloads: one conversion, the same arrays and errors as the walk
+
+
+def _reference_walk(raw, path, shape, eps_ok):
+    """The walk that read every nested payload slot by slot, kept as the reference."""
+    out = np.empty(shape, dtype=object)
+
+    def walk(item, path, index):
+        if len(index) == len(shape):
+            out[index] = document._parse_scalar_slot(item, path, eps_ok)
+            return
+        length = shape[len(index)]
+        if not isinstance(item, list) or len(item) != length:
+            raise DocumentError(f"expected a list of length {length}", path)
+        for i, sub in enumerate(item):
+            walk(sub, f"{path}[{i}]", (*index, i))
+
+    walk(raw, path, ())
+    return out
+
+
+def _outcome(read):
+    try:
+        return read()
+    except DocumentError as err:
+        return str(err)
+
+
+def _same_slots(found, expected) -> bool:
+    """Numbers bit for bit, signed zeros included, and expression trees equal."""
+    if isinstance(found, str) or isinstance(expected, str):
+        return isinstance(found, str) and found == expected
+    if found.shape != expected.shape:
+        return False
+    for a, b in zip(found.ravel().tolist(), expected.ravel().tolist()):
+        if isinstance(a, complex) and isinstance(b, complex):
+            if np.array([a]).view(np.uint64).tolist() != np.array([b]).view(np.uint64).tolist():
+                return False
+        elif a != b:
+            return False
+    return True
+
+
+def _slots_as_objects(slots) -> np.ndarray:
+    out = slots.values.astype(object)
+    flat = out.reshape(-1)
+    for i, tree in slots.expressions:
+        flat[i] = tree
+    return out
+
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([0.0, -0.0, 2**53 + 1, -(2**53) - 1, 2**63, -(2**63) - 1, 2**64 + 1,
+                     10**308, -(10**308)]),
+)
+# leaves that no payload of numbers may hold
+BAD = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 10**309, -(2**1100)]),
+    st.booleans(), st.none(),
+    st.sampled_from(["eps", "0.5*eps", "1 + eps^2", "t", "1/", "1.5", "x"]),
+    st.lists(st.one_of(NUMBERS, st.booleans(), st.none()), max_size=3),
+    st.dictionaries(st.just("re"), NUMBERS, max_size=1),
+)
+
+
+@st.composite
+def payloads(draw):
+    """A declared shape and a nested payload: mostly numbers or pairs, sometimes
+    bad leaves, ragged lists or a payload of another shape than declared."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    built = list(shape)
+    if draw(st.integers(0, 4)) == 0:  # a payload of another shape than declared
+        built[draw(st.integers(0, len(built) - 1))] += draw(st.sampled_from([-1, 1]))
+    kind = draw(st.sampled_from(["real", "pair", "mixed"]))
+    bad_rate = draw(st.sampled_from([0, 0, 3, 20]))
+
+    def leaf():
+        if bad_rate and draw(st.integers(0, bad_rate)) == 0:
+            return draw(BAD)
+        pair = kind == "pair" or (kind == "mixed" and draw(st.booleans()))
+        return [draw(NUMBERS), draw(NUMBERS)] if pair else draw(NUMBERS)
+
+    def build(depth):
+        if depth == len(built):
+            return leaf()
+        items = [build(depth + 1) for _ in range(max(built[depth], 0))]
+        if draw(st.integers(0, 30)) == 0:  # ragged
+            items = items[:-1] if items and draw(st.booleans()) else items + [build(depth + 1)]
+        return items
+
+    return shape, build(0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(payloads())
+@example(((2,), [1.0, True]))  # numpy reads true as 1.0
+@example(((2,), [1.0, None]))  # and null as NaN
+@example(((2,), [1.0, "2.5"]))  # and a numeric string as a number
+@example(((2,), [[1.0, 0], [2, False]]))
+@example(((2,), [1.0, 10**309]))  # numpy raises OverflowError
+@example(((2,), [1.0, float("nan")]))
+@example(((2,), [[1.0, float("-inf")], [2, 0]]))
+@example(((2, 1), [[[-0.0, -0.0]], [[0.0, -0.0]]]))  # re + 1j*im loses -0.0
+@example(((2,), [2**53 + 1, -(2**64) - 1]))
+@example(((2,), [1.0, [2.0]]))  # ragged
+@example(((3,), [1.0, 2.0]))  # shorter than declared
+def test_number_payloads_read_as_the_walk_reads_them(case):
+    shape, raw = case
+    expected = _outcome(lambda: _reference_walk(raw, "$.x", shape, eps_ok=False))
+    found = _outcome(lambda: document._parse_numbers(raw, "$.x", shape).astype(object))
+    assert _same_slots(found, expected), (found, expected)
+    # a slot array, where eps expressions are allowed as well
+    expected = _outcome(lambda: _reference_walk(raw, "$.x", shape, eps_ok=True))
+    found = _outcome(lambda: _slots_as_objects(document._parse_slot_array(raw, "$.x", shape, True)))
+    assert _same_slots(found, expected), (found, expected)
+
+
+def test_fast_path_keeps_signed_zeros_and_rounds_big_integers():
+    raw = [[-0.0, -0.0], [0.0, -0.0], [2**53 + 1, 0], [2**64 + 1, -(2**63) - 3]]
+    values = document._parse_numbers(raw, "$.x", (4,))
+    assert np.signbit(values.real).tolist() == [True, False, False, False]
+    assert np.signbit(values.imag).tolist() == [True, True, False, True]
+    assert values.tolist() == [complex(*pair) for pair in raw]
+
+
+@pytest.mark.parametrize("mutate,path,length", [
+    (lambda raw: raw["boundary"].update(conditions=10**12),
+     "$.boundary.points[0].matrix", 10**12),
+    (lambda raw: raw["orders"].update(m=100000), "$.coefficients[0].values", 100000),
+], ids=["conditions", "m"])
+def test_declared_sizes_are_checked_before_anything_is_allocated(tmp_path, capsys, mutate, path,
+                                                                 length):
+    # lengths are checked before anything of the declared size (14.6 TiB
+    # and 149 GiB here) is allocated, so the usual error is one line
+    raw = minimal_document()
+    mutate(raw)
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps(raw))
+    assert main(["analyze", str(doc)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: expected a list of length {length}\n"
+
+
+def test_family_members_build_no_point_terms(monkeypatch):
+    # members are built from the boundary section's arrays, one
+    # BoundaryOperator each, with no PointTerm per term
+    doc = load_document(SAMPLES / "splitting-family.json")
+    built = []
+    init = boundary.PointTerm.__post_init__
+    monkeypatch.setattr(boundary.PointTerm, "__post_init__",
+                        lambda self: built.append(self) or init(self))
+    family = document_family(doc)
+    members = family.members
+    assert built == []
+    assert len(members) == len(family.epsilons)
+    # point_terms is still there to read, built on demand
+    assert [term.point for term in members[0].boundary.point_terms] == \
+        members[0].boundary.points.tolist()
+    assert len(built) == 6

@@ -1,8 +1,11 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from fredholm_bvp.expressions import (
     ExpressionError,
+    _tokenize,
     evaluate,
     parse_expression,
     symbolic_derivative,
@@ -109,3 +112,84 @@ def test_uses_variable():
 def test_unbound_variable_rejected():
     with pytest.raises(ValueError):
         evaluate(parse_expression("eps"), t=1.0)
+
+
+# ---------------------------------------------------------------------------
+# the tokenizer's one regular expression against the character loop it replaced
+
+
+def _reference_tokenize(source):
+    """The character loop that read sources before, kept as the reference."""
+    tokens = []
+    i, n = 0, len(source)
+    while i < n:
+        ch = source[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+-*/^()":
+            tokens.append(("op", ch, i))
+            i += 1
+            continue
+        if ch.isdigit() or ch == ".":
+            j = i
+            while j < n and (source[j].isdigit() or source[j] == "."):
+                j += 1
+            if j < n and source[j] in "eE":
+                k = j + 1
+                if k < n and source[k] in "+-":
+                    k += 1
+                if k < n and source[k].isdigit():
+                    while k < n and source[k].isdigit():
+                        k += 1
+                    j = k
+            text = source[i:j]
+            try:
+                float(text)
+            except ValueError:
+                raise ExpressionError(f"malformed number {text!r}", i) from None
+            tokens.append(("num", text, i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            tokens.append(("name", source[i:j], i))
+            i = j
+            continue
+        raise ExpressionError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", "", n))
+    return tokens
+
+
+def _tokens_or_error(tokenize, source):
+    try:
+        return tokenize(source)
+    except ExpressionError as err:
+        return str(err)
+
+
+# ASCII, whitespace of other scripts, letters and decimal digits of other scripts
+SOURCE_PIECES = list("0123456789.eE+-*/^()_ab,#$\"' \t\n") + [
+    "sin", "cos", "exp", "eps", "t", "1e-3", "2.5E+2", ".5", "1.2.3", " ", "　",
+    "é", "ǅ", "π", "٣", "१",
+]
+# numerals that are not decimal digits, which str.isdigit or str.isalnum accept
+OTHER_NUMERALS = ["²", "½", "Ⅻ", "①"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(SOURCE_PIECES), max_size=12).map("".join))
+def test_tokenizer_reads_sources_as_the_character_loop_did(source):
+    assert _tokens_or_error(_tokenize, source) == _tokens_or_error(_reference_tokenize, source)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(SOURCE_PIECES + OTHER_NUMERALS), max_size=8).map("".join))
+def test_other_numerals_are_rejected(source):
+    # a numeral that is not a decimal digit reads as a name or ends a
+    # number, and no grammar rule accepts what follows
+    if any(numeral in source for numeral in OTHER_NUMERALS):
+        with pytest.raises(ExpressionError):
+            parse_expression(source)

@@ -518,10 +518,10 @@ def test_experiment_builds_each_member_once(monkeypatch):
 
 
 def test_experiment_tabulates_each_coefficient_once(monkeypatch):
-    # expression coefficients and forcing, from one document: every A_d^(k),
-    # k <= n, of each member and of the limit is evaluated once on the
-    # nodes and A_d once on the midpoints, and each entry of a payload is
-    # differentiated once for all of them
+    # expression coefficients and forcing, from one document: every A_d^(k)
+    # and f^(k), k <= n, of each member and of the limit is evaluated once
+    # on the nodes and A_d and f once on the midpoints, and each entry of a
+    # payload is differentiated once for all of them
     from fredholm_bvp import expressions
     from fredholm_bvp.document import document_family, load_document
     from fredholm_bvp.functions import ExpressionFunction
@@ -556,11 +556,11 @@ def test_experiment_tabulates_each_coefficient_once(monkeypatch):
     monkeypatch.setattr(ExpressionFunction, "eval", counting_eval)
     monkeypatch.setattr(expressions, "symbolic_derivative", counting_derivative)
     convergence_experiment(document_family(doc), GRID)
-    path = "$.family.coefficients[0].entries"
-    tabulated = [call for call in evaluations if call[0] == path]
-    expected = [(path, eps, k, GRID.count) for eps in [0.0, *schedule] for k in range(3)]
-    expected += [(path, eps, 0, GRID.count - 1) for eps in [0.0, *schedule]]
-    assert sorted(tabulated) == sorted(expected)
+    for path in ("$.family.coefficients[0].entries", "$.rhs.f.entries"):
+        tabulated = [call for call in evaluations if call[0] == path]
+        expected = [(path, eps, k, GRID.count) for eps in [0.0, *schedule] for k in range(3)]
+        expected += [(path, eps, 0, GRID.count - 1) for eps in [0.0, *schedule]]
+        assert sorted(tabulated) == sorted(expected)
     # two derivative orders of 4 coefficient entries and 2 forcing entries
     assert len(differentiated) == len(set(differentiated)) == 2 * (4 + 2)
 

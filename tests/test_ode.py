@@ -353,7 +353,7 @@ def test_blow_up_interval_matches_per_step_loop(r, m, forced):
 def _recurrence_samples(coeffs, grid, f):
     """The Leibniz recurrence ``_extend_orders`` on the states that ``fundamental_set`` reads."""
     w = coeffs.r * coeffs.m
-    states = ode._integrate(coeffs, grid, f)
+    states = ode._integrate(coeffs, grid, None if f is None else ode.forcing_table(f, grid, coeffs))
     low = states[:, :w].reshape(grid.count, coeffs.r, coeffs.m, -1).transpose(1, 0, 2, 3)
     f_tables = None if f is None else [f.eval(grid.nodes, order=s) for s in range(coeffs.n + 1)]
     tables = ode._coefficient_tables(coeffs, grid.nodes, coeffs.n)
