@@ -28,7 +28,7 @@ Caputo-style fractional derivatives must be reformulated before use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -82,6 +82,15 @@ class IntegralTerm:
             raise ValueError("integral kernel must be matrix-valued")
 
 
+def _handed_over(values, dtype) -> np.ndarray:
+    """``values`` itself when it is a read-only C-contiguous array of
+    ``dtype``, else a C-contiguous copy of it as ``dtype``."""
+    if (isinstance(values, np.ndarray) and not values.flags.writeable
+            and values.flags.c_contiguous and values.dtype == dtype):
+        return values
+    return np.array(values, dtype=dtype, order="C")
+
+
 class BoundaryOperator:
     """q scalar conditions assembled from point terms and an integral term.
 
@@ -89,7 +98,7 @@ class BoundaryOperator:
     terms as ``PointTerm``s; ``from_arrays`` takes them as the arrays the
     operator keeps, read-only and in term order: ``points`` (T,),
     ``orders`` (T,) and ``matrices`` (T, q, m).  ``point_terms`` is built
-    from the arrays on first use.
+    from the arrays on first use.  An operator is immutable.
     """
 
     codomain: int
@@ -112,9 +121,9 @@ class BoundaryOperator:
             raise ValueError("point-term matrices must all have the same column count")
         matrices = (np.stack([term.matrix for term in terms]) if terms
                     else np.zeros((0, codomain, 0), dtype=complex))
-        self._adopt(codomain, np.array([term.point for term in terms], dtype=float),
+        self._store(codomain, np.array([term.point for term in terms], dtype=float),
                     np.array([term.order for term in terms], dtype=int), matrices, integral_term)
-        self.point_terms = terms
+        object.__setattr__(self, "point_terms", terms)
 
     @classmethod
     def from_arrays(cls, codomain: int, points: np.ndarray, orders: np.ndarray,
@@ -122,31 +131,39 @@ class BoundaryOperator:
                     ) -> "BoundaryOperator":
         """The operator of the terms ``matrices[k] @ y^(orders[k])(points[k])``.
 
-        The arrays are kept, copied only when not contiguous, and made
-        read-only; the caller vouches for the terms: integer orders >= 0
+        An array that is read-only, C-contiguous and of the kept dtype is
+        kept as it is: the caller hands it over, as documents do with
+        theirs.  Any other is copied, so the caller's arrays are left as
+        they are.  The caller vouches for the terms: integer orders >= 0
         and real points.
         """
         if codomain < 1:
             raise ValueError("codomain must be positive")
-        matrices = np.asarray(matrices, dtype=complex)
+        matrices = _handed_over(matrices, complex)
         if matrices.ndim != 3 or matrices.shape[1] != codomain:
             raise ValueError(f"point-term matrices must have shape (T, {codomain}, m)")
         if np.shape(points) != matrices.shape[:1] or np.shape(orders) != matrices.shape[:1]:
             raise ValueError("one point and one order per point-term matrix")
         operator = cls.__new__(cls)
-        operator._adopt(codomain, points, orders, matrices, integral_term)
+        operator._store(codomain, _handed_over(points, float), _handed_over(orders, int),
+                        matrices, integral_term)
         return operator
 
-    def _adopt(self, codomain, points, orders, matrices, integral_term) -> None:
+    def _store(self, codomain, points, orders, matrices, integral_term) -> None:
+        """Set the fields from arrays the operator owns, which become read-only."""
         if integral_term is not None and integral_term.kernel.shape[0] != codomain:
             raise ValueError("integral kernel row count does not match the codomain")
-        self.codomain = codomain
-        self.integral_term = integral_term
-        for name, value in (("points", np.ascontiguousarray(points, dtype=float)),
-                            ("orders", np.ascontiguousarray(orders, dtype=int)),
-                            ("matrices", np.ascontiguousarray(matrices, dtype=complex))):
+        for name, value in (("points", points), ("orders", orders), ("matrices", matrices)):
             value.flags.writeable = False
-            setattr(self, name, value)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "integral_term", integral_term)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @cached_property
     def point_terms(self) -> tuple[PointTerm, ...]:

@@ -180,20 +180,6 @@ def _parse_nested(raw, path: str, shape: tuple[int, ...], leaf) -> list:
     return leaves
 
 
-def _parse_numbers(raw, path: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Nested finite numbers, as one read-only complex array.
-
-    Payloads that are not all numbers or all pairs, such as numbers mixed
-    with pairs, are walked, which also raises the error of a bad leaf.
-    """
-    values = _number_array(raw, shape)
-    if values is None:
-        leaves = _parse_nested(raw, path, shape, partial(_parse_scalar_slot, eps_ok=False))
-        values = np.array(leaves, dtype=complex).reshape(shape)
-        values.flags.writeable = False
-    return values
-
-
 @dataclass(frozen=True)
 class SlotArray:
     """Nested scalar slots: the numbers as one read-only complex array, zero
@@ -223,8 +209,8 @@ class SlotArray:
                                  for i, tree in a.expressions))
 
     def resolve(self, eps: float | None) -> np.ndarray:
-        """The slots' values at eps, NaN or infinite where an expression is
-        not finite; with no expressions, ``values`` itself."""
+        """The slots' values at eps, read-only, NaN or infinite where an
+        expression is not finite; with no expressions, ``values`` itself."""
         if not self.expressions:
             return self.values
         out = self.values.copy()
@@ -234,6 +220,7 @@ class SlotArray:
                 flat[i] = complex(ex.evaluate(tree, eps=eps))
             except (ZeroDivisionError, OverflowError):
                 flat[i] = complex("nan")
+        out.flags.writeable = False
         return out
 
 
@@ -259,6 +246,11 @@ def _parse_slot_array(raw, path: str, shape: tuple[int, ...], eps_ok: bool) -> S
         return SlotArray(values)
     return SlotArray.of(_parse_nested(raw, path, shape, partial(_parse_scalar_slot, eps_ok=eps_ok)),
                         shape)
+
+
+def _parse_numbers(raw, path: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Nested finite numbers, as one read-only complex array."""
+    return _parse_slot_array(raw, path, shape, eps_ok=False).values
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +396,6 @@ def _parse_boundary(raw, path: str, m: int, top_order: int,
     if not isinstance(points_raw, list):
         raise DocumentError("points must be a list", f"{path}.points")
     shape = (conditions, m)
-    # every matrix of the section in one conversion when all are numbers
-    stacked = None
-    if points_raw and all(type(item) is dict and "matrix" in item for item in points_raw):
-        stacked = _number_array([item["matrix"] for item in points_raw], (len(points_raw), *shape))
     locations, orders, matrices, series_tags = [], [], [], []
     for i, item in enumerate(points_raw):
         ppath = f"{path}.points[{i}]"
@@ -425,9 +413,8 @@ def _parse_boundary(raw, path: str, m: int, top_order: int,
         if order > top_order - 1:
             raise DocumentError(
                 f"order {order} out of range 0..{top_order - 1}", f"{ppath}.order")
-        if stacked is None:
-            matrices.append(_parse_slot_array(_require(item, "matrix", ppath), f"{ppath}.matrix",
-                                              shape, eps_ok))
+        matrices.append(_parse_slot_array(_require(item, "matrix", ppath), f"{ppath}.matrix",
+                                          shape, eps_ok))
         series = item.get("series")
         if series is not None:
             if not eps_ok:
@@ -450,7 +437,7 @@ def _parse_boundary(raw, path: str, m: int, top_order: int,
     orders.flags.writeable = False
     tagged = bool(series_tags) and series_tags[0] is not None
     return BoundaryDoc(conditions, SlotArray.of(locations, (len(locations),)), orders,
-                       SlotArray(stacked) if stacked is not None else SlotArray.stack(matrices, shape),
+                       SlotArray.stack(matrices, shape),
                        tuple(series_tags) if tagged else None, integral)
 
 

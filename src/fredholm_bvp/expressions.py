@@ -119,10 +119,7 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 # recursive-descent parser
 #
 # precedence (high to low):  ^  /  unary -  /  * /  /  + -
-# binary operators of equal precedence associate to the left; ``binary``
-# reads both binary levels by precedence climbing.
-
-_BINARY_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+# binary operators of equal precedence associate to the left.
 
 
 class _Parser:
@@ -137,22 +134,29 @@ class _Parser:
         self.index += 1
 
     def parse(self) -> Expression:
-        expr = self.binary(1)
+        expr = self.sum()
         kind, text, pos = self.tokens[self.index]
         if kind != "end":
             raise ExpressionError(f"unexpected trailing input {text!r}", pos)
         return expr
 
-    def binary(self, lowest: int) -> Expression:
-        """Operands joined by binary operators of precedence ``lowest`` or above."""
-        expr = self.unary()
-        while True:
-            kind, text, _ = self.tokens[self.index]
-            precedence = _BINARY_PRECEDENCE.get(text, 0) if kind == "op" else 0
-            if precedence < lowest:
-                return expr
+    def sum(self) -> Expression:
+        expr = self.product()
+        kind, op, _ = self.tokens[self.index]
+        while kind == "op" and op in "+-":
             self.index += 1
-            expr = BinOp(text, expr, self.binary(precedence + 1))
+            expr = BinOp(op, expr, self.product())
+            kind, op, _ = self.tokens[self.index]
+        return expr
+
+    def product(self) -> Expression:
+        expr = self.unary()
+        kind, op, _ = self.tokens[self.index]
+        while kind == "op" and op in "*/":
+            self.index += 1
+            expr = BinOp(op, expr, self.unary())
+            kind, op, _ = self.tokens[self.index]
+        return expr
 
     def unary(self) -> Expression:
         kind, text, _ = self.tokens[self.index]
@@ -179,14 +183,14 @@ class _Parser:
         if kind == "name":
             if text in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.binary(1)
+                arg = self.sum()
                 self.expect_op(")")
                 return Call(text, arg)
             if text in VARIABLES:
                 return Var(text)
             raise ExpressionError(f"unknown identifier {text!r}", pos)
         if kind == "op" and text == "(":
-            expr = self.binary(1)
+            expr = self.sum()
             self.expect_op(")")
             return expr
         raise ExpressionError(

@@ -56,16 +56,17 @@ measures its finite-difference defect on request.
 
 Varying coefficients are read from one ``CoefficientTable`` per problem
 and grid (``coefficient_table``): A_d^(k) at the nodes for k <= n, A_d at
-the midpoints, a constant A_d as its one (m, m) block.  The table holds
-the forcing too (``ForcingTable``): f^(s) at the nodes for s <= n and f
-at the midpoints.  Stepping, doubling, the derivative orders and
-``residual_stack`` take it, so a caller that integrates a problem and
-then measures its residuals evaluates each coefficient, and f, once.
+the midpoints, a constant A_d as its one (m, m) block.  Built with the
+forcing f, the table holds it too (``ForcingTable``): f^(s) at the nodes
+for s <= n and f at the midpoints, read wherever that same f is given.
+Stepping, doubling, the derivative orders and ``residual_stack`` take
+it, so a caller that integrates a problem and then measures its
+residuals evaluates each coefficient, and f, once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from math import comb, isfinite, log2
 
@@ -135,17 +136,19 @@ def _coefficient_tables(coeffs: CoefficientSet, ts: np.ndarray,
 @dataclass(frozen=True)
 class ForcingTable:
     """A forcing f tabulated once on one grid: ``nodes[s]`` is f^{(s)} at the
-    nodes, s = 0..n, and ``midpoints`` is f at the midpoints."""
+    nodes, s = 0..n, and ``midpoints`` is f at the midpoints.  ``source``
+    is the f it was tabulated from, as given."""
 
     nodes: list[np.ndarray]
     midpoints: np.ndarray
+    source: object = field(default=None, repr=False, compare=False)
 
 
 def forcing_table(f, grid: Grid, coeffs: CoefficientSet) -> ForcingTable:
     """f^{(s)}, s <= n, at the nodes and f at the midpoints, each evaluated once."""
-    f = as_array_function(f, (coeffs.m,))
-    return ForcingTable([f.eval(grid.nodes, order=s) for s in range(coeffs.n + 1)],
-                        f.eval(grid.midpoints))
+    fn = as_array_function(f, (coeffs.m,))
+    return ForcingTable([fn.eval(grid.nodes, order=s) for s in range(coeffs.n + 1)],
+                        fn.eval(grid.midpoints), f)
 
 
 @dataclass(frozen=True)
@@ -155,8 +158,10 @@ class CoefficientTable:
     ``nodes[d][q]`` is A_d^{(q)} at the grid's nodes, q = 0..n, and
     ``midpoints[d]`` is A_d at the midpoints of the grid intervals.  A
     ``ConstantFunction`` enters as its one (m, m) block in both, and its
-    derivatives q >= 1, all zero, as None.  ``forcing`` is the forcing's
-    ``ForcingTable``, or None for a table built without one.
+    derivatives q >= 1, all zero, as None.  ``forcing`` is the
+    ``ForcingTable`` of the f the table was built with, or None.  A
+    reader given f uses it only when it was tabulated from that same f
+    (``ForcingTable.source``), and tabulates f itself otherwise.
     ``coefficient_table`` builds it; the integration, the residuals and
     the coefficient distances of a family all read the same table.
     """
@@ -177,13 +182,15 @@ def coefficient_table(coeffs: CoefficientSet, grid: Grid, f=None) -> Coefficient
                             None if f is None else forcing_table(f, grid, coeffs))
 
 
-def _table_forcing(table: CoefficientTable, f) -> ForcingTable | None:
-    """The table's forcing when ``f`` is given, which the table must hold; else None."""
+def _forcing(f, grid: Grid, coeffs: CoefficientSet,
+             table: CoefficientTable | None) -> ForcingTable | None:
+    """f tabulated on ``grid``, or None without f: the table's ``forcing``
+    when it was tabulated from this same f, else tabulated here."""
     if f is None:
         return None
-    if table.forcing is None:
-        raise ValueError("the coefficient table was built without the forcing")
-    return table.forcing
+    if table is not None and table.forcing is not None and table.forcing.source is f:
+        return table.forcing
+    return forcing_table(f, grid, coeffs)
 
 
 def _top_rows(a_values, count: int, f_values: np.ndarray | None = None) -> np.ndarray:
@@ -479,19 +486,16 @@ def fundamental_set(coeffs: CoefficientSet, grid: Grid, f=None,
     derivative orders 0..n+r.  With a forcing ``f`` the same pass also
     integrates y_p, the solution of L y = f with zero initial data, as
     one last column: the (w+1) x (w+1) identity on [x; 1], w = r*m.
-    Varying coefficients, and f, are read from ``table``, the problem's
-    ``coefficient_table`` on ``grid``, which holds f's ``ForcingTable``
-    exactly when f is given; it is built here when not given.  Constant
-    coefficients need no table: f alone is tabulated then.
+    Varying coefficients are read from ``table``, the problem's
+    ``coefficient_table`` on ``grid``, built here with f when not given;
+    constant ones need no table.  f is read from the table too when the
+    table was built with this same f, and tabulated here otherwise.
     """
     m, r, count = coeffs.m, coeffs.r, grid.count
     w = r * m
     if table is None and not coeffs.constant:
         table = coefficient_table(coeffs, grid, f)
-    if table is not None:
-        forcing = _table_forcing(table, f)
-    else:
-        forcing = None if f is None else forcing_table(f, grid, coeffs)
+    forcing = _forcing(f, grid, coeffs, table)
     states = _integrate(coeffs, grid, forcing, table)
     f_tables = None if forcing is None else forcing.nodes
     # rows below w are the companion state; the forced row w is the constant 1
@@ -525,9 +529,9 @@ def residual_stack(coeffs: CoefficientSet, y: DerivativeStack, f=None,
     """Samples of (L y - f) and its derivatives 0..orders (default n, at most n).
 
     ``y`` must carry derivative orders up to r + orders.  The
-    coefficients, and f, are read from ``table``, the problem's
-    ``coefficient_table`` on y's grid, which holds f's ``ForcingTable``
-    when f is given; it is built here when not given.
+    coefficients are read from ``table``, the problem's
+    ``coefficient_table`` on y's grid, built here with f when not given;
+    f is read from it when the table was built with this same f.
     """
     if orders is None:
         orders = coeffs.n
@@ -540,7 +544,7 @@ def residual_stack(coeffs: CoefficientSet, y: DerivativeStack, f=None,
     grid = y.grid
     if table is None:
         table = coefficient_table(coeffs, grid, f)
-    forcing = _table_forcing(table, f)
+    forcing = _forcing(f, grid, coeffs, table)
     rows = []
     y_orders = [y.samples[k] for k in range(y.max_order + 1)]
     for s in range(orders + 1):

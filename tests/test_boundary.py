@@ -53,6 +53,32 @@ def test_two_point_exponential():
     assert op.apply(stack)[0] == pytest.approx(1.0 + np.e, abs=1e-8)
 
 
+def test_from_arrays_copies_writeable_arrays_and_keeps_read_only_ones():
+    points, orders = np.array([0.0, 1.0]), np.array([0, 1])
+    matrices = np.stack([np.eye(2, dtype=complex), 2 * np.eye(2, dtype=complex)])
+    op = BoundaryOperator.from_arrays(2, points, orders, matrices)
+    # the caller's arrays stay writeable, and writing to them leaves the operator as it was
+    assert all(a.flags.writeable for a in (points, orders, matrices))
+    matrices[0] = 0.0
+    np.testing.assert_array_equal(op.matrices[0], np.eye(2))
+    assert not op.matrices.flags.writeable
+    # read-only arrays are handed over, as documents hand over theirs
+    for a in (points, orders, matrices):
+        a.flags.writeable = False
+    op = BoundaryOperator.from_arrays(2, points, orders, matrices)
+    assert op.points is points and op.orders is orders and op.matrices is matrices
+    assert [term.point for term in op.point_terms] == [0.0, 1.0]
+
+
+def test_boundary_operator_is_immutable():
+    op = point_evaluation(0.0, np.eye(2))
+    for name in ("codomain", "points", "matrices", "integral_term"):
+        with pytest.raises(AttributeError):
+            setattr(op, name, None)
+    with pytest.raises(AttributeError):
+        del op.codomain
+
+
 def test_off_node_point_uses_interpolation():
     grid = Grid.uniform(UNIT, 101)
     stack = scalar_stack(grid, [np.sin, np.cos])

@@ -151,6 +151,35 @@ def test_superposition_solves_equation():
     assert np.abs(residual.samples[0]).sum(axis=1).max() <= 1e-8
 
 
+@pytest.mark.parametrize("constant", [True, False], ids=["constant", "varying"])
+def test_a_table_of_another_forcing_is_not_read(constant):
+    # a coefficient table built without f, or with another f, gives the
+    # analysis and residuals of a table built with the problem's own f
+    from fredholm_bvp import ProblemSpec, RightHandSide, analyze, point_evaluation, superpose
+    from fredholm_bvp.grid import P2
+
+    grid = Grid.uniform(UNIT, 201)
+    a = (np.array([[0.5]]) if constant
+         else ExpressionFunction(np.array([[parse_expression("t")]], dtype=object)))
+    coeffs = CoefficientSet(1, 1, 1, (a,))
+    f, other = (ExpressionFunction(np.array([parse_expression(e)], dtype=object))
+                for e in ("sin(t)", "exp(t)"))
+    problem = ProblemSpec(UNIT, coeffs, point_evaluation(0.0, np.eye(1)), P2,
+                          RightHandSide(f, np.array([1.0])))
+    expected = analyze(problem, grid, None, ode.coefficient_table(coeffs, grid, f))
+    y, _ = superpose(problem, expected)
+    expected_residual = residual_stack(coeffs, y, f, table=ode.coefficient_table(coeffs, grid, f))
+    assert np.abs(expected_residual.samples[0]).max() <= 1e-6
+    for table in (ode.coefficient_table(coeffs, grid), ode.coefficient_table(coeffs, grid, other)):
+        analysis = analyze(problem, grid, None, table)
+        np.testing.assert_array_equal(analysis.fundamental.samples, expected.fundamental.samples)
+        np.testing.assert_array_equal(analysis.boundary_particular, expected.boundary_particular)
+        np.testing.assert_array_equal(residual_stack(coeffs, y, f, table=table).samples,
+                                      expected_residual.samples)
+    np.testing.assert_array_equal(analyze(problem, grid).fundamental.samples,
+                                  expected.fundamental.samples)
+
+
 def test_residual_stack_requires_enough_orders():
     grid = Grid.uniform(UNIT, 101)
     coeffs = CoefficientSet(1, 1, 2, (np.zeros((1, 1)),))
