@@ -20,16 +20,7 @@ from .characteristic import (
     kernel_directions,
     solvability_report,
 )
-from .closed_forms import (
-    MatrixFunctionResult,
-    cos_sqrt,
-    matrix_exp,
-    one_point_first_order,
-    phi,
-    sinc_sqrt,
-    two_point_damped,
-    two_point_oscillatory,
-)
+from .closed_forms import MatrixFunctionResult, exact_characteristic_matrix, matrix_exp
 from .expressions import ExpressionError, parse_expression, symbolic_derivative
 from .functions import (
     ArrayFunction,
@@ -99,23 +90,18 @@ __all__ = [
     "coefficient_table",
     "cokernel_directions",
     "convergence_experiment",
-    "cos_sqrt",
     "discrepancy",
+    "exact_characteristic_matrix",
     "fundamental_set",
     "kernel_directions",
     "lp_norm",
     "matrix_exp",
-    "one_point_first_order",
     "parse_expression",
-    "phi",
     "point_evaluation",
     "residual_stack",
-    "sinc_sqrt",
     "sobolev_norm",
     "solvability_report",
     "solve",
     "superpose",
     "symbolic_derivative",
-    "two_point_damped",
-    "two_point_oscillatory",
 ]

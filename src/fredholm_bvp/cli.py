@@ -10,8 +10,10 @@ whose values are all finite is written by filling one ``%.17g`` template
 built for its shape; any other array goes through ``tolist()`` and the
 recursive list path, which writes NaN as ``null`` and +-inf as ``"inf"`` and
 ``"-inf"``.  Both give the same bytes for the same values.  ``oracle-check``
-takes each closed form from the recognised configuration of the problem,
-whether it comes from a document or is one of the builtins ``ex1``..``ex5``.
+compares the numerical matrix with ``exact_characteristic_matrix``, exact
+for any constant-coefficient problem whose integral kernel is absent or
+constant, whether it comes from a document or is one of the builtins
+``ex1``..``ex5``; a varying coefficient or kernel is an error.
 Exit status: 0 on success, 2 when an analysis completes but the problem
 is not well posed, 1 on any error.  ``main`` builds its argument parser
 once per process and parses every command line with it.
@@ -35,7 +37,7 @@ from .characteristic import (
     solvability_report,
 )
 from .boundary import BoundaryOperator, IntegralTerm, PointTerm
-from .closed_forms import one_point_first_order, two_point_damped, two_point_oscillatory
+from .closed_forms import exact_characteristic_matrix
 from .document import DocumentError, document_family, document_problem, load_document
 from .expressions import ExpressionError
 from .functions import ConstantFunction
@@ -257,9 +259,11 @@ def _run_family(args) -> int:
 def _run_oracle_check(args) -> int:
     if args.document in _BUILTINS:
         problem = _BUILTINS[args.document]()
+        name = _EXAMPLE_ALIASES.get(args.document, args.document)
     else:
         problem = document_problem(load_document(args.document))
-    name, oracle = _oracle_from_problem(problem)
+        name = "constant-coefficient"
+    oracle = exact_characteristic_matrix(problem)
     grid = Grid.uniform(problem.interval, args.nodes)
     matrix = build_characteristic_matrix(problem, grid, args.rank_tol)
     deviation = float(np.abs(matrix.entries - oracle).max())
@@ -287,77 +291,7 @@ def _run_oracle_check(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# oracle-check configurations
-
-
-def _collect_point_sums(problem: ProblemSpec) -> dict[int, dict[float, np.ndarray]]:
-    """matrices summed per (order, point) for oracle parameter extraction."""
-    sums: dict[int, dict[float, np.ndarray]] = {}
-    for term in problem.boundary.point_terms:
-        per_point = sums.setdefault(term.order, {})
-        if term.point in per_point:
-            per_point[term.point] = per_point[term.point] + term.matrix
-        else:
-            per_point[term.point] = term.matrix.copy()
-    return sums
-
-
-def _constant_coefficient(problem: ProblemSpec, d: int) -> np.ndarray:
-    fn = problem.coefficients.by_order[d]
-    probe = np.linspace(problem.interval.a, problem.interval.b, 7)
-    values = fn.eval(probe)
-    if np.abs(values - values[0]).max() > 1e-12 * max(1.0, np.abs(values).max()):
-        raise CliError("oracle-check needs constant coefficients")
-    return values[0]
-
-
-def _oracle_from_problem(problem: ProblemSpec) -> tuple[str, np.ndarray]:
-    """Recognize a constant-coefficient configuration with a closed form."""
-    a_point, b_point = problem.interval.a, problem.interval.b
-    sums = _collect_point_sums(problem)
-    orders = problem.coefficients.max_order
-
-    def stacked(point: float) -> list[np.ndarray]:
-        zero = np.zeros((problem.q, problem.m), dtype=complex)
-        return [sums.get(k, {}).get(point, zero) for k in range(orders)]
-
-    if problem.r == 1:
-        a0 = _constant_coefficient(problem, 0)
-        if np.abs(a0).max() == 0.0:
-            points = sorted(sums.get(0, {}).keys())
-            alphas0 = [sums[0][p] for p in points] if points else [
-                np.zeros((problem.q, problem.m), dtype=complex)
-            ]
-            one_point = all(
-                point == a_point for per in sums.values() for point in per
-            )
-            name = "canonical-first-order" if one_point else "multipoint-zero-coefficient"
-            return name, sum(alphas0[1:], start=alphas0[0].copy())
-        if any(point != a_point for per in sums.values() for point in per):
-            raise CliError(
-                "no closed form: first-order problems with a nonzero coefficient "
-                "need all boundary points at the left endpoint"
-            )
-        if problem.boundary.integral_term is not None:
-            raise CliError("no closed form: integral terms are only supported when "
-                           "the coefficient vanishes")
-        return "one-point-first-order", one_point_first_order(a0, stacked(a_point))
-    if problem.r == 2:
-        if problem.boundary.integral_term is not None:
-            raise CliError("no closed form with an integral term for second order")
-        a0 = _constant_coefficient(problem, 0)
-        a1 = _constant_coefficient(problem, 1)
-        extra = [p for per in sums.values() for p in per if p not in (a_point, b_point)]
-        if extra:
-            raise CliError("no closed form: second-order configurations are two-point")
-        length = problem.interval.length
-        if np.abs(a0).max() == 0.0:
-            return "two-point-damped", two_point_damped(
-                a1, stacked(a_point), stacked(b_point), length)
-        if np.abs(a1).max() == 0.0:
-            return "two-point-oscillatory", two_point_oscillatory(
-                a0, stacked(a_point), stacked(b_point), length)
-    raise CliError("no closed form known for this configuration")
+# oracle-check builtins
 
 
 def _builtin_rng() -> np.random.Generator:
@@ -492,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser(
         "oracle-check",
-        help="compare the numerical matrix with a closed form "
+        help="compare the numerical matrix with the exact one "
              f"(builtins: {', '.join(sorted(k for k in _BUILTINS if k.startswith('ex')))})",
     )
     oracle.add_argument("document", help="problem document or builtin name")
@@ -514,7 +448,8 @@ def main(argv=None) -> int:
     except NotWellPosedError as err:
         print(f"not well posed: {err}", file=sys.stderr)
         return EXIT_NOT_WELL_POSED
-    except (CliError, DocumentError, ExpressionError, ValueError, OSError, FloatingPointError) as err:
+    except (CliError, DocumentError, ExpressionError, ValueError, OSError,
+            FloatingPointError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

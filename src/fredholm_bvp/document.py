@@ -433,6 +433,9 @@ def _parse_boundary(raw, path: str, m: int, top_order: int,
             raise DocumentError("expected an integral-term object", ipath)
         integral = _parse_function(_require(raw["integral"], "kernel", ipath),
                                    f"{ipath}.kernel", (conditions, m), eps_ok)
+    if not locations and integral is None:
+        # B = 0, and no list of the declared length checks `conditions`
+        raise DocumentError("a boundary section needs a point or an integral term", path)
     orders = np.array(orders, dtype=int)
     orders.flags.writeable = False
     tagged = bool(series_tags) and series_tags[0] is not None

@@ -14,6 +14,7 @@ from fredholm_bvp import (
     ProblemSpec,
     RightHandSide,
     analyze,
+    exact_characteristic_matrix,
     fundamental_set,
 )
 from fredholm_bvp.expressions import parse_expression
@@ -77,6 +78,48 @@ def random_stack(grid, rng, dimension, max_order):
 
 def random_complex(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def endpoint_blocks(a0, a1, s):
+    """[Y_1(s), Y_2(s)] of y'' + a1 y' + a0 y = 0 on [0, s], from the exact matrix.
+
+    With B y = y(s) the characteristic matrix is the fundamental pair at s:
+    for a0 = 0 the second block is the ramp (1 - exp(-a1 s)) a1^{-1}, and
+    for a1 = 0 the blocks are cos(sqrt(a0) s) and sin(sqrt(a0) s) / sqrt(a0).
+    """
+    m = np.shape(a0)[0]
+    coeffs = CoefficientSet(2, m, 0, (a0, a1))
+    boundary = BoundaryOperator(m, (PointTerm(s, 0, np.eye(m)),))
+    entries = exact_characteristic_matrix(ProblemSpec(Interval(0.0, s), coeffs, boundary, P2))
+    return entries[:, :m], entries[:, m:]
+
+
+def expm_characteristic(problem):
+    """The exact characteristic matrix of a constant problem, by scipy's expm.
+
+    Order k at t is E_0 C^k expm(C (t - a)), E_0 = [I 0 ... 0], and a
+    constant kernel K adds K E_0 C^(n+r) int_0^(b-a) expm(C s) ds, the
+    integral read off the Van Loan block expm([[C, I], [0, 0]] (b - a)).
+    """
+    from scipy.linalg import expm
+
+    coeffs, boundary, interval = problem.coefficients, problem.boundary, problem.interval
+    r, m, n = coeffs.r, coeffs.m, coeffs.n
+    w = r * m
+    companion = np.eye(w, k=m, dtype=complex)
+    companion[-m:] = -np.hstack([fn.values for fn in coeffs.by_order])
+    first = np.eye(m, w, dtype=complex)
+    rows = [first @ np.linalg.matrix_power(companion, k) for k in range(n + r + 1)]
+    entries = np.zeros((problem.q, w), dtype=complex)
+    for t, d, matrix in zip(boundary.points, boundary.orders, boundary.matrices):
+        entries += matrix @ rows[d] @ expm(companion * (t - interval.a))
+    if boundary.integral_term is not None:
+        block = np.zeros((2 * w, 2 * w), dtype=complex)
+        block[:w, :w] = companion
+        block[:w, w:] = np.eye(w)
+        integral = expm(block * interval.length)[:w, w:]
+        entries += boundary.integral_term.kernel.values @ rows[n + r] @ integral
+    return entries
 
 
 def combine(fset, weights):

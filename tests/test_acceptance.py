@@ -9,8 +9,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import (BETA1, BETA2, UNIT, combine, family_semicontinuity, members, random_complex,
-                      split_series, tagged_family)
+from conftest import (BETA1, BETA2, UNIT, combine, endpoint_blocks, family_semicontinuity, members,
+                      random_complex, split_series, tagged_family)
 from fredholm_bvp import (
     BoundaryOperator,
     CoefficientSet,
@@ -24,19 +24,14 @@ from fredholm_bvp import (
     build_characteristic_matrix,
     check_multipoint_assumptions,
     convergence_experiment,
-    cos_sqrt,
+    exact_characteristic_matrix,
     fundamental_set,
     kernel_directions,
     matrix_exp,
-    one_point_first_order,
-    phi,
     point_evaluation,
     residual_stack,
-    sinc_sqrt,
     solvability_report,
     solve,
-    two_point_damped,
-    two_point_oscillatory,
 )
 from fredholm_bvp.grid import P2, vector_magnitude
 
@@ -69,7 +64,7 @@ def test_ac01_one_point_oracle_match():
                 m, tuple(PointTerm(0.0, k, alphas[k]) for k in range(3)))
             problem = ProblemSpec(UNIT, coeffs, boundary, P2)
             matrix = build_characteristic_matrix(problem, grid)
-            oracle = one_point_first_order(a, alphas)
+            oracle = exact_characteristic_matrix(problem)
             assert relative_deviation(matrix.entries, oracle) <= 1e-6
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0
@@ -120,7 +115,7 @@ def test_ac03_two_point_oracles_and_length_dependence():
                                  CoefficientSet(2, m, n, (np.zeros((m, m)), a)),
                                  boundary, P2)
             numerical = build_characteristic_matrix(damped, grid)
-            oracle = two_point_damped(a, alphas, betas, length)
+            oracle = exact_characteristic_matrix(damped)
             assert relative_deviation(numerical.entries, oracle) <= 1e-6
             damped_matrices[length] = numerical.entries
 
@@ -128,7 +123,7 @@ def test_ac03_two_point_oracles_and_length_dependence():
                                       CoefficientSet(2, m, n, (a, np.zeros((m, m)))),
                                       boundary, P2)
             numerical = build_characteristic_matrix(oscillatory, grid)
-            oracle = two_point_oscillatory(a, alphas, betas, length)
+            oracle = exact_characteristic_matrix(oscillatory)
             assert relative_deviation(numerical.entries, oracle) <= 1e-6
             oscillatory_matrices[length] = numerical.entries
 
@@ -328,9 +323,11 @@ def test_ac10_numerics_hygiene():
 
             assert np.abs(matrix_exp(matrix, s).value
                           - via_eig(lambda z: np.exp(z * s))).max() <= 1e-8
-            assert np.abs(phi(matrix, s).value
+            # the damped ramp and the oscillatory pair, off the exact matrix of y(s)
+            zero = np.zeros_like(matrix)
+            assert np.abs(endpoint_blocks(zero, matrix, s)[1]
                           - via_eig(lambda z: (1 - np.exp(-z * s)) / z)).max() <= 1e-8
-            assert np.abs(cos_sqrt(matrix, s).value
-                          - via_eig(lambda z: np.cos(np.sqrt(z) * s))).max() <= 1e-8
-            assert np.abs(sinc_sqrt(matrix, s).value
+            cos_block, sinc_block = endpoint_blocks(matrix, zero, s)
+            assert np.abs(cos_block - via_eig(lambda z: np.cos(np.sqrt(z) * s))).max() <= 1e-8
+            assert np.abs(sinc_block
                           - via_eig(lambda z: np.sin(np.sqrt(z) * s) / np.sqrt(z))).max() <= 1e-8

@@ -18,12 +18,11 @@ from fredholm_bvp import (
     build_characteristic_matrix,
     characteristic_from_blocks,
     cokernel_directions,
+    exact_characteristic_matrix,
     fundamental_set,
     kernel_directions,
-    one_point_first_order,
     residual_stack,
     solvability_report,
-    two_point_damped,
 )
 from fredholm_bvp.characteristic import characteristic_from_fundamental
 from fredholm_bvp.grid import vector_magnitude
@@ -66,7 +65,7 @@ def test_one_point_constant_coefficient_matches_power_sum():
     alphas = [random_complex(rng, m, m) for _ in range(3)]
     problem = one_point_problem(a, alphas)
     matrix = build_characteristic_matrix(problem, Grid.uniform(UNIT, 1001))
-    oracle = one_point_first_order(a, alphas)
+    oracle = exact_characteristic_matrix(problem)
     scale = np.abs(oracle).max()
     assert np.abs(matrix.entries - oracle).max() / scale <= 1e-6
 
@@ -84,7 +83,7 @@ def test_two_point_second_order_matches_block_oracle():
     terms += tuple(PointTerm(1.0, k, betas[k]) for k in range(n + 2))
     problem = ProblemSpec(UNIT, coeffs, BoundaryOperator(q, terms), P2)
     matrix = build_characteristic_matrix(problem, Grid.uniform(UNIT, 1001))
-    oracle = two_point_damped(a, alphas, betas, 1.0)
+    oracle = exact_characteristic_matrix(problem)
     assert np.abs(matrix.entries - oracle).max() / np.abs(oracle).max() <= 1e-6
 
 

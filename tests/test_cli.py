@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import expm_characteristic
 from fredholm_bvp import cli
 from fredholm_bvp.cli import emit_json, main
+from fredholm_bvp.document import document_problem, load_document
 
 SAMPLES = Path(__file__).resolve().parent.parent / "docs" / "samples"
 ONE_POINT = str(SAMPLES / "one-point-first-order.json")
@@ -211,8 +213,74 @@ def test_oracle_check_on_document(capsys):
                        "--format", "machine")
     assert code == 0
     doc = json.loads(out)
-    assert doc["example"] == "one-point-first-order"
+    assert doc["example"] == "constant-coefficient"
     assert doc["relative_deviation"] <= 1e-6
+
+
+def interior_point_document():
+    """Constant r = 3, m = 2, n = 1 problem, points inside [-0.5, 1] and a constant kernel."""
+    rng = np.random.default_rng(19)
+
+    def values(*shape):
+        return np.round(rng.normal(size=shape) * 0.4, 3).tolist()
+
+    points = [(-0.5, 0), (-0.1, 3), (0.3, 1), (0.55, 2), (0.8, 0), (1.0, 1)]
+    return {
+        "interval": {"a": -0.5, "b": 1.0},
+        "orders": {"r": 3, "m": 2, "n": 1},
+        "exponent": 2,
+        "coefficients": [{"kind": "constant", "values": values(2, 2)} for _ in range(3)],
+        "boundary": {
+            "conditions": 6,
+            "points": [{"t": t, "order": d, "matrix": values(6, 2)} for t, d in points],
+            "integral": {"kernel": {"kind": "constant", "values": values(6, 2)}},
+        },
+    }
+
+
+def test_oracle_check_on_interior_points_and_a_constant_kernel(tmp_path, capsys):
+    path = tmp_path / "interior.json"
+    path.write_text(json.dumps(interior_point_document()))
+    code, out, err = run(capsys, "oracle-check", str(path), "--format", "machine")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["example"] == "constant-coefficient"
+    closed = np.asarray(doc["closed_form"])
+    closed = closed[..., 0] + 1j * closed[..., 1]
+    reference = expm_characteristic(document_problem(load_document(str(path))))
+    assert np.abs(closed - reference).max() <= 1e-12 * np.abs(reference).max()
+    # the integral term's trapezoid rule leaves an O(h^2) deviation at 1001 nodes
+    assert 1e-9 <= doc["relative_deviation"] <= 1e-5
+
+
+@pytest.mark.parametrize("section, message", [
+    ("coefficients", "coefficient A_1 varies with t"),
+    ("kernel", "the integral kernel varies with t"),
+])
+def test_oracle_check_rejects_a_varying_coefficient_or_kernel(tmp_path, capsys, section, message):
+    raw = interior_point_document()
+    varying = {"kind": "expression", "entries": [["t", "0"], ["0", "1"]]}
+    if section == "coefficients":
+        raw["coefficients"][1] = varying
+    else:
+        raw["boundary"]["integral"]["kernel"] = {
+            "kind": "expression", "entries": [["t", "0"]] + [["0", "1"]] * 5}
+    path = tmp_path / "varying.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "oracle-check", str(path))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+def test_oracle_check_reports_an_overflowing_exponential(tmp_path, capsys):
+    # exp(1000) at the point b overflows before any integration runs
+    raw = json.loads(Path(ONE_POINT).read_text())
+    raw["coefficients"][0]["values"] = [[-1000, 0], [0, 0]]
+    raw["boundary"]["points"] = [dict(raw["boundary"]["points"][0], t=1.0)]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "oracle-check", str(path))
+    assert (code, out, err) == (1, "", "error: matrix exponential overflowed during squaring\n")
 
 
 def test_solve_without_rhs_exit_one(tmp_path, capsys):

@@ -631,6 +631,20 @@ def test_declared_sizes_are_checked_before_anything_is_allocated(tmp_path, capsy
     assert capsys.readouterr().err == f"error: {path}: expected a list of length {length}\n"
 
 
+@pytest.mark.parametrize("section", [{"conditions": 10**12}, {"conditions": 2, "points": []}],
+                         ids=["huge", "two"])
+def test_a_boundary_section_without_terms_is_rejected(tmp_path, capsys, section):
+    # B = 0 checks no length against `conditions`; 10^12 conditions used to
+    # reach a 29 TiB allocation in the characteristic matrix
+    raw = minimal_document(boundary=section)
+    del raw["rhs"]
+    doc = tmp_path / "empty.json"
+    doc.write_text(json.dumps(raw))
+    assert main(["analyze", str(doc)]) == 1
+    assert capsys.readouterr().err == (
+        "error: $.boundary: a boundary section needs a point or an integral term\n")
+
+
 def test_family_members_build_no_point_terms(monkeypatch):
     # members are built from the boundary section's arrays, one
     # BoundaryOperator each, with no PointTerm per term
