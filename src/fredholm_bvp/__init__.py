@@ -46,9 +46,7 @@ from .limits import (
 )
 from .ode import (
     CoefficientSet,
-    CoefficientTable,
     RightHandSide,
-    coefficient_table,
     fundamental_set,
     residual_stack,
 )
@@ -62,7 +60,6 @@ __all__ = [
     "BoundaryOperator",
     "CharacteristicMatrix",
     "CoefficientSet",
-    "CoefficientTable",
     "ConstantFunction",
     "DerivativeStack",
     "ExpressionError",
@@ -87,7 +84,6 @@ __all__ = [
     "check_condition_I",
     "check_condition_II",
     "check_multipoint_assumptions",
-    "coefficient_table",
     "cokernel_directions",
     "convergence_experiment",
     "discrepancy",

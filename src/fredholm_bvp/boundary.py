@@ -35,11 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .functions import ArrayFunction, as_array_function
-from .grid import DerivativeStack, Grid, Interval, LebesgueExponent, interpolate, vector_magnitude
-
-# Worst-case Lebesgue constant of the local 4-point cubic interpolation
-# used for off-node point evaluation (attained near the grid ends).
-_INTERP_CONSTANT = 2.0
+from .grid import DerivativeStack, interpolate
 
 
 @dataclass(frozen=True)
@@ -208,36 +204,6 @@ class BoundaryOperator:
             trapezoids = stack.grid.step * (integrand[1:] + integrand[:-1]) / 2.0
             result += np.cumsum(trapezoids, axis=0)[-1]
         return result
-
-    def continuity_constant(self, interval: Interval, p: LebesgueExponent,
-                            grid: Grid | None = None) -> float:
-        """An explicit C with |B y| <= C * sobolev_norm(y, p).
-
-        Point values are controlled through the averaging bound
-        |v(t)| <= (b-a)^(1/p') * max(1/(b-a), 1) * (||v||_p + ||v'||_p),
-        times the interpolation constant; the integral term is bounded
-        by the Hoelder pairing with the kernel's L_{p'} norm.
-        """
-        length = interval.length
-        if p.is_infinite:
-            embed = 1.0
-        else:
-            embed = length ** (1.0 / p.conjugate) if np.isfinite(p.conjugate) else 1.0
-        embed *= max(1.0 / length, 1.0)
-        constant = sum(
-            _INTERP_CONSTANT * vector_magnitude(matrix) * embed for matrix in self.matrices
-        )
-        if self.integral_term is not None:
-            if grid is None:
-                grid = Grid.uniform(interval)
-            kernel = self.integral_term.kernel.eval(grid.nodes)
-            weight = np.abs(kernel).sum(axis=(1, 2))
-            q_conj = p.conjugate
-            if np.isinf(q_conj):
-                constant += float(weight.max())
-            else:
-                constant += float(np.trapezoid(weight**q_conj, dx=grid.step) ** (1.0 / q_conj))
-        return constant
 
 
 def point_evaluation(point: float, matrix: np.ndarray, order: int = 0) -> BoundaryOperator:

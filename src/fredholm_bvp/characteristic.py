@@ -45,7 +45,6 @@ from .functions import ConstantFunction
 from .grid import DerivativeStack, Grid, Interval, LebesgueExponent, point_stencil
 from .ode import (
     CoefficientSet,
-    CoefficientTable,
     RightHandSide,
     fundamental_set,
     order_rows,
@@ -264,18 +263,15 @@ def build_characteristic_matrix(problem: ProblemSpec, grid: Grid,
     return characteristic_from_fundamental(problem, stack, rank_tolerance)
 
 
-def analyze(problem: ProblemSpec, grid: Grid, rank_tolerance: float | None = None,
-            table: CoefficientTable | None = None) -> Analysis:
+def analyze(problem: ProblemSpec, grid: Grid, rank_tolerance: float | None = None) -> Analysis:
     """Fundamental set, characteristic matrix and solvability report of a problem.
 
     One integration of [Y_1 ... Y_r | y_p] and one application of B to
     it: the first r*m columns of the result are the characteristic
-    matrix, the last one is B y_p.  ``table`` is the problem's
-    ``coefficient_table`` on ``grid``, for callers that read it again
-    (``fundamental_set`` builds it when needed and not given).
+    matrix, the last one is B y_p.
     """
     forcing = problem.rhs.f if problem.rhs is not None else None
-    stack = fundamental_set(problem.coefficients, grid, forcing, table)
+    stack = fundamental_set(problem.coefficients, grid, forcing)
     applied = problem.boundary.apply(stack)
     w = problem.state_size
     matrix = characteristic_from_blocks([applied[:, :w]], rank_tolerance)

@@ -43,7 +43,7 @@ from .expressions import ExpressionError
 from .functions import ConstantFunction
 from .grid import DEFAULT_NODE_COUNT, Grid, Interval, LebesgueExponent, vector_magnitude
 from .limits import convergence_experiment
-from .ode import CoefficientSet, coefficient_table, integration_residual, residual_stack
+from .ode import CoefficientSet, integration_residual, residual_stack
 from .solver import NotWellPosedError, superpose
 
 EXIT_OK = 0
@@ -202,12 +202,10 @@ def _run_analyze(args) -> int:
 def _run_solve(args) -> int:
     problem = document_problem(load_document(args.document))
     grid = Grid.uniform(problem.interval, args.nodes)
-    forcing = problem.rhs.f if problem.rhs is not None else None
-    table = coefficient_table(problem.coefficients, grid, forcing)
-    analysis = analyze(problem, grid, args.rank_tol, table)
+    analysis = analyze(problem, grid, args.rank_tol)
     y, weights = superpose(problem, analysis)
     condition_number = analysis.matrix.condition_number
-    residual = residual_stack(problem.coefficients, y, problem.rhs.f, orders=0, table=table)
+    residual = residual_stack(problem.coefficients, y, problem.rhs.f, orders=0)
     equation_residual = float(np.abs(residual.samples[0]).sum(axis=1).max())
     boundary_residual = vector_magnitude(problem.boundary.apply(y) - problem.rhs.c)
     if args.format == "machine":

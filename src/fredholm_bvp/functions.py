@@ -9,6 +9,10 @@ cover the practical cases:
 * entrywise expression trees (derivatives symbolic, hence exact),
 * tabulated samples on a grid (derivatives by 4th-order differences,
   values off the table by cubic interpolation).
+
+Coefficients and forcings are read on a grid through ``tabulate``: each
+function keeps its samples for the last grid object it was asked about,
+so it is evaluated once per grid and order, whoever asks.
 """
 
 from __future__ import annotations
@@ -23,9 +27,25 @@ class ArrayFunction:
     """Shared interface: ``eval(ts, order)`` -> array (len(ts), *shape)."""
 
     shape: tuple[int, ...]
+    _grid: Grid | None = None  # the grid of the kept samples
 
     def eval(self, ts: np.ndarray, order: int = 0) -> np.ndarray:
         raise NotImplementedError
+
+    def tabulate(self, grid: Grid, order: int = 0, midpoints: bool = False) -> np.ndarray:
+        """``eval`` at the grid's nodes, or at its midpoints, read-only.
+
+        The samples are kept for the last grid object asked: another
+        grid, even one with equal nodes, drops them and evaluates afresh.
+        """
+        if self._grid is not grid:
+            self._grid, self._samples = grid, {}
+        key = (order, midpoints)
+        if key not in self._samples:
+            values = self.eval(grid.midpoints if midpoints else grid.nodes, order)
+            values.flags.writeable = False
+            self._samples[key] = values
+        return self._samples[key]
 
 
 class ConstantFunction(ArrayFunction):

@@ -26,28 +26,30 @@ coefficient-sum convergence, weighted-norm smallness, zero-series decay),
 read off the members' boundary operators, with the selection rule
 depending on whether p is finite.
 
-The experiment works per problem, not per term or per evaluation.  Each
-member's coefficients and forcing, and the limit's, are tabulated once on
-the grid (``ode.coefficient_table``); the integration, condition (I) and
-the discrepancy read that one table.  Each series of a member is read off
-the boundary operator's term arrays as one magnitude table and one
-matrix sum, and each multipoint table entry is one reduction of those
-over the terms, added in term order.
+The experiment is one pass over the schedule.  Each member is built when
+the pass reaches it and measured by one function (``member_row``), so
+nothing of it outlives its row but its boundary operator, which the
+condition (II) and multipoint tables read after the pass.  Every function
+keeps its samples on the grid (``ArrayFunction.tabulate``): a member's
+coefficients and forcing are evaluated once for its integration,
+condition (I) and discrepancy, and the limit's once for the whole pass.
+Each series of a member is read off the boundary operator's term arrays
+as one magnitude table and one matrix sum, and each multipoint table
+entry is one reduction of those over the terms, added in term order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .boundary import BoundaryOperator
 from .characteristic import ProblemSpec, SolvabilityReport, analyze
 from .grid import DerivativeStack, Grid, LebesgueExponent, lp_norm, sobolev_norm, vector_magnitude
-from .ode import CoefficientTable, coefficient_table
+from .ode import CoefficientSet, coefficient_samples
 from .solver import discrepancy, superpose
 
 DEFAULT_EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -177,22 +179,17 @@ class ProblemFamily:
                 return i
         return None
 
-    @cached_property
-    def members(self) -> tuple[ProblemSpec, ...]:
-        """The problem at each scheduled eps, in schedule order, built once."""
-        return tuple(self.at(eps) for eps in self.epsilons)
 
-
-def coefficient_distances(table_eps: CoefficientTable, table_zero: CoefficientTable,
+def coefficient_distances(coeffs_eps: CoefficientSet, coeffs_zero: CoefficientSet, grid: Grid,
                           exponent: LebesgueExponent) -> list[float]:
-    """Order-n Sobolev distance of each coefficient matrix, by order d.
+    """Order-n Sobolev distance of each coefficient matrix on ``grid``, by order d.
 
-    Both tables are on one grid; the derivatives of a constant
-    coefficient, all zero, are None there and add nothing.
+    The derivatives of a constant coefficient, all zero, are None in its
+    samples (``coefficient_samples``) and add nothing.
     """
-    grid = table_zero.grid
     distances = []
-    for derivs_eps, derivs_zero in zip(table_eps.nodes, table_zero.nodes):
+    for derivs_eps, derivs_zero in zip(coefficient_samples(coeffs_eps, grid),
+                                       coefficient_samples(coeffs_zero, grid)):
         total = 0.0
         for a_eps, a_zero in zip(derivs_eps, derivs_zero):
             if a_eps is None and a_zero is None:
@@ -213,11 +210,10 @@ def _condition_I(epsilons, rows) -> ConditionReport:
 
 def check_condition_I(family: ProblemFamily, grid: Grid) -> ConditionReport:
     """Coefficient convergence tables, one per derivative order d."""
-    zero = coefficient_table(family.at_zero.coefficients, grid)
+    zero = family.at_zero
     return _condition_I(family.epsilons, [
-        coefficient_distances(coefficient_table(member.coefficients, grid), zero,
-                              family.at_zero.exponent)
-        for member in family.members
+        coefficient_distances(family.at(eps).coefficients, zero.coefficients, grid, zero.exponent)
+        for eps in family.epsilons
     ])
 
 
@@ -255,7 +251,13 @@ def default_probes(grid: Grid, dimension: int, max_order: int) -> DerivativeStac
 
 
 def check_condition_II(family: ProblemFamily, grid: Grid) -> ConditionReport:
-    """Boundary-value convergence on the probe set, table per probe.
+    """Boundary-value convergence on the probe set, table per probe."""
+    return _condition_II(family, grid, (family.at(eps).boundary for eps in family.epsilons))
+
+
+def _condition_II(family: ProblemFamily, grid: Grid,
+                  boundaries: Iterable[BoundaryOperator]) -> ConditionReport:
+    """Condition (II) from the members' boundary operators, in schedule order.
 
     The polynomial/trigonometric probes form one block, which each
     operator is applied to once.
@@ -263,8 +265,8 @@ def check_condition_II(family: ProblemFamily, grid: Grid) -> ConditionReport:
     zero = family.at_zero
     probes = default_probes(grid, zero.m, zero.coefficients.max_order)
     reference = zero.boundary.apply(probes)
-    rows = [[vector_magnitude(column) for column in (member.boundary.apply(probes) - reference).T]
-            for member in family.members]
+    rows = [[vector_magnitude(column) for column in (boundary.apply(probes) - reference).T]
+            for boundary in boundaries]
     tables = tuple(
         TrendTable.vanishing(f"probe {i}", family.epsilons, column)
         for i, column in enumerate(zip(*rows))
@@ -354,7 +356,13 @@ def _series_table(boundary: BoundaryOperator, tags: np.ndarray, tag: int,
 
 
 def check_multipoint_assumptions(family: ProblemFamily) -> MultipointAssumptionReport:
-    """Evaluate the clustering/decay assumptions over the family's schedule.
+    """Evaluate the clustering/decay assumptions over the family's schedule."""
+    return _multipoint_assumptions(family, (family.at(eps).boundary for eps in family.epsilons))
+
+
+def _multipoint_assumptions(family: ProblemFamily,
+                            boundaries: Iterable[BoundaryOperator]) -> MultipointAssumptionReport:
+    """The assumptions read off the members' boundary operators, in schedule order.
 
     The point terms of each member are grouped by their series tags;
     converging series are measured against the point and the summed
@@ -394,9 +402,9 @@ def check_multipoint_assumptions(family: ProblemFamily) -> MultipointAssumptionR
 
     conj = zero.exponent.conjugate
     weight_exponent = 0.0 if np.isinf(conj) else 1.0 / conj
-    for member in family.members:
+    for boundary in boundaries:
         for j in present:
-            points, magnitudes, sums = _series_table(member.boundary, tags, j, orders)
+            points, magnitudes, sums = _series_table(boundary, tags, j, orders)
             labels = [f"series {j} order {d}" for d in range(orders)]
             if j == 0:
                 for label, value in zip(labels, _term_sum(magnitudes).tolist()):
@@ -574,50 +582,39 @@ def convergence_experiment(family: ProblemFamily, grid: Grid,
     NotWellPosedError otherwise).  Rows whose member problem is not well
     posed are flagged but the experiment continues: well-posedness is
     only guaranteed for sufficiently small eps.  Families with series
-    tags get their multipoint assumptions checked as well.
+    tags get their multipoint assumptions checked as well.  Members are
+    built one at a time, in schedule order (``member_row``).
     """
     zero = family.at_zero
     if zero.rhs is None:
         raise ValueError("the limit problem needs a right-hand side for the experiment")
-    zero_table = coefficient_table(zero.coefficients, grid, zero.rhs.f)
-    limit = analyze(zero, grid, rank_tolerance, zero_table)
+    limit = analyze(zero, grid, rank_tolerance)
     y_zero, _ = superpose(zero, limit)
     ratio_floor = grid.count * MACHINE_EPSILON * sobolev_norm(y_zero, zero.exponent)
 
-    condition_II = check_condition_II(family, grid)
-
-    rows = []
-    reports = []
-    matrix_values = []
-    errors = []
-    ratios = []
-    for eps, member in zip(family.epsilons, family.members):
-        table = coefficient_table(member.coefficients, grid, member.rhs.f)
-        analysis = analyze(member, grid, rank_tolerance, table)
+    def member_row(eps: float) -> tuple[LimitRow, SolvabilityReport, BoundaryOperator]:
+        """The row of the member at eps, its report and its boundary operator."""
+        member = family.at(eps)
+        analysis = analyze(member, grid, rank_tolerance)
         report = analysis.report
-        reports.append(report)
-        distances = tuple(coefficient_distances(table, zero_table, zero.exponent))
-        matrix_distance = float(np.abs(analysis.matrix.entries - limit.matrix.entries).max())
-        matrix_values.append(matrix_distance)
+        distances = coefficient_distances(member.coefficients, zero.coefficients, grid,
+                                          zero.exponent)
         flags = []
-        error = None
-        disc = discrepancy(member, y_zero, table)
-        ratio = None
+        error = ratio = None
+        disc = discrepancy(member, y_zero)
         if report.well_posed:
             y_eps, _ = superpose(member, analysis)
             error = sobolev_norm(y_eps - y_zero, zero.exponent)
-            errors.append(error)
             if disc > ratio_floor:
                 ratio = error / disc
-                ratios.append(ratio)
             else:
                 flags.append("degenerate-ratio")
         else:
             flags.append("not-well-posed")
-        rows.append(LimitRow(
+        row = LimitRow(
             eps=eps,
-            coefficient_distances=distances,
-            matrix_distance=matrix_distance,
+            coefficient_distances=tuple(distances),
+            matrix_distance=float(np.abs(analysis.matrix.entries - limit.matrix.entries).max()),
             dim_kernel=report.dim_kernel,
             dim_cokernel=report.dim_cokernel,
             well_posed=report.well_posed,
@@ -625,24 +622,27 @@ def convergence_experiment(family: ProblemFamily, grid: Grid,
             discrepancy=disc,
             ratio=ratio,
             flags=tuple(flags),
-        ))
+        )
+        return row, report, member.boundary
 
+    rows, reports, boundaries = zip(*(member_row(eps) for eps in family.epsilons))
+    errors = [row.solution_error for row in rows if row.solution_error is not None]
+    ratios = [row.ratio for row in rows if row.ratio is not None]
     characteristic_trend = TrendTable.vanishing(
-        "characteristic matrix", family.epsilons, matrix_values
+        "characteristic matrix", family.epsilons, [row.matrix_distance for row in rows]
     )
     error_trend_passed = bool(errors) and len(errors) == len(family.epsilons) \
         and tends_to_zero(errors)
     bracket = (min(ratios), max(ratios)) if ratios else None
-    condition_I = _condition_I(family.epsilons, [row.coefficient_distances for row in rows])
-    multipoint = check_multipoint_assumptions(family) if family.series is not None else None
     return LimitReport(
         epsilons=family.epsilons,
-        rows=tuple(rows),
-        condition_I=condition_I,
-        condition_II=condition_II,
+        rows=rows,
+        condition_I=_condition_I(family.epsilons, [row.coefficient_distances for row in rows]),
+        condition_II=_condition_II(family, grid, boundaries),
         characteristic_trend=characteristic_trend,
         semicontinuity=semicontinuity(family.epsilons, limit.report, reports),
         error_trend_passed=error_trend_passed,
         ratio_bracket=bracket,
-        multipoint=multipoint,
+        multipoint=(None if family.series is None
+                    else _multipoint_assumptions(family, boundaries)),
     )

@@ -54,19 +54,17 @@ they agree to N * 1e-15 of the largest entry.  ``fundamental_set``
 returns the stack as a ``DerivativeStack``; ``integration_residual``
 measures its finite-difference defect on request.
 
-Varying coefficients are read from one ``CoefficientTable`` per problem
-and grid (``coefficient_table``): A_d^(k) at the nodes for k <= n, A_d at
-the midpoints, a constant A_d as its one (m, m) block.  Built with the
-forcing f, the table holds it too (``ForcingTable``): f^(s) at the nodes
-for s <= n and f at the midpoints, read wherever that same f is given.
-Stepping, doubling, the derivative orders and ``residual_stack`` take
-it, so a caller that integrates a problem and then measures its
-residuals evaluates each coefficient, and f, once.
+Every function is read through ``ArrayFunction.tabulate``, which keeps
+its samples for the last grid asked: A_d^(k) and f^(s) at the nodes for
+k, s <= n, and A_d and f at the midpoints, each evaluated once per grid
+whoever reads it (``coefficient_samples``).  A constant A_d enters as its
+one (m, m) block.  So a caller that integrates a problem and then
+measures its residuals evaluates each coefficient, and f, once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import comb, isfinite, log2
 
@@ -110,87 +108,31 @@ class CoefficientSet:
 
 @dataclass(frozen=True)
 class RightHandSide:
-    """Inhomogeneity: vector function f (length m) and boundary data c."""
+    """Inhomogeneity: vector function f (length m) and boundary data c.
+
+    A constant array given as f becomes one ``ConstantFunction``, so its
+    samples are kept with it like any other function's.
+    """
 
     f: ArrayFunction
     c: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "f", as_array_function(self.f))
         c = np.asarray(self.c, dtype=complex).reshape(-1)
         c.flags.writeable = False
         object.__setattr__(self, "c", c)
 
 
-def _coefficient_tables(coeffs: CoefficientSet, ts: np.ndarray,
-                        orders: int) -> list[list[np.ndarray | None]]:
-    """A_d^{(q)} evaluated at ``ts`` for d = 0..r-1, q = 0..orders.
+def coefficient_samples(coeffs: CoefficientSet, grid: Grid) -> list[list[np.ndarray | None]]:
+    """A_d^{(q)} at the grid's nodes for d = 0..r-1, q = 0..n (``tabulate``).
 
     A ``ConstantFunction`` enters as its one (m, m) block, which
     ``_matvec`` broadcasts over the nodes, and its derivatives q >= 1,
     all zero, are left out as None.
     """
-    return [[fn.values] + [None] * orders if isinstance(fn, ConstantFunction)
-            else [fn.eval(ts, order=q) for q in range(orders + 1)] for fn in coeffs.by_order]
-
-
-@dataclass(frozen=True)
-class ForcingTable:
-    """A forcing f tabulated once on one grid: ``nodes[s]`` is f^{(s)} at the
-    nodes, s = 0..n, and ``midpoints`` is f at the midpoints.  ``source``
-    is the f it was tabulated from, as given."""
-
-    nodes: list[np.ndarray]
-    midpoints: np.ndarray
-    source: object = field(default=None, repr=False, compare=False)
-
-
-def forcing_table(f, grid: Grid, coeffs: CoefficientSet) -> ForcingTable:
-    """f^{(s)}, s <= n, at the nodes and f at the midpoints, each evaluated once."""
-    fn = as_array_function(f, (coeffs.m,))
-    return ForcingTable([fn.eval(grid.nodes, order=s) for s in range(coeffs.n + 1)],
-                        fn.eval(grid.midpoints), f)
-
-
-@dataclass(frozen=True)
-class CoefficientTable:
-    """The coefficients of one problem, and its forcing, tabulated once on one grid.
-
-    ``nodes[d][q]`` is A_d^{(q)} at the grid's nodes, q = 0..n, and
-    ``midpoints[d]`` is A_d at the midpoints of the grid intervals.  A
-    ``ConstantFunction`` enters as its one (m, m) block in both, and its
-    derivatives q >= 1, all zero, as None.  ``forcing`` is the
-    ``ForcingTable`` of the f the table was built with, or None.  A
-    reader given f uses it only when it was tabulated from that same f
-    (``ForcingTable.source``), and tabulates f itself otherwise.
-    ``coefficient_table`` builds it; the integration, the residuals and
-    the coefficient distances of a family all read the same table.
-    """
-
-    grid: Grid
-    nodes: list[list[np.ndarray | None]]
-    midpoints: list[np.ndarray]
-    forcing: ForcingTable | None = None
-
-
-def coefficient_table(coeffs: CoefficientSet, grid: Grid, f=None) -> CoefficientTable:
-    """Every A_d^{(q)}, q <= n, at the nodes and every A_d at the midpoints,
-    once, and the same of a forcing ``f`` when given (``forcing_table``)."""
-    nodes = _coefficient_tables(coeffs, grid.nodes, coeffs.n)
-    midpoints = [fn.values if isinstance(fn, ConstantFunction) else fn.eval(grid.midpoints)
-                 for fn in coeffs.by_order]
-    return CoefficientTable(grid, nodes, midpoints,
-                            None if f is None else forcing_table(f, grid, coeffs))
-
-
-def _forcing(f, grid: Grid, coeffs: CoefficientSet,
-             table: CoefficientTable | None) -> ForcingTable | None:
-    """f tabulated on ``grid``, or None without f: the table's ``forcing``
-    when it was tabulated from this same f, else tabulated here."""
-    if f is None:
-        return None
-    if table is not None and table.forcing is not None and table.forcing.source is f:
-        return table.forcing
-    return forcing_table(f, grid, coeffs)
+    return [[fn.values] + [None] * coeffs.n if isinstance(fn, ConstantFunction)
+            else [fn.tabulate(grid, q) for q in range(coeffs.n + 1)] for fn in coeffs.by_order]
 
 
 def _top_rows(a_values, count: int, f_values: np.ndarray | None = None) -> np.ndarray:
@@ -256,7 +198,7 @@ def _constant_step(coeffs: CoefficientSet, h: float) -> tuple[np.ndarray, np.nda
 
 
 def _doubled_states(coeffs: CoefficientSet, grid: Grid, width: int,
-                    forcing: ForcingTable | None) -> np.ndarray:
+                    f: ArrayFunction | None) -> np.ndarray:
     """States when every A_d is constant, so every step has one propagator P.
 
     Node j holds P^j, filled by doubling: states[k:2k] = states[:k] P^k,
@@ -272,9 +214,10 @@ def _doubled_states(coeffs: CoefficientSet, grid: Grid, width: int,
     states = np.empty((count, width, width), dtype=complex)
     states[0] = np.eye(width)
     flat = states.reshape(-1, width)  # node j is rows j*width .. (j+1)*width - 1
-    if forcing is not None:
-        f_nodes = forcing.nodes[0]
-        inputs = np.concatenate([f_nodes[:-1], forcing.midpoints, f_nodes[1:]], axis=1)
+    if f is not None:
+        f_nodes = f.tabulate(grid)
+        inputs = np.concatenate([f_nodes[:-1], f.tabulate(grid, midpoints=True), f_nodes[1:]],
+                                axis=1)
         y_p = np.empty((count - 1, w), dtype=complex)  # g_i, then y_p at node i + 1
         for lo, hi in _row_chunks(0, count - 1, g_map.size):
             np.matmul(inputs[lo:hi], g_map.T, out=y_p[lo:hi])
@@ -282,31 +225,34 @@ def _doubled_states(coeffs: CoefficientSet, grid: Grid, width: int,
     while k < count:
         for lo, hi in _row_chunks(0, min(k, count - k) * width, width**2):
             np.matmul(flat[lo:hi], power, out=flat[k * width + lo : k * width + hi])
-        if forcing is not None:
+        if f is not None:
             # last rows first, so each chunk reads rows that no chunk has updated
             for lo, hi in _row_chunks(k, count - 1, w**2):
                 y_p[lo:hi] += y_p[lo - k : hi - k] @ power[:w, :w].T
         power = power @ power
         k *= 2
-    if forcing is not None:
+    if f is not None:
         states[1:, :w, w] = y_p
     return states
 
 
-def _stepped_states(coeffs: CoefficientSet, table: CoefficientTable, width: int,
-                    forcing: ForcingTable | None) -> np.ndarray:
+def _stepped_states(coeffs: CoefficientSet, grid: Grid, width: int,
+                    f: ArrayFunction | None) -> np.ndarray:
     """States for varying coefficients: x_{i+1} = P_i x_i, one step at a time.
 
-    The A_d come from the problem's table; the P_i are built in batches
-    of ``_BATCH`` grid intervals.
+    The A_d and f are read at the nodes and midpoints (``tabulate``); the
+    P_i are built in batches of ``_BATCH`` grid intervals.
     """
-    grid = table.grid
     states = np.empty((grid.count, width, width), dtype=complex)
     states[0] = np.eye(width)
-    top_nodes = _top_rows([derivs[0] for derivs in table.nodes], grid.count,
-                          None if forcing is None else forcing.nodes[0])
-    top_mid = _top_rows(table.midpoints, grid.count - 1,
-                        None if forcing is None else forcing.midpoints)
+
+    def top_rows(midpoints: bool) -> np.ndarray:
+        a_values = [fn.values if isinstance(fn, ConstantFunction)
+                    else fn.tabulate(grid, midpoints=midpoints) for fn in coeffs.by_order]
+        return _top_rows(a_values, grid.count - midpoints,
+                         None if f is None else f.tabulate(grid, midpoints=midpoints))
+
+    top_nodes, top_mid = top_rows(False), top_rows(True)
     for lo in range(0, grid.count - 1, _BATCH):
         hi = min(lo + _BATCH, grid.count - 1)
         c_nodes = _companion(coeffs, top_nodes[lo : hi + 1])
@@ -316,23 +262,21 @@ def _stepped_states(coeffs: CoefficientSet, table: CoefficientTable, width: int,
     return states
 
 
-def _integrate(coeffs: CoefficientSet, grid: Grid, forcing: ForcingTable | None = None,
-               table: CoefficientTable | None = None) -> np.ndarray:
+def _integrate(coeffs: CoefficientSet, grid: Grid, f: ArrayFunction | None = None) -> np.ndarray:
     """Fixed-step RK4 on the companion system from the identity.
 
     Returns states (nodes, width, width), width r*m, or r*m + 1 with a
-    forcing f, tabulated in ``forcing``, acting on [x; 1].  Constant
-    coefficients (``coeffs.constant``) propagate by doubling, any other by
-    stepping through ``table``, the problem's coefficient table on
-    ``grid``; the stored states are checked once for blow-up.
+    forcing f acting on [x; 1].  Constant coefficients
+    (``coeffs.constant``) propagate by doubling, any other by stepping;
+    the stored states are checked once for blow-up.
     """
-    width = coeffs.r * coeffs.m + (forcing is not None)
+    width = coeffs.r * coeffs.m + (f is not None)
     # blow-up is detected once below, so overflow warnings are redundant
     with np.errstate(over="ignore", invalid="ignore"):
         if coeffs.constant:
-            states = _doubled_states(coeffs, grid, width, forcing)
+            states = _doubled_states(coeffs, grid, width, f)
         else:
-            states = _stepped_states(coeffs, table, width, forcing)
+            states = _stepped_states(coeffs, grid, width, f)
     finite = np.isfinite(states).all(axis=(1, 2))
     if not finite.all():
         i = max(int(np.argmin(finite)) - 1, 0)
@@ -476,8 +420,7 @@ def _companion_orders(coeffs: CoefficientSet, low: np.ndarray,
     return samples
 
 
-def fundamental_set(coeffs: CoefficientSet, grid: Grid, f=None,
-                    table: CoefficientTable | None = None) -> DerivativeStack:
+def fundamental_set(coeffs: CoefficientSet, grid: Grid, f=None) -> DerivativeStack:
     """Integrate the r homogeneous matrix problems on the grid at once.
 
     Returns the fundamental matrix [Y_1 ... Y_r] as one block stack of
@@ -486,24 +429,21 @@ def fundamental_set(coeffs: CoefficientSet, grid: Grid, f=None,
     derivative orders 0..n+r.  With a forcing ``f`` the same pass also
     integrates y_p, the solution of L y = f with zero initial data, as
     one last column: the (w+1) x (w+1) identity on [x; 1], w = r*m.
-    Varying coefficients are read from ``table``, the problem's
-    ``coefficient_table`` on ``grid``, built here with f when not given;
-    constant ones need no table.  f is read from the table too when the
-    table was built with this same f, and tabulated here otherwise.
     """
     m, r, count = coeffs.m, coeffs.r, grid.count
     w = r * m
-    if table is None and not coeffs.constant:
-        table = coefficient_table(coeffs, grid, f)
-    forcing = _forcing(f, grid, coeffs, table)
-    states = _integrate(coeffs, grid, forcing, table)
-    f_tables = None if forcing is None else forcing.nodes
+    f = None if f is None else as_array_function(f, (m,))
+    # every function is evaluated before integrating, so a value that is
+    # not finite is reported ahead of any blow-up
+    a_tables = None if coeffs.constant else coefficient_samples(coeffs, grid)
+    f_tables = None if f is None else [f.tabulate(grid, s) for s in range(coeffs.n + 1)]
+    states = _integrate(coeffs, grid, f)
     # rows below w are the companion state; the forced row w is the constant 1
     low = states[:, :w].reshape(count, r, m, states.shape[2]).transpose(1, 0, 2, 3)
     if coeffs.constant:
         samples = _companion_orders(coeffs, low, f_tables)
     else:
-        samples = _extend_orders(coeffs, table.nodes, low, f_tables)
+        samples = _extend_orders(coeffs, a_tables, low, f_tables)
     return DerivativeStack._adopt(grid, samples)
 
 
@@ -524,14 +464,10 @@ def integration_residual(stack: DerivativeStack, r: int) -> float:
 
 
 def residual_stack(coeffs: CoefficientSet, y: DerivativeStack, f=None,
-                   orders: int | None = None,
-                   table: CoefficientTable | None = None) -> DerivativeStack:
+                   orders: int | None = None) -> DerivativeStack:
     """Samples of (L y - f) and its derivatives 0..orders (default n, at most n).
 
-    ``y`` must carry derivative orders up to r + orders.  The
-    coefficients are read from ``table``, the problem's
-    ``coefficient_table`` on y's grid, built here with f when not given;
-    f is read from it when the table was built with this same f.
+    ``y`` must carry derivative orders up to r + orders.
     """
     if orders is None:
         orders = coeffs.n
@@ -542,14 +478,13 @@ def residual_stack(coeffs: CoefficientSet, y: DerivativeStack, f=None,
             f"stack carries orders 0..{y.max_order}, need {coeffs.r + orders}"
         )
     grid = y.grid
-    if table is None:
-        table = coefficient_table(coeffs, grid, f)
-    forcing = _forcing(f, grid, coeffs, table)
+    f = None if f is None else as_array_function(f, (coeffs.m,))
+    a_tables = coefficient_samples(coeffs, grid)
     rows = []
     y_orders = [y.samples[k] for k in range(y.max_order + 1)]
     for s in range(orders + 1):
-        value = y_orders[coeffs.r + s] + _lower_order_part(table.nodes, y_orders, s)
-        if forcing is not None:
-            value = value - forcing.nodes[s]
+        value = y_orders[coeffs.r + s] + _lower_order_part(a_tables, y_orders, s)
+        if f is not None:
+            value = value - f.tabulate(grid, s)
         rows.append(value)
     return DerivativeStack._adopt(grid, np.stack(rows))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .characteristic import Analysis, CharacteristicMatrix, ProblemSpec, SolvabilityReport, analyze
 from .grid import DerivativeStack, Grid, sobolev_norm, vector_magnitude
-from .ode import CoefficientTable, residual_stack
+from .ode import residual_stack
 
 CONDITION_WARN_THRESHOLD = 1e12
 
@@ -66,7 +66,7 @@ def superpose(problem: ProblemSpec, analysis: Analysis) -> tuple[DerivativeStack
         )
     weights = np.linalg.solve(matrix.entries, problem.rhs.c - boundary_particular)
     samples = np.einsum("onij,j->oni", stack.samples, np.append(weights, 1.0))
-    return DerivativeStack(stack.grid, samples), weights
+    return DerivativeStack._adopt(stack.grid, samples), weights
 
 
 def solve(problem: ProblemSpec, grid: Grid, rank_tolerance: float | None = None) -> DerivativeStack:
@@ -74,14 +74,11 @@ def solve(problem: ProblemSpec, grid: Grid, rank_tolerance: float | None = None)
     return superpose(problem, analyze(problem, grid, rank_tolerance))[0]
 
 
-def discrepancy(problem: ProblemSpec, candidate: DerivativeStack,
-                table: CoefficientTable | None = None) -> float:
+def discrepancy(problem: ProblemSpec, candidate: DerivativeStack) -> float:
     """Residual of a candidate stack in a (possibly perturbed) problem.
 
     The equation part is measured in the order-n Sobolev norm, the
     boundary part with the entrywise absolute-value sum on C^q.
-    ``table`` is the problem's coefficient table on the candidate's
-    grid, built when not given.
     """
     if problem.rhs is None:
         raise ValueError("discrepancy needs the problem's right-hand side")
@@ -90,7 +87,7 @@ def discrepancy(problem: ProblemSpec, candidate: DerivativeStack,
             f"candidate carries orders 0..{candidate.max_order}, "
             f"expected 0..{problem.coefficients.max_order}"
         )
-    residual = residual_stack(problem.coefficients, candidate, problem.rhs.f, table=table)
+    residual = residual_stack(problem.coefficients, candidate, problem.rhs.f)
     equation_part = sobolev_norm(residual, problem.exponent)
     boundary_part = vector_magnitude(problem.boundary.apply(candidate) - problem.rhs.c)
     return equation_part + boundary_part

@@ -196,4 +196,4 @@ def tagged_family(series, epsilons, exponent=P2, m=2):
 def family_semicontinuity(family, grid):
     """The semicontinuity rule fed with one analysis of the limit and of each member."""
     return semicontinuity(family.epsilons, analyze(family.at_zero, grid).report,
-                          [analyze(member, grid).report for member in family.members])
+                          [analyze(family.at(eps), grid).report for eps in family.epsilons])

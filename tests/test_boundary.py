@@ -8,16 +8,14 @@ from fredholm_bvp import (
     DerivativeStack,
     Grid,
     IntegralTerm,
-    Interval,
     LebesgueExponent,
     PointTerm,
     ProblemSpec,
     analyze,
     fundamental_set,
     point_evaluation,
-    sobolev_norm,
 )
-from fredholm_bvp.grid import P1, P2, PINF, interpolate, vector_magnitude
+from fredholm_bvp.grid import interpolate, vector_magnitude
 
 
 def constant_stack(grid, vector, max_order=1):
@@ -208,32 +206,6 @@ def test_apply_to_matrix_agrees_with_columns_exactly():
     result = op.apply(member)
     for j in range(2):
         np.testing.assert_array_equal(result[:, j], op.apply(DerivativeStack(grid, member.samples[..., j])))
-
-
-def test_continuity_bound_empirical():
-    grid = Grid.uniform(UNIT, 201)
-    rng = np.random.default_rng(13)
-    op = BoundaryOperator(2, (
-        PointTerm(0.0, 0, random_complex(rng, 2, 2)),
-        PointTerm(0.41, 1, random_complex(rng, 2, 2)),
-        PointTerm(1.0, 0, random_complex(rng, 2, 2)),
-    ), IntegralTerm(random_complex(rng, 2, 2)))
-    for p in (P1, P2, PINF):
-        constant = op.continuity_constant(UNIT, p, grid)
-        for _ in range(10):
-            stack = random_stack(grid, rng, 2, 2)
-            assert vector_magnitude(op.apply(stack)) <= constant * sobolev_norm(stack, p)
-
-
-def test_continuity_bound_longer_interval():
-    interval = Interval(0.0, 2.0)
-    grid = Grid.uniform(interval, 201)
-    rng = np.random.default_rng(14)
-    op = BoundaryOperator(1, (PointTerm(1.7, 0, random_complex(rng, 1, 1)),))
-    constant = op.continuity_constant(interval, P2, grid)
-    for _ in range(5):
-        stack = random_stack(grid, rng, 1, 1)
-        assert vector_magnitude(op.apply(stack)) <= constant * sobolev_norm(stack, P2)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])

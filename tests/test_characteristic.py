@@ -310,8 +310,7 @@ def _reference_problems():
         problems.append((path.stem, document_problem(doc)))
         if doc.family is not None:
             family = document_family(doc)
-            problems += [(f"{path.stem}@{eps}", member)
-                         for eps, member in zip(family.epsilons, family.members)]
+            problems += [(f"{path.stem}@{eps}", family.at(eps)) for eps in family.epsilons]
     return problems
 
 

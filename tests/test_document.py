@@ -654,7 +654,7 @@ def test_family_members_build_no_point_terms(monkeypatch):
     monkeypatch.setattr(boundary.PointTerm, "__post_init__",
                         lambda self: built.append(self) or init(self))
     family = document_family(doc)
-    members = family.members
+    members = [family.at(eps) for eps in family.epsilons]
     assert built == []
     assert len(members) == len(family.epsilons)
     # point_terms is still there to read, built on demand

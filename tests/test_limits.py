@@ -277,7 +277,7 @@ def _multipoint_per_term(family):
     def magnitude(term, d):
         return vector_magnitude(term.matrix) if term.order == d else 0.0
 
-    for member in family.members:
+    for member in map(family.at, family.epsilons):
         for j, terms in by_series(member).items():
             if j == 0:
                 for d in range(orders):
@@ -563,6 +563,33 @@ def test_experiment_tabulates_each_coefficient_once(monkeypatch):
         assert sorted(tabulated) == sorted(expected)
     # two derivative orders of 4 coefficient entries and 2 forcing entries
     assert len(differentiated) == len(set(differentiated)) == 2 * (4 + 2)
+
+
+def test_no_member_outlives_the_experiment():
+    # each member is built when the pass reaches it and dropped with its
+    # row: no member's coefficient function, nor the samples it keeps on
+    # the grid, is alive when the experiment returns
+    import weakref
+
+    from fredholm_bvp.expressions import parse_expression
+    from fredholm_bvp.functions import ExpressionFunction
+
+    entries = np.array([[parse_expression(e) for e in row]
+                        for row in (["0.3 + eps*sin(t)", "0.1*t"], ["eps*t^2", "0.2"])],
+                       dtype=object)
+    alive = []
+
+    def make(eps):
+        a = ExpressionFunction(entries, eps=eps)
+        if eps:
+            alive.append(weakref.ref(a))
+        return ProblemSpec(UNIT, CoefficientSet(1, 2, 1, (a,)), identity_boundary(2), P2,
+                           RightHandSide(np.array([1.0, 0.5]), np.array([1.0, -1.0])))
+
+    family = ProblemFamily(make(0.0), make, epsilons=(1e-2, 1e-4, 1e-6))
+    report = convergence_experiment(family, GRID)
+    assert len(report.rows) == len(alive) == 3
+    assert [ref() for ref in alive] == [None] * 3
 
 
 def _splitting_problem_family(extra_series=None, epsilons=(1e-2, 1e-4, 1e-7)):

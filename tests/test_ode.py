@@ -151,33 +151,74 @@ def test_superposition_solves_equation():
     assert np.abs(residual.samples[0]).sum(axis=1).max() <= 1e-8
 
 
+def test_a_function_tabulates_once_per_grid_object():
+    # the samples of one grid object are served again, read-only; a second
+    # grid with equal nodes, or the first one asked again after it, evaluates
+    calls = []
+
+    class Counted(ExpressionFunction):
+        def eval(self, ts, order=0):
+            calls.append((len(ts), order))
+            return super().eval(ts, order)
+
+    fn = Counted(np.array([parse_expression("sin(t)")], dtype=object))
+    grid, twin = Grid.uniform(UNIT, 201), Grid.uniform(UNIT, 201)
+    first = fn.tabulate(grid)
+    assert fn.tabulate(grid) is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 0.0
+    fn.tabulate(grid, 1)
+    fn.tabulate(grid, midpoints=True)
+    fn.tabulate(grid, 1)
+    assert calls == [(201, 0), (201, 1), (200, 0)]
+    np.testing.assert_array_equal(fn.tabulate(twin), first)
+    assert calls[3:] == [(201, 0)]
+    assert fn.tabulate(grid) is not first
+    assert calls[4:] == [(201, 0)]
+
+
 @pytest.mark.parametrize("constant", [True, False], ids=["constant", "varying"])
-def test_a_table_of_another_forcing_is_not_read(constant):
-    # a coefficient table built without f, or with another f, gives the
-    # analysis and residuals of a table built with the problem's own f
+def test_one_coefficient_set_with_two_forcings_matches_fresh_problems(constant):
+    # the kept samples belong to each function: the coefficients analysed
+    # with sin(t) and then exp(t) give the bits of problems built afresh
     from fredholm_bvp import ProblemSpec, RightHandSide, analyze, point_evaluation, superpose
     from fredholm_bvp.grid import P2
 
-    grid = Grid.uniform(UNIT, 201)
-    a = (np.array([[0.5]]) if constant
-         else ExpressionFunction(np.array([[parse_expression("t")]], dtype=object)))
-    coeffs = CoefficientSet(1, 1, 1, (a,))
-    f, other = (ExpressionFunction(np.array([parse_expression(e)], dtype=object))
-                for e in ("sin(t)", "exp(t)"))
-    problem = ProblemSpec(UNIT, coeffs, point_evaluation(0.0, np.eye(1)), P2,
-                          RightHandSide(f, np.array([1.0])))
-    expected = analyze(problem, grid, None, ode.coefficient_table(coeffs, grid, f))
-    y, _ = superpose(problem, expected)
-    expected_residual = residual_stack(coeffs, y, f, table=ode.coefficient_table(coeffs, grid, f))
-    assert np.abs(expected_residual.samples[0]).max() <= 1e-6
-    for table in (ode.coefficient_table(coeffs, grid), ode.coefficient_table(coeffs, grid, other)):
-        analysis = analyze(problem, grid, None, table)
-        np.testing.assert_array_equal(analysis.fundamental.samples, expected.fundamental.samples)
-        np.testing.assert_array_equal(analysis.boundary_particular, expected.boundary_particular)
-        np.testing.assert_array_equal(residual_stack(coeffs, y, f, table=table).samples,
-                                      expected_residual.samples)
-    np.testing.assert_array_equal(analyze(problem, grid).fundamental.samples,
-                                  expected.fundamental.samples)
+    def coefficients():
+        a = (np.array([[0.5]]) if constant
+             else ExpressionFunction(np.array([[parse_expression("t")]], dtype=object)))
+        return CoefficientSet(1, 1, 1, (a,))
+
+    def solved(coeffs, expression, grid):
+        f = ExpressionFunction(np.array([parse_expression(expression)], dtype=object))
+        problem = ProblemSpec(UNIT, coeffs, point_evaluation(0.0, np.eye(1)), P2,
+                              RightHandSide(f, np.array([1.0])))
+        analysis = analyze(problem, grid)
+        y, _ = superpose(problem, analysis)
+        return analysis, residual_stack(coeffs, y, f)
+
+    shared, grid = coefficients(), Grid.uniform(UNIT, 201)
+    for expression in ("sin(t)", "exp(t)"):
+        analysis, residual = solved(shared, expression, grid)
+        fresh, fresh_residual = solved(coefficients(), expression, Grid.uniform(UNIT, 201))
+        np.testing.assert_array_equal(analysis.fundamental.samples, fresh.fundamental.samples)
+        np.testing.assert_array_equal(analysis.boundary_particular, fresh.boundary_particular)
+        np.testing.assert_array_equal(residual.samples, fresh_residual.samples)
+        assert np.abs(residual.samples[0]).max() <= 1e-6
+
+
+def test_a_constant_forcing_array_is_one_function():
+    # a raw array f becomes one ConstantFunction, whose samples are reused
+    from fredholm_bvp import RightHandSide
+
+    rhs = RightHandSide(np.array([1.0, 2.0]), [1.0, 0.0])
+    assert isinstance(rhs.f, ConstantFunction)
+    assert rhs.f.shape == (2,)
+    grid = Grid.uniform(UNIT, 11)
+    assert rhs.f.tabulate(grid) is rhs.f.tabulate(grid)
+    np.testing.assert_array_equal(rhs.f.tabulate(grid), np.tile([1.0, 2.0], (11, 1)))
+    assert RightHandSide(rhs.f, rhs.c).f is rhs.f
 
 
 def test_residual_stack_requires_enough_orders():
@@ -382,10 +423,10 @@ def test_blow_up_interval_matches_per_step_loop(r, m, forced):
 def _recurrence_samples(coeffs, grid, f):
     """The Leibniz recurrence ``_extend_orders`` on the states that ``fundamental_set`` reads."""
     w = coeffs.r * coeffs.m
-    states = ode._integrate(coeffs, grid, None if f is None else ode.forcing_table(f, grid, coeffs))
+    states = ode._integrate(coeffs, grid, f)
     low = states[:, :w].reshape(grid.count, coeffs.r, coeffs.m, -1).transpose(1, 0, 2, 3)
     f_tables = None if f is None else [f.eval(grid.nodes, order=s) for s in range(coeffs.n + 1)]
-    tables = ode._coefficient_tables(coeffs, grid.nodes, coeffs.n)
+    tables = ode.coefficient_samples(coeffs, grid)
     return ode._extend_orders(coeffs, tables, low, f_tables)
 
 
@@ -422,7 +463,7 @@ def test_constant_coefficients_build_no_tables(monkeypatch, tmp_path):
             return fn(*args, **kwargs)
         monkeypatch.setattr(ode, name, wrapper)
 
-    for name in ("_extend_orders", "_coefficient_tables"):
+    for name in ("_extend_orders", "coefficient_samples"):
         record(name, getattr(ode, name))
     rng = np.random.default_rng(50)
     coeffs = CoefficientSet(2, 2, 2, (random_complex(rng, 2, 2), random_complex(rng, 2, 2)))
@@ -437,4 +478,4 @@ def test_constant_coefficients_build_no_tables(monkeypatch, tmp_path):
     entries = np.array([[parse_expression("0.1*t"), parse_expression("0")],
                         [parse_expression("0"), parse_expression("cos(t)")]], dtype=object)
     fundamental_set(CoefficientSet(2, 2, 2, (coeffs.by_order[0], ExpressionFunction(entries))), grid)
-    assert calls == ["_coefficient_tables", "_extend_orders"]
+    assert calls == ["coefficient_samples", "_extend_orders"]

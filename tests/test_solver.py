@@ -204,8 +204,8 @@ def passes(monkeypatch):
     widths, applied = [], []
     integrate, apply = ode._integrate, BoundaryOperator.apply
 
-    def counting_integrate(coeffs, grid, f=None, table=None):
-        states = integrate(coeffs, grid, f, table)
+    def counting_integrate(coeffs, grid, f=None):
+        states = integrate(coeffs, grid, f)
         widths.append(states.shape[2])
         return states
 
@@ -312,7 +312,7 @@ def test_only_constant_problems_skip_the_stack(monkeypatch, tmp_path):
     class Integrated(Exception):
         pass
 
-    def refuse(coeffs, grid, f=None, table=None):
+    def refuse(coeffs, grid, f=None):
         raise Integrated
 
     monkeypatch.setattr(ode, "_integrate", refuse)
