@@ -197,7 +197,7 @@ class BoundaryOperator:
         zero = np.zeros((1, self.codomain, *columns), dtype=complex)
         result = np.cumsum(np.concatenate([zero, products]), axis=0)[-1]
         if self.integral_term is not None:
-            kernel = self.integral_term.kernel.eval(stack.grid.nodes)
+            kernel = self.integral_term.kernel.tabulate(stack.grid)
             integrand = np.einsum("nqm,nm...->nq...", kernel, stack.samples[stack.max_order])
             # the trapezoid rule summed node after node at any width, where a
             # plain sum would reorder a one-column sum pairwise

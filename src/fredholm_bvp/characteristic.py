@@ -11,13 +11,16 @@ small matrix.
 ``build_characteristic_matrix`` needs no fundamental stack when every
 A_d and the integral kernel (if any) are ``ConstantFunction``s: the RK4
 trajectory is then exactly P^j at node j, so the matrix is read off
-powers of P at the nodes the point terms interpolate, and the integral
-term off one trapezoid sum of powers, formed by doubling (see ``ode``).
-The entries agree with the stack path to (N + 100) * 1e-15 of the
-largest entry.  Powers whose growth bound reaches 2^1000 are not
-trusted, and the stack path runs instead, with its blow-up diagnostic.
-Every other problem, and ``analyze``, which returns the stack, integrate
-the fundamental set and apply the boundary operator to it.
+powers of P.  Each distinct point takes one power X_t, the trajectory
+interpolated there (``ode.propagator_at``), and the point terms
+W_t y^(d_t)(tau_t) are summed in one product, [W_1 ... W_T] times the
+column of the R_(d_t) X_t.  The integral term is read off one trapezoid
+sum of powers, formed by doubling (see ``ode``).  The entries agree with
+the stack path to (N + 100) * 1e-15 of the largest entry.  Powers whose
+growth bound reaches 2^1000 are not trusted, and the stack path runs
+instead, with its blow-up diagnostic.  Every other problem, and
+``analyze``, which returns the stack, integrate the fundamental set and
+apply the boundary operator to it.
 
 Rank decisions need an explicit cutoff.  The default tolerance is
 ``sigma_max * max(q, r*m) * 1e-10``, far above integrator error for
@@ -42,13 +45,13 @@ import numpy as np
 
 from .boundary import BoundaryOperator
 from .functions import ConstantFunction
-from .grid import DerivativeStack, Grid, Interval, LebesgueExponent, point_stencil
+from .grid import DerivativeStack, Grid, Interval, LebesgueExponent
 from .ode import (
     CoefficientSet,
     RightHandSide,
     fundamental_set,
     order_rows,
-    propagator_power,
+    propagator_at,
     propagator_squares,
     propagator_trapezoid,
 )
@@ -216,9 +219,10 @@ def _characteristic_from_powers(problem: ProblemSpec, grid: Grid) -> np.ndarray 
 
     Taken when every A_d is a ``ConstantFunction`` and the kernel is
     absent or one, and the powers of P are trusted (``propagator_squares``).
-    The stack at node j is R_k P^j (``order_rows``), so a point term adds
-    W R_d sum_i w_i P^(j_i) over the nodes and weights of its
-    ``point_stencil``, and the integral term adds K R_(n+r) times the
+    The stack at node j is R_k P^j (``order_rows``), so a point term t adds
+    W_t R_(d_t) X_t, with X_t the interpolated power at its point
+    (``propagator_at``, one per distinct point); all of them are summed in
+    one contraction.  The integral term adds K R_(n+r) times the
     ``propagator_trapezoid``.
     """
     coeffs, boundary = problem.coefficients, problem.boundary
@@ -229,19 +233,13 @@ def _characteristic_from_powers(problem: ProblemSpec, grid: Grid) -> np.ndarray 
     squares = propagator_squares(coeffs, grid)
     if squares is None:
         return None
-    nearest, at_node, stencil, weights = point_stencil(grid, boundary.points)
-    needed = set(nearest[at_node].tolist())
-    if stencil is not None:
-        needed.update(stencil[~at_node].ravel().tolist())
-    powers = {j: propagator_power(squares, j) for j in needed}
     rows = order_rows(coeffs)
-    entries = np.zeros((problem.q, problem.state_size), dtype=complex)
-    for i, (order, matrix) in enumerate(zip(boundary.orders.tolist(), boundary.matrices)):
-        if at_node[i]:
-            local = powers[int(nearest[i])]
-        else:
-            local = sum(weight * powers[j] for j, weight in zip(stencil[i].tolist(), weights[i]))
-        entries += matrix @ (rows[order] @ local)
+    distinct = {}  # point -> its index among the distinct points
+    which = [distinct.setdefault(t, len(distinct)) for t in boundary.points.tolist()]
+    local = rows[boundary.orders] @ propagator_at(squares, grid, list(distinct))[which]
+    # [W_1 ... W_T] times the column of the R_(d_t) X_t; (q, 0) @ (0, r*m) with no point
+    matrices = boundary.matrices.transpose(1, 0, 2).reshape(problem.q, -1)
+    entries = matrices @ local.reshape(-1, problem.state_size)
     if kernel is not None:
         entries += kernel.values @ (rows[-1] @ propagator_trapezoid(squares, grid))
     return entries

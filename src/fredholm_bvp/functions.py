@@ -10,9 +10,9 @@ cover the practical cases:
 * tabulated samples on a grid (derivatives by 4th-order differences,
   values off the table by cubic interpolation).
 
-Coefficients and forcings are read on a grid through ``tabulate``: each
-function keeps its samples for the last grid object it was asked about,
-so it is evaluated once per grid and order, whoever asks.
+Coefficients, forcings and integral kernels are read on a grid through
+``tabulate``: each function keeps its samples for the last grid object it
+was asked about, so it is evaluated once per grid and order, whoever asks.
 """
 
 from __future__ import annotations

@@ -243,21 +243,22 @@ def point_stencil(grid: Grid, ts) -> tuple:
     outside = ~((ts >= a) & (ts <= b))
     if outside.any():
         raise ValueError(f"point {ts[outside][0]} outside the interval [{a}, {b}]")
-    nearest = np.clip(np.rint((ts - a) / grid.step).astype(int), 0, grid.count - 1)
+    nearest = np.minimum(np.maximum(np.rint((ts - a) / grid.step).astype(int), 0), grid.count - 1)
     at_node = np.abs(grid.nodes[nearest] - ts) <= 1e-12 * max(1.0, abs(a), abs(b))
     if at_node.all():
         return nearest, at_node, None, None
     if grid.count < 4:
         raise ValueError("off-node interpolation needs at least four nodes")
-    lo = np.clip(np.floor((ts - a) / grid.step).astype(int) - 1, 0, grid.count - 4)
+    lo = np.minimum(np.maximum(np.floor((ts - a) / grid.step).astype(int) - 1, 0), grid.count - 4)
     stencil = lo[:, None] + np.arange(4)
     knots = grid.nodes[stencil]
-    weights = np.ones((ts.size, 4))
-    for i in range(4):
-        for j in range(4):
-            if j != i:
-                weights[:, i] *= (ts - knots[:, j]) / (knots[:, i] - knots[:, j])
-    return nearest, at_node, stencil, weights
+    # factor [t, i, j] of weight i is (t - x_j) / (x_i - x_j), and 1 at j = i;
+    # adding the identity to the denominators forms no 0 / 0 on the diagonal
+    diagonal = np.arange(4)
+    factors = (ts[:, None, None] - knots[:, None, :]) / (knots[:, :, None] - knots[:, None, :]
+                                                         + np.eye(4))
+    factors[:, diagonal, diagonal] = 1.0
+    return nearest, at_node, stencil, factors.prod(axis=2)
 
 
 def interpolate(grid: Grid, values: np.ndarray, ts) -> np.ndarray:

@@ -20,12 +20,16 @@ last column.  The stored states are checked once for blow-up.
 There are three routes.  When every A_d is a ``ConstantFunction`` all
 P_i are one P, and node j holds P^j.
 
-* Powers, for a characteristic matrix alone: ``propagator_squares``
-  forms the squares P^(2^i), ``propagator_power`` the P^j at the few
-  nodes a boundary operator reads, and ``propagator_trapezoid`` the
-  trapezoid sum over all nodes by doubling; no trajectory is stored.  The
+* Powers, for a characteristic matrix alone: P is the stage formula on
+  the bare companion matrix C (``CoefficientSet.companion``), and
+  ``propagator_squares`` forms the squares P^(2^i) as one array.
+  ``propagator_at`` forms one binary power per point a boundary operator
+  reads: P^j at node j, and elsewhere P^lo (sum_k w_k P^k) over the
+  interpolation stencil lo..lo+3, with I, P, P^2, P^3 formed once.
+  ``propagator_trapezoid`` forms the trapezoid sum over all nodes by
+  doubling, and P^(N-1) in the same loop.  No trajectory is stored.  The
   entries agree with the stack path to (N + 100) * 1e-15 of the largest
-  entry.  While prod_i max(1, ||P^(2^i)||_inf) is not below 2^1000 no
+  entry.  When prod_i max(1, ||P^(2^i)||_inf) is not below 2^1000 no
   power is trusted, and the stack path runs instead.
 * Doubling, for a stack with constant coefficients: the trajectory is
   filled by states[k:2k] = states[:k] P^k, in log2(N) rounds of GEMMs,
@@ -66,12 +70,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from math import comb, isfinite, log2
+from math import comb, log2
 
 import numpy as np
 
 from .functions import ArrayFunction, ConstantFunction, as_array_function
-from .grid import DerivativeStack, Grid, differentiate_samples
+from .grid import DerivativeStack, Grid, differentiate_samples, point_stencil
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,13 @@ class CoefficientSet:
     def constant(self) -> bool:
         """Every A_d is a ``ConstantFunction``: one companion matrix C for all t."""
         return all(isinstance(fn, ConstantFunction) for fn in self.by_order)
+
+    @cached_property
+    def companion(self) -> np.ndarray:
+        """The companion matrix C of constant coefficients, (r*m, r*m), read-only."""
+        c = _companion(self, _top_rows([fn.values for fn in self.by_order], 1))[0]
+        c.flags.writeable = False
+        return c
 
 
 @dataclass(frozen=True)
@@ -190,7 +201,7 @@ def _constant_step(coeffs: CoefficientSet, h: float) -> tuple[np.ndarray, np.nda
     """
     m, w = coeffs.m, coeffs.r * coeffs.m
     c = np.zeros((3, w + 3 * m, w + 3 * m), dtype=complex)
-    c[:, :w, :w] = _companion(coeffs, _top_rows([fn.values for fn in coeffs.by_order], 1))
+    c[:, :w, :w] = coeffs.companion
     for s in range(3):
         c[s, w - m : w, w + s * m : w + (s + 1) * m] = np.eye(m)
     p = _propagators(c[0], c[1], c[2], h)
@@ -290,53 +301,70 @@ def _integrate(coeffs: CoefficientSet, grid: Grid, f: ArrayFunction | None = Non
 _GROWTH_BITS = 1000  # powers are trusted while prod_i max(1, ||P^(2^i)||) is below 2^1000
 
 
-def propagator_squares(coeffs: CoefficientSet, grid: Grid) -> list[np.ndarray] | None:
+def propagator_squares(coeffs: CoefficientSet, grid: Grid) -> np.ndarray | None:
     """The squares P^(2^i), 2^i < N, of the constant-coefficient RK4 step P.
 
-    Every power P^j at a node, j < N, is a product of these.  Their
-    growth bound prod_i max(1, ||P^(2^i)||_inf) bounds every such power;
-    when it is not below 2^``_GROWTH_BITS`` no power is trusted and
-    None is returned.
+    P is the stage formula on the companion matrix C; the squares come
+    as one (L, r*m, r*m) array.  Every power P^j at a node, j < N, is a
+    product of them.  Their growth bound prod_i max(1, ||P^(2^i)||_inf)
+    bounds every such power; when it is not below 2^``_GROWTH_BITS``, or
+    a norm is not finite, no power is trusted and None is returned.
     """
-    square, _ = _constant_step(coeffs, grid.step)
-    squares, bits = [], 0.0
+    c = coeffs.companion
+    squares = np.empty(((grid.count - 1).bit_length(), *c.shape), dtype=complex)
     # a square past the bound may overflow; the bound reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range((grid.count - 1).bit_length()):
-            if i:
-                square = square @ square
-            norm = float(np.abs(square).sum(axis=1).max())
-            if not isfinite(norm):
-                return None
-            bits += log2(max(norm, 1.0))
-            if bits >= _GROWTH_BITS:
-                return None
-            squares.append(square)
+        squares[0] = _propagators(c, c, c, grid.step)
+        for i in range(1, len(squares)):
+            np.matmul(squares[i - 1], squares[i - 1], out=squares[i])
+        norms = np.abs(squares).sum(axis=2).max(axis=1)
+    # summed square after square, as the bound is stated
+    bits = sum(log2(max(norm, 1.0)) for norm in norms.tolist())
+    if not np.isfinite(norms).all() or bits >= _GROWTH_BITS:
+        return None
     return squares
 
 
-def propagator_power(squares: list[np.ndarray], j: int) -> np.ndarray:
-    """P^j, j < N: the product of the squares of j's binary digits, lowest first."""
-    factors = [square for i, square in enumerate(squares) if j >> i & 1]
-    return reduce(np.matmul, factors) if factors else np.eye(squares[0].shape[0], dtype=complex)
+def propagator_at(squares: np.ndarray, grid: Grid, ts) -> np.ndarray:
+    """The states P^j of the nodes read at the points ``ts`` as ``interpolate`` reads them.
+
+    A point at node j reads P^j; any other reads P^lo (sum_k w_k P^k)
+    over its ``point_stencil`` lo..lo+3 and weights w_k, with the basis
+    I, P, P^2, P^3 formed once.  Each point takes one binary power of
+    P, the product of the squares of its exponent's digits.
+    """
+    nearest, at_node, stencil, weights = point_stencil(grid, ts)
+    eye = np.eye(squares.shape[1], dtype=complex)
+    states = np.tile(eye, (nearest.size, 1, 1))
+    if stencil is not None:
+        basis = np.stack([eye, squares[0], squares[1], squares[1] @ squares[0]])
+        states[~at_node] = (weights[~at_node] @ basis.reshape(4, -1)).reshape(-1, *eye.shape)
+        nearest = np.where(at_node, nearest, stencil[:, 0])
+    for t, j in enumerate(nearest.tolist()):
+        digits = [squares[i] for i in range(j.bit_length()) if j >> i & 1]
+        states[t] = reduce(np.matmul, digits, states[t])
+    return states
 
 
-def propagator_trapezoid(squares: list[np.ndarray], grid: Grid) -> np.ndarray:
+def propagator_trapezoid(squares: np.ndarray, grid: Grid) -> np.ndarray:
     """The trapezoid rule over the nodes, h (sum_{j<N} P^j - (I + P^(N-1))/2).
 
     The sum S_N is formed by doubling over the binary digits of N: the
     block T_{i+1} = T_i + P^(2^i) T_i sums the first 2^i powers, and
-    S_N = T_i + P^(2^i) S_(N - 2^i) for the top digit i of N.
+    S_N = T_i + P^(2^i) S_(N - 2^i) for the top digit i of N.  The same
+    loop collects P^(N-1) from the digits of N - 1.
     """
     count = grid.count
-    eye = np.eye(squares[0].shape[0], dtype=complex)
-    block, total = eye, None  # block = T_i
+    eye = np.eye(squares.shape[1], dtype=complex)
+    block, total, last = eye, None, None  # block = T_i
     for i in range(count.bit_length()):
         if count >> i & 1:
             total = block if total is None else block + squares[i] @ total
+        if (count - 1) >> i & 1:
+            last = squares[i] if last is None else last @ squares[i]
         if i + 1 < count.bit_length():
             block = block + squares[i] @ block
-    return grid.step * (total - (eye + propagator_power(squares, count - 1)) / 2.0)
+    return grid.step * (total - (eye + last) / 2.0)
 
 
 def _lower_order_part(a_tables, y_orders: np.ndarray, s: int) -> np.ndarray:
@@ -381,18 +409,19 @@ def _extend_orders(coeffs: CoefficientSet, a_tables, low_orders: np.ndarray,
     return np.stack(orders)
 
 
-def order_rows(coeffs: CoefficientSet) -> list[np.ndarray]:
+def order_rows(coeffs: CoefficientSet) -> np.ndarray:
     """Rows R_k with y^(k) = R_k x on the homogeneous equation, k = 0..n+r.
 
     x = [y; ...; y^(r-1)] is the companion state.  R_k is block row k of
     the identity for k < r and L C^(k-r+1) above, with L = [0 ... 0 I]
-    and C the companion matrix of constant coefficients.
+    and C the companion matrix of constant coefficients; the rows come
+    as one (n+r+1, m, r*m) array.
     """
-    m, r = coeffs.m, coeffs.r
-    companion = _companion(coeffs, _top_rows([fn.values for fn in coeffs.by_order], 1))[0]
-    rows = [np.eye(m, r * m, k=d * m, dtype=complex) for d in range(r)]
-    for _ in range(coeffs.n + 1):
-        rows.append(rows[-1] @ companion)
+    m, w = coeffs.m, coeffs.r * coeffs.m
+    rows = np.empty((coeffs.max_order + 1, m, w), dtype=complex)
+    rows[: coeffs.r] = np.eye(w, dtype=complex).reshape(coeffs.r, m, w)
+    for k in range(coeffs.r, coeffs.max_order + 1):
+        np.matmul(rows[k - 1], coeffs.companion, out=rows[k])
     return rows
 
 

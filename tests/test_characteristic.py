@@ -24,8 +24,9 @@ from fredholm_bvp import (
     residual_stack,
     solvability_report,
 )
-from fredholm_bvp.characteristic import characteristic_from_fundamental
-from fredholm_bvp.grid import vector_magnitude
+from fredholm_bvp import ode
+from fredholm_bvp.characteristic import _characteristic_from_powers, characteristic_from_fundamental
+from fredholm_bvp.grid import point_stencil, vector_magnitude
 
 P2 = LebesgueExponent(2.0)
 SAMPLES = Path(__file__).resolve().parent.parent / "docs" / "samples"
@@ -392,6 +393,60 @@ def test_powers_agree_with_the_stack_path_on_the_damped_sample(count):
     problem = document_problem(load_document(SAMPLES / "two-point-damped.json"))
     assert problem.coefficients.constant
     _assert_agrees_with_stack(problem, Grid.uniform(problem.interval, count))
+
+
+@pytest.mark.parametrize("count", [4, 5, 1001])
+@pytest.mark.parametrize("case", ["integral-only", "last-stencil", "repeated-and-ends",
+                                  "q-below-rm", "q-above-rm"])
+def test_powers_agree_with_the_stack_path_on_edge_terms(case, count):
+    rng = np.random.default_rng(63 + count)
+    r, m, n = 2, 2, 1
+    interval = Interval(-0.3, 0.9)
+    a, b = interval.a, interval.b
+    grid = Grid.uniform(interval, count)
+    coeffs = CoefficientSet(r, m, n, tuple(random_complex(rng, m, m) * 0.75 for _ in range(r)))
+    q = {"q-below-rm": 2, "q-above-rm": 7}.get(case, r * m)
+    last = float(grid.nodes[-2])
+    points = {
+        "integral-only": [],
+        # every point inside the last stencil, none at a node
+        "last-stencil": [last + f * (b - last) for f in (0.1, 0.5, 0.9)],
+        "repeated-and-ends": [a, b, a, 0.3, b, 0.3],
+        "q-below-rm": [a, 0.3, b],
+        "q-above-rm": [a, 0.3, b, 0.61],
+    }[case]
+    if case == "last-stencil":
+        assert not point_stencil(grid, points)[1].any()
+    terms = tuple(PointTerm(t, k % (n + r), random_complex(rng, q, m))
+                  for k, t in enumerate(points))
+    integral = (IntegralTerm(ConstantFunction(random_complex(rng, q, m)))
+                if case in ("integral-only", "q-above-rm") else None)
+    problem = ProblemSpec(interval, coeffs, BoundaryOperator(q, terms, integral), P2)
+    assert _characteristic_from_powers(problem, grid) is not None
+    _assert_agrees_with_stack(problem, grid)
+
+
+def test_powers_growth_bound_reached_at_the_top_square():
+    # y' = 5e5 y with step 0.01: log2 ||P|| is about 44.6, so the squares
+    # P .. P^8 of 16 nodes sum to about 669 bits and are trusted, while the
+    # top square P^16 of 17 nodes takes the sum past 1000; the states, up to
+    # P^16, stay finite, and the stack path gives the matrix
+    coeffs = CoefficientSet(1, 1, 0, (np.array([[-5e5]]),))
+    for count, trusted in ((16, True), (17, False)):
+        interval = Interval(0.0, 0.01 * (count - 1))
+        grid = Grid.uniform(interval, count)
+        assert (ode.propagator_squares(coeffs, grid) is not None) == trusted
+        terms = (PointTerm(interval.a, 0, np.array([[1.0], [0.5]])),
+                 PointTerm(interval.b, 0, np.array([[0.0], [1.0]])))
+        problem = ProblemSpec(interval, coeffs, BoundaryOperator(2, terms), P2)
+        if trusted:
+            _assert_agrees_with_stack(problem, grid)
+        else:
+            matrix = build_characteristic_matrix(problem, grid)
+            stack = characteristic_from_fundamental(problem,
+                                                    fundamental_set(problem.coefficients, grid))
+            np.testing.assert_array_equal(matrix.entries, stack.entries)
+            assert np.isfinite(matrix.entries).all()
 
 
 def test_powers_blow_up_like_the_stack_path():

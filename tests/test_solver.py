@@ -280,6 +280,31 @@ def test_only_solve_computes_the_integration_residual(monkeypatch, tmp_path, arg
         main(["solve", str(SAMPLES / "two-point-damped.json")] + out)
 
 
+def test_solve_evaluates_an_expression_kernel_once(monkeypatch, tmp_path):
+    # the stack and the solution are read on one grid: the kernel is
+    # evaluated once, at its nodes, whoever applies the boundary operator
+    from fredholm_bvp.functions import ExpressionFunction
+
+    calls = []
+    evaluate = ExpressionFunction.eval
+
+    def counting(self, ts, order=0):
+        if self.path.startswith("$.boundary.integral.kernel"):
+            calls.append((len(ts), order))
+        return evaluate(self, ts, order)
+
+    monkeypatch.setattr(ExpressionFunction, "eval", counting)
+    doc = json.loads((SAMPLES / "two-point-damped.json").read_text())
+    kernel = {"kind": "expression", "entries": [["0.5*t", "0"], ["0", "0.5*t"], ["0", "0"],
+                                                ["0.1*t", "0"]]}
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(dict(doc, boundary=dict(doc["boundary"],
+                                                       integral={"kernel": kernel}))))
+    out = ["--nodes", "201", "--format", "machine", "--out", str(tmp_path / "report.json")]
+    assert main(["solve", str(path)] + out) == 0
+    assert calls == [(201, 0)]
+
+
 def test_only_constant_coefficients_propagate_by_doubling(monkeypatch, tmp_path):
     class Doubled(Exception):
         pass
