@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .functions import ArrayFunction, as_array_function
+from .functions import ArrayFunction, ConstantFunction, as_array_function
 from .grid import DerivativeStack, interpolate
 
 
@@ -197,8 +197,11 @@ class BoundaryOperator:
         zero = np.zeros((1, self.codomain, *columns), dtype=complex)
         result = np.cumsum(np.concatenate([zero, products]), axis=0)[-1]
         if self.integral_term is not None:
-            kernel = self.integral_term.kernel.tabulate(stack.grid)
-            integrand = np.einsum("nqm,nm...->nq...", kernel, stack.samples[stack.max_order])
+            kernel, top = self.integral_term.kernel, stack.samples[stack.max_order]
+            # a constant kernel is its one (q, m) block for every node
+            integrand = (np.einsum("qm,nm...->nq...", kernel.values, top)
+                         if isinstance(kernel, ConstantFunction)
+                         else np.einsum("nqm,nm...->nq...", kernel.tabulate(stack.grid), top))
             # the trapezoid rule summed node after node at any width, where a
             # plain sum would reorder a one-column sum pairwise
             trapezoids = stack.grid.step * (integrand[1:] + integrand[:-1]) / 2.0

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -232,14 +233,16 @@ def test_residual_stack_requires_enough_orders():
 def test_blow_up_raises_diagnostic():
     # y' = 1e8 y with h = 0.01: one RK4 step multiplies by about
     # (h * 1e8)^4 / 24 = 4.2e22, so the state is 1e294 at node 13 and
-    # overflows at node 14, far from any rounding ambiguity
+    # overflows at node 14, far from any rounding ambiguity.  Doubling and
+    # the blocked scan, whose chunks of 10 steps put node 14 inside the
+    # second, name the same nodes.
     grid = Grid.uniform(UNIT, 101)
-    coeffs = CoefficientSet(1, 1, 0, (np.array([[-1e8]]),))
     message = r"integration blew up between nodes 13 and 14 \(t = 0\.13\)"
-    with pytest.raises(FloatingPointError, match=message):
-        fundamental_set(coeffs, grid)
-    with pytest.raises(FloatingPointError, match=message):
-        fundamental_set(coeffs, grid, np.array([1.0]))
+    for wrap in (ConstantFunction, SteppedConstant):
+        coeffs = CoefficientSet(1, 1, 0, (wrap(np.array([[-1e8]])),))
+        for f in (None, np.array([1.0])):
+            with pytest.raises(FloatingPointError, match=message):
+                fundamental_set(coeffs, grid, f)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +383,7 @@ def test_doubling_agrees_with_per_step_rk4(r, m, forced):
 
 
 class SteppedConstant(ArrayFunction):
-    """A constant matrix that is not a ``ConstantFunction``: the per-step loop integrates it."""
+    """A constant matrix that is not a ``ConstantFunction``: the blocked scan integrates it."""
 
     def __init__(self, values):
         self.constant = ConstantFunction(values)
@@ -390,30 +393,133 @@ class SteppedConstant(ArrayFunction):
         return self.constant.eval(ts, order)
 
 
+def per_step_states(coeffs, grid, f=None):
+    """x_{i+1} = P_i x_i one step at a time, P_i the program's own propagators."""
+    width = coeffs.r * coeffs.m + (f is not None)
+
+    def companions(ts):
+        a_values = [fn.eval(ts) for fn in coeffs.by_order]
+        f_values = None if f is None else f.eval(ts)
+        return ode._companion(coeffs, ode._top_rows(a_values, len(ts), f_values))
+
+    c_nodes = companions(grid.nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        props = ode._propagators(c_nodes[:-1], companions(grid.midpoints), c_nodes[1:], grid.step)
+        states = [np.eye(width, dtype=complex)]
+        for p in props:
+            states.append(p @ states[-1])
+    return np.stack(states)
+
+
 @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
 @pytest.mark.parametrize("r,m", [(1, 1), (1, 2), (2, 2), (1, 4), (2, 4)])
 def test_blow_up_interval_matches_per_step_loop(r, m, forced):
-    # doubling reaches node j through other products than the loop, yet the
-    # first node where the states stop being finite, and so the message, is
-    # the same.  reference_rk4 is no judge here: its stages overflow up to
-    # a few nodes before its states do.
+    # doubling and the blocked scan reach node j through other products than
+    # the per-step loop, yet the first node where the states stop being
+    # finite, and so the message, is the same.  Up to 20001 nodes the
+    # overflow lands deep inside a chunk of up to 141 steps.  reference_rk4
+    # is no judge here: its stages overflow up to a few nodes before its
+    # states do.
     rng = np.random.default_rng(40 + 10 * r + m + 5 * forced)
     blew_up = 0
     for _ in range(6):
-        scale, count = 10.0 ** rng.uniform(3, 9), int(rng.integers(11, 2002))
+        scale, count = 10.0 ** rng.uniform(3, 9), int(rng.integers(11, 20002))
         blocks = [random_complex(rng, m, m) * scale for _ in range(r)]
         f = ConstantFunction(random_complex(rng, m)) if forced else None
-        messages = []
+        grid = Grid.uniform(UNIT, count)
+        stepped = CoefficientSet(r, m, 0, tuple(SteppedConstant(block) for block in blocks))
+        finite = np.isfinite(per_step_states(stepped, grid, f)).all(axis=(1, 2))
+        expected = None if finite.all() else int(np.argmin(finite)) - 1
         for wrap in (ConstantFunction, SteppedConstant):
             coeffs = CoefficientSet(r, m, 0, tuple(wrap(block) for block in blocks))
             try:
-                fundamental_set(coeffs, Grid.uniform(UNIT, count), f)
-                messages.append(None)
+                fundamental_set(coeffs, grid, f)
+                node = None
             except FloatingPointError as err:
-                messages.append(str(err))
-        assert messages[0] == messages[1]
-        blew_up += messages[0] is not None
+                node = int(re.search(r"between nodes (\d+) and", str(err)).group(1))
+            assert node == expected
+        blew_up += expected is not None
     assert blew_up >= 4
+
+
+class PiecewiseConstant(ArrayFunction):
+    """A 1 x 1 coefficient taking ``values[i]`` between ``breaks[i-1]`` and ``breaks[i]``."""
+
+    shape = (1, 1)
+
+    def __init__(self, breaks, values):
+        self.breaks, self.values = breaks, np.asarray(values, dtype=complex)
+
+    def eval(self, ts, order=0):
+        out = np.zeros((len(ts), 1, 1), dtype=complex)
+        if order == 0:
+            out[:, 0, 0] = self.values[np.searchsorted(self.breaks, ts, side="right")]
+        return out
+
+
+def test_a_chunk_prefix_overflows_where_per_step_states_stay_finite():
+    # y' = -a y with h = 1e-4 and chunks of 100 steps: h a = 1.6 over steps
+    # 0..399 shrinks the state to 6e-228, h a = -20 over steps 400..499 (one
+    # chunk) grows it by 1e391 to 2e163, and a = 0 holds it there.  Per-step
+    # states stay finite, but the chunk's prefix product overflows on its
+    # own at node 480, and the integration reports a blow-up there.
+    grid = Grid.uniform(UNIT, 10001)
+    h = grid.step
+    coeffs = CoefficientSet(1, 1, 0, (PiecewiseConstant([0.04 + h / 4, 0.05 + h / 4],
+                                                         [1.6 / h, -20.0 / h, 0.0]),))
+    states = per_step_states(coeffs, grid)
+    assert np.isfinite(states).all() and 1e163 < np.abs(states).max() < 1e164
+    assert abs(states[400, 0, 0]) < 1e-227
+    with pytest.raises(FloatingPointError, match=r"between nodes 479 and 480 \(t = 0\.0479\)"):
+        fundamental_set(coeffs, grid)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+@pytest.mark.parametrize("kind", ["expression", "table", "stepped"])
+@pytest.mark.parametrize("count", [2, 3, 4, 5, 17, 18, 122, 4001])
+def test_blocked_scan_agrees_with_per_step_rk4(count, kind, forced):
+    # N - 1 steps in chunks of isqrt(N - 1): one step, a prime number of
+    # steps, a square, and counts ragged against the chunk length.  The
+    # products are grouped otherwise than step by step, so the states agree
+    # with per-step RK4 to N * DOUBLING_RTOL of the largest entry.
+    r, m = 2, 2
+    interval = Interval(0.5, 1.7)
+    grid = Grid.uniform(interval, count)
+    rng = np.random.default_rng(count)
+    table_grid = Grid.uniform(interval, 41)
+    blocks = [_coefficient("constant" if kind == "stepped" else kind, rng, m, table_grid)
+              for _ in range(r)]
+    coeffs = CoefficientSet(r, m, 0, tuple(SteppedConstant(b) if kind == "stepped" else b
+                                           for b in blocks))
+    f = None
+    if forced:
+        f = ExpressionFunction(np.array([parse_expression(f"cos({k + 1}*t) + {k}") for k in range(m)],
+                                        dtype=object))
+    states = ode._integrate(coeffs, grid, f)
+    rtol, size = DOUBLING_RTOL * count, r * m
+    assert states.shape == (count, size + forced, size + forced)
+    assert_relative(states[:, :size, :size], reference_rk4(coeffs, grid, np.eye(size)), rtol)
+    if forced:
+        assert_relative(states[:, :size, size:], reference_rk4(coeffs, grid, np.zeros((size, 1)), f),
+                        rtol)
+        # the forced row stays the constant 1 of [x; 1]
+        np.testing.assert_array_equal(states[:, size], np.tile(np.eye(size + 1)[size], (count, 1)))
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+def test_blocked_scan_through_growth_and_decay(forced):
+    # y' = 60 (1 - 2t) y grows by e^15 up to t = 1/2 and decays back to 1
+    grid = Grid.uniform(UNIT, 4001)
+    a = ExpressionFunction(np.array([[parse_expression("60*(2*t - 1)")]], dtype=object))
+    coeffs = CoefficientSet(1, 1, 0, (a,))
+    f = ExpressionFunction(np.array([parse_expression("cos(t)")], dtype=object)) if forced else None
+    states = ode._integrate(coeffs, grid, f)
+    expected = reference_rk4(coeffs, grid, np.eye(1))
+    assert 3e6 < np.abs(expected).max() and abs(expected[-1, 0, 0] - 1.0) < 1e-6
+    assert_relative(states[:, :1, :1], expected, DOUBLING_RTOL * grid.count)
+    if forced:
+        assert_relative(states[:, :1, 1:], reference_rk4(coeffs, grid, np.zeros((1, 1)), f),
+                        DOUBLING_RTOL * grid.count)
 
 
 # ---------------------------------------------------------------------------
