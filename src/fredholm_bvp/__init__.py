@@ -39,9 +39,6 @@ from .grid import (
 from .limits import (
     LimitReport,
     ProblemFamily,
-    check_condition_I,
-    check_condition_II,
-    check_multipoint_assumptions,
     convergence_experiment,
 )
 from .ode import (
@@ -81,9 +78,6 @@ __all__ = [
     "analyze",
     "build_characteristic_matrix",
     "characteristic_from_blocks",
-    "check_condition_I",
-    "check_condition_II",
-    "check_multipoint_assumptions",
     "cokernel_directions",
     "convergence_experiment",
     "discrepancy",

@@ -78,23 +78,14 @@ class IntegralTerm:
             raise ValueError("integral kernel must be matrix-valued")
 
 
-def _handed_over(values, dtype) -> np.ndarray:
-    """``values`` itself when it is a read-only C-contiguous array of
-    ``dtype``, else a C-contiguous copy of it as ``dtype``."""
-    if (isinstance(values, np.ndarray) and not values.flags.writeable
-            and values.flags.c_contiguous and values.dtype == dtype):
-        return values
-    return np.array(values, dtype=dtype, order="C")
-
-
 class BoundaryOperator:
     """q scalar conditions assembled from point terms and an integral term.
 
     ``BoundaryOperator(codomain, point_terms, integral_term)`` takes the
-    terms as ``PointTerm``s; ``from_arrays`` takes them as the arrays the
-    operator keeps, read-only and in term order: ``points`` (T,),
-    ``orders`` (T,) and ``matrices`` (T, q, m).  ``point_terms`` is built
-    from the arrays on first use.  An operator is immutable.
+    terms as ``PointTerm``s; ``from_arrays`` takes them as arrays in term
+    order, ``points`` (T,), ``orders`` (T,) and ``matrices`` (T, q, m), and
+    keeps read-only copies of them.  ``point_terms`` is built from the
+    arrays on first use.  An operator is immutable.
     """
 
     codomain: int
@@ -127,21 +118,19 @@ class BoundaryOperator:
                     ) -> "BoundaryOperator":
         """The operator of the terms ``matrices[k] @ y^(orders[k])(points[k])``.
 
-        An array that is read-only, C-contiguous and of the kept dtype is
-        kept as it is: the caller hands it over, as documents do with
-        theirs.  Any other is copied, so the caller's arrays are left as
-        they are.  The caller vouches for the terms: integer orders >= 0
-        and real points.
+        Every array is copied, so the caller's arrays are left as they
+        are.  The caller vouches for the terms: integer orders >= 0 and
+        real points.
         """
         if codomain < 1:
             raise ValueError("codomain must be positive")
-        matrices = _handed_over(matrices, complex)
+        matrices = np.array(matrices, dtype=complex, order="C")
         if matrices.ndim != 3 or matrices.shape[1] != codomain:
             raise ValueError(f"point-term matrices must have shape (T, {codomain}, m)")
         if np.shape(points) != matrices.shape[:1] or np.shape(orders) != matrices.shape[:1]:
             raise ValueError("one point and one order per point-term matrix")
         operator = cls.__new__(cls)
-        operator._store(codomain, _handed_over(points, float), _handed_over(orders, int),
+        operator._store(codomain, np.array(points, dtype=float), np.array(orders, dtype=int),
                         matrices, integral_term)
         return operator
 

@@ -138,10 +138,6 @@ class CharacteristicMatrix:
     diagnostics: tuple[str, ...] = ()
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
-
-    @property
     def condition_number(self) -> float:
         """sigma_max / sigma_min; inf when the smallest vanishes."""
         smallest = self.singular_values[-1]

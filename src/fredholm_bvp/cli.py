@@ -38,8 +38,7 @@ from .characteristic import (
 )
 from .boundary import BoundaryOperator, IntegralTerm, PointTerm
 from .closed_forms import exact_characteristic_matrix
-from .document import DocumentError, document_family, document_problem, load_document
-from .expressions import ExpressionError
+from .document import document_family, document_problem, load_document
 from .functions import ConstantFunction
 from .grid import DEFAULT_NODE_COUNT, Grid, Interval, LebesgueExponent, vector_magnitude
 from .limits import convergence_experiment
@@ -446,8 +445,7 @@ def main(argv=None) -> int:
     except NotWellPosedError as err:
         print(f"not well posed: {err}", file=sys.stderr)
         return EXIT_NOT_WELL_POSED
-    except (CliError, DocumentError, ExpressionError, ValueError, OSError,
-            FloatingPointError, OverflowError) as err:
+    except (CliError, ValueError, OSError, FloatingPointError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -489,10 +489,10 @@ def load_document(source) -> ProblemDocument:
     n = _integer(_require(orders_raw, "n", "$.orders"), "$.orders.n", 0)
 
     exponent_raw = _require(raw, "exponent", "$")
-    if exponent_raw != "inf":  # the one string the schema allows
-        exponent_raw = _real(exponent_raw, "$.exponent")
+    # "inf" is the one string the schema allows
+    exponent_value = math.inf if exponent_raw == "inf" else _real(exponent_raw, "$.exponent")
     try:
-        exponent = LebesgueExponent.parse(exponent_raw)
+        exponent = LebesgueExponent(exponent_value)
     except ValueError as err:
         raise DocumentError(str(err), "$.exponent") from None
 
@@ -606,8 +606,15 @@ def document_problem(doc: ProblemDocument, eps: float | None = None) -> ProblemS
     if rhs_doc is not None:
         payloads.append((f"{rhs_path}.f", rhs_doc.f))
     for path, fd in payloads:
-        if fd.kind == "table" and fd.grid.interval != doc.interval:
+        if fd.kind != "table":
+            continue
+        if fd.grid.interval != doc.interval:
             raise DocumentError("table nodes must span the problem interval", path)
+        # coefficients and f are read at orders 0..n, kernels at order 0 only
+        if fd is not boundary_doc.integral and fd.grid.count < 5 and len(fd.samples) <= doc.n:
+            raise DocumentError(f"a table of {fd.grid.count} nodes must supply the orders "
+                                f"0..{doc.n}: differences need at least five nodes",
+                                f"{path}.nodes")
     coefficients = CoefficientSet(
         doc.r, doc.m, doc.n, tuple(fd.build(eps, path) for path, fd in payloads[:doc.r])
     )

@@ -39,9 +39,6 @@ class Interval:
     def length(self) -> float:
         return self.b - self.a
 
-    def contains(self, t: float) -> bool:
-        return self.a <= t <= self.b
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -98,16 +95,6 @@ class LebesgueExponent:
     def __post_init__(self):
         if not (self.value >= 1.0):
             raise ValueError(f"exponent must satisfy p >= 1, got {self.value}")
-
-    @classmethod
-    def parse(cls, raw) -> "LebesgueExponent":
-        if isinstance(raw, LebesgueExponent):
-            return raw
-        if isinstance(raw, str):
-            if raw.strip().lower() in ("inf", "infinity", "oo"):
-                return cls(_INF)
-            return cls(float(raw))
-        return cls(float(raw))
 
     @property
     def is_infinite(self) -> bool:

@@ -200,23 +200,6 @@ def coefficient_distances(coeffs_eps: CoefficientSet, coeffs_zero: CoefficientSe
     return distances
 
 
-def _condition_I(epsilons, rows) -> ConditionReport:
-    """Coefficient convergence tables from per-eps rows of distances, one per order d."""
-    return ConditionReport("condition-I", tuple(
-        TrendTable.vanishing(f"coefficient of y^({d})", epsilons, column)
-        for d, column in enumerate(zip(*rows))
-    ))
-
-
-def check_condition_I(family: ProblemFamily, grid: Grid) -> ConditionReport:
-    """Coefficient convergence tables, one per derivative order d."""
-    zero = family.at_zero
-    return _condition_I(family.epsilons, [
-        coefficient_distances(family.at(eps).coefficients, zero.coefficients, grid, zero.exponent)
-        for eps in family.epsilons
-    ])
-
-
 def default_probes(grid: Grid, dimension: int, max_order: int) -> DerivativeStack:
     """Smooth probes {1, t, t^2, sin t, cos t} x coordinate vectors, as one block.
 
@@ -248,11 +231,6 @@ def default_probes(grid: Grid, dimension: int, max_order: int) -> DerivativeStac
     for j in range(dimension):
         samples[:, :, j, :, j] = profiles
     return DerivativeStack(grid, samples.reshape(max_order + 1, grid.count, dimension, -1))
-
-
-def check_condition_II(family: ProblemFamily, grid: Grid) -> ConditionReport:
-    """Boundary-value convergence on the probe set, table per probe."""
-    return _condition_II(family, grid, (family.at(eps).boundary for eps in family.epsilons))
 
 
 def _condition_II(family: ProblemFamily, grid: Grid,
@@ -355,11 +333,6 @@ def _series_table(boundary: BoundaryOperator, tags: np.ndarray, tag: int,
     return points, magnitudes, _term_sum(by_order)
 
 
-def check_multipoint_assumptions(family: ProblemFamily) -> MultipointAssumptionReport:
-    """Evaluate the clustering/decay assumptions over the family's schedule."""
-    return _multipoint_assumptions(family, (family.at(eps).boundary for eps in family.epsilons))
-
-
 def _multipoint_assumptions(family: ProblemFamily,
                             boundaries: Iterable[BoundaryOperator]) -> MultipointAssumptionReport:
     """The assumptions read off the members' boundary operators, in schedule order.
@@ -378,8 +351,6 @@ def _multipoint_assumptions(family: ProblemFamily,
     The limit's sums are reduced the same way, so a series whose
     matrices do not depend on eps has beta exactly 0.
     """
-    if family.series is None:
-        raise ValueError("the family's boundary point terms carry no series tags")
     stray = family.stray_limit_term()
     if stray is not None:
         raise ValueError(f"point term {stray}: the points of a converging series "
@@ -637,7 +608,9 @@ def convergence_experiment(family: ProblemFamily, grid: Grid,
     return LimitReport(
         epsilons=family.epsilons,
         rows=rows,
-        condition_I=_condition_I(family.epsilons, [row.coefficient_distances for row in rows]),
+        condition_I=ConditionReport("condition-I", tuple(
+            TrendTable.vanishing(f"coefficient of y^({d})", family.epsilons, column)
+            for d, column in enumerate(zip(*(row.coefficient_distances for row in rows))))),
         condition_II=_condition_II(family, grid, boundaries),
         characteristic_trend=characteristic_trend,
         semicontinuity=semicontinuity(family.epsilons, limit.report, reports),

@@ -144,7 +144,7 @@ def interpolate_at(grid, values: np.ndarray, t: float) -> np.ndarray:
     Exact at nodes; elsewhere a local 4-point (cubic Lagrange) rule,
     which preserves the O(step^4) accuracy of stored samples.
     """
-    if not grid.interval.contains(t):
+    if not grid.interval.a <= t <= grid.interval.b:
         raise ValueError(f"point {t} outside the interval [{grid.interval.a}, {grid.interval.b}]")
     h = grid.step
     nearest = min(max(int(round((t - grid.interval.a) / h)), 0), grid.count - 1)

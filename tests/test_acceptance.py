@@ -4,8 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict
 lines; tolerances are fixed here and nowhere else.
 """
 
+import re
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -22,7 +24,6 @@ from fredholm_bvp import (
     ProblemSpec,
     RightHandSide,
     build_characteristic_matrix,
-    check_multipoint_assumptions,
     convergence_experiment,
     exact_characteristic_matrix,
     fundamental_set,
@@ -251,20 +252,18 @@ def test_ac08_multipoint_splitting():
     with criterion("AC-8 splitting family converges; zero series breaks it"):
         family = _splitting_family()
         grid = Grid.uniform(UNIT, 501)
-        assumptions = check_multipoint_assumptions(family)
+        report = convergence_experiment(family, grid)
+        assumptions = report.multipoint
         for name in ("alpha", "beta", "gamma", "delta", "gamma_p", "gamma_prime"):
             assert assumptions.tables[name].passed, name
         assert assumptions.passed
-        report = convergence_experiment(family, grid)
-        assert report.multipoint == assumptions
         assert report.error_trend_passed
 
         fixed = np.diag([0.5, 0.5])  # entrywise-sum norm 1, eps-independent
         bad_family = _splitting_family(extra_series={
             0: lambda eps: [(0.55, 0, fixed if eps else 0 * fixed)]})
-        bad_assumptions = check_multipoint_assumptions(bad_family)
-        assert not bad_assumptions.tables["delta"].passed
         bad_report = convergence_experiment(bad_family, grid)
+        assert not bad_report.multipoint.tables["delta"].passed
         assert not bad_report.error_trend_passed
 
 
@@ -331,3 +330,13 @@ def test_ac10_numerics_hygiene():
             assert np.abs(cos_block - via_eig(lambda z: np.cos(np.sqrt(z) * s))).max() <= 1e-8
             assert np.abs(sinc_block
                           - via_eig(lambda z: np.sin(np.sqrt(z) * s) / np.sqrt(z))).max() <= 1e-8
+
+
+def test_ac11_readme_examples_run():
+    with criterion("AC-11 every python example of the README runs"):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.DOTALL | re.MULTILINE)
+        assert len(blocks) >= 2
+        namespace = {}  # one reading session: later examples use the names of earlier ones
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)

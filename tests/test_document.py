@@ -457,6 +457,45 @@ def test_spanning_tables_still_build():
     np.testing.assert_allclose(problem.rhs.f.eval(np.array([0.3])), [[1.0, 0.5]])
 
 
+FOUR = [0.0, 1 / 3, 2 / 3, 1.0]
+
+
+def _family_four_node_tables(raw):
+    raw["family"] = {"coefficients": [table(FOUR, A0)]}
+
+
+@pytest.mark.parametrize("mutate,path", [
+    (lambda raw: raw["coefficients"].__setitem__(0, table(FOUR, A0)), r"\$\.coefficients\[0\]"),
+    (_rhs_table(FOUR), r"\$\.rhs\.f"),
+    (_family_four_node_tables, r"\$\.family\.coefficients\[0\]"),
+], ids=["coefficient", "rhs.f", "family-coefficient"])
+def test_four_node_tables_must_supply_every_order_up_to_n(mutate, path):
+    # n = 2: orders the table lacks would be differenced, which needs five nodes
+    raw = one_point_document()
+    mutate(raw)
+    doc = load_document(raw)
+    build = document_family if doc.family is not None else document_problem
+    with pytest.raises(DocumentError, match=rf"^{path}\.nodes: a table of 4 nodes must supply "
+                                            r"the orders 0\.\.2"):
+        build(doc)
+
+
+def test_four_node_tables_with_every_order_and_four_node_kernels_build(tmp_path, capsys):
+    raw = one_point_document()
+    raw["coefficients"][0] = dict(table(FOUR, A0), samples=[[A0] * 4, [A0] * 4, [A0] * 4])
+    raw["boundary"]["integral"] = {"kernel": table(FOUR, KERNEL)}
+    doc = tmp_path / "four.json"
+    doc.write_text(json.dumps(raw))
+    assert main(["analyze", str(doc)]) == 0
+    # the sample with n = 1 and an order-0 table: one error line naming the table's nodes
+    raw = json.loads((SAMPLES / "two-point-damped.json").read_text())
+    raw["coefficients"][0] = table(FOUR, [[0, 0], [0, 0]])
+    doc.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert main(["solve", str(doc)]) == 1
+    assert capsys.readouterr().err.startswith("error: $.coefficients[0].nodes: a table of 4 nodes")
+
+
 def test_table_nodes_checked_at_parse_time():
     # the table's grid is built once, when the document is read
     raw = one_point_document()

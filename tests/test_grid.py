@@ -60,7 +60,7 @@ def test_exponent_conjugates():
     assert LebesgueExponent(math.inf).conjugate == 1.0
     assert LebesgueExponent(2.0).conjugate == 2.0
     assert LebesgueExponent(3.0).conjugate == pytest.approx(1.5)
-    assert LebesgueExponent.parse("inf").is_infinite
+    assert LebesgueExponent(math.inf).is_infinite
     with pytest.raises(ValueError):
         LebesgueExponent(0.5)
 

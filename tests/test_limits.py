@@ -16,9 +16,6 @@ from fredholm_bvp import (
     RightHandSide,
     SolvabilityReport,
     analyze,
-    check_condition_I,
-    check_condition_II,
-    check_multipoint_assumptions,
     convergence_experiment,
     point_evaluation,
     solve,
@@ -96,14 +93,14 @@ def test_condition_0_canonical():
 
 def test_condition_I_constant_family():
     family = coefficient_family(A0, E, lambda e: 0.0)
-    report = check_condition_I(family, GRID)
+    report = convergence_experiment(family, GRID).condition_I
     assert report.passed
     assert all(v == 0.0 for table in report.tables for v in table.values)
 
 
 def test_condition_I_linear_family():
     family = coefficient_family(A0, E, lambda e: e, epsilons=(1e-2, 1e-4, 1e-6, 1e-8))
-    report = check_condition_I(family, GRID)
+    report = convergence_experiment(family, GRID).condition_I
     assert report.passed
     values = report.tables[0].values
     for eps, value in zip(family.epsilons, values):
@@ -112,12 +109,12 @@ def test_condition_I_linear_family():
 
 def test_condition_I_divergent_family():
     family = coefficient_family(A0, E, lambda e: 0.0 if e == 0 else 1.0)
-    assert not check_condition_I(family, GRID).passed
+    assert not convergence_experiment(family, GRID).condition_I.passed
 
 
 def test_condition_II_constant_family():
     family = boundary_family(lambda eps: identity_boundary(2))
-    assert check_condition_II(family, GRID).passed
+    assert convergence_experiment(family, GRID).condition_II.passed
 
 
 def test_condition_II_point_splitting_is_second_order():
@@ -133,7 +130,7 @@ def test_condition_II_point_splitting_is_second_order():
         ))
 
     family = boundary_family(make_boundary, epsilons=(1e-1, 1e-2, 1e-4))
-    report = check_condition_II(family, GRID)
+    report = convergence_experiment(family, GRID).condition_II
     assert report.passed
     for table in report.tables:
         if table.values[0] > 1e-9:  # probes curved at 0.3 show the e^2 rate
@@ -152,7 +149,7 @@ def test_condition_II_divergent_coefficients():
         ))
 
     family = boundary_family(make_boundary)
-    assert not check_condition_II(family, GRID).passed
+    assert not convergence_experiment(family, GRID).condition_II.passed
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +174,15 @@ def test_static_multipoint_family_passes_everything():
     for p in (P2, PINF):
         family = tagged_family({1: static_series(0.3, BETA1), 2: static_series(0.8, BETA2)},
                                DEFAULT_EPSILONS, exponent=p)
-        report = check_multipoint_assumptions(family)
+        report = convergence_experiment(family, GRID).multipoint
         assert report.passed
         assert all(table.passed for table in report.tables.values())
 
 
 def test_splitting_family_quantities_match_hand_computation():
     epsilons = (1e-2, 1e-4, 1e-7)
-    report = check_multipoint_assumptions(tagged_family({1: split_series(0.3, BETA1)}, epsilons))
+    family = tagged_family({1: split_series(0.3, BETA1)}, epsilons)
+    report = convergence_experiment(family, GRID).multipoint
     for i, eps in enumerate(epsilons):
         assert table_rows(report, "alpha")["series 1"][i] == pytest.approx(eps, rel=1e-12)
         assert table_rows(report, "beta")["series 1 order 0"][i] == 0.0
@@ -201,7 +199,7 @@ def test_splitting_family_quantities_match_hand_computation():
 
 def test_splitting_family_passes_sup_norm_rule_too():
     family = tagged_family({1: split_series(0.3, BETA1)}, (1e-2, 1e-4, 1e-7), exponent=PINF)
-    report = check_multipoint_assumptions(family)
+    report = convergence_experiment(family, GRID).multipoint
     assert report.required == ("alpha", "beta", "gamma", "delta")
     assert report.passed
 
@@ -210,7 +208,7 @@ def test_zero_series_with_fixed_norm_fails_delta():
     matrix = np.array([[0.5, 0.0], [0.0, 0.5]])  # entrywise sum 1, fixed
     family = tagged_family({0: fixed_zero_series(0.55, matrix), 1: split_series(0.3, BETA1)},
                            (1e-2, 1e-4, 1e-7))
-    report = check_multipoint_assumptions(family)
+    report = convergence_experiment(family, GRID).multipoint
     assert list(table_rows(report, "delta")) == ["series 0 order 0", "series 0 order 1"]
     assert not report.tables["delta"].passed
     assert not report.passed
@@ -234,7 +232,7 @@ def test_converging_series_needs_one_limit_point():
     family = tagged_family({1: spread}, (1e-2, 1e-4))
     assert family.stray_limit_term() == 1
     with pytest.raises(ValueError, match="point term 1"):
-        check_multipoint_assumptions(family)
+        convergence_experiment(family, GRID)
 
 
 def _multipoint_per_term(family):
@@ -328,7 +326,7 @@ def test_multipoint_tables_match_the_per_term_loop_bit_for_bit(m):
             2: _scattered_series(rng, 0.8, 20, m, scale=lambda eps: 1.0 - 2.0 * eps),
         }, epsilons, exponent=exponent, m=m)
         assert len(family.series) == 48
-        report = check_multipoint_assumptions(family)
+        report = convergence_experiment(family, GRID).multipoint
         expected = _multipoint_per_term(family)
         assert list(report.tables) == list(expected)
         for name, rows in expected.items():
@@ -343,7 +341,7 @@ def test_beta_is_zero_when_the_series_matrices_do_not_depend_on_eps(m):
     rng = np.random.default_rng(90 + m)
     family = tagged_family({1: _scattered_series(rng, 0.3, 24, m),
                             2: _scattered_series(rng, 0.8, 24, m)}, (1e-2, 1e-4, 1e-6), m=m)
-    report = check_multipoint_assumptions(family)
+    report = convergence_experiment(family, GRID).multipoint
     beta = table_rows(report, "beta")
     assert list(beta) == [f"series {j} order {d}" for j in (1, 2) for d in (0, 1)]
     assert all(value == 0.0 for values in beta.values() for value in values)
@@ -724,20 +722,16 @@ def _family_corpus():
 
 def test_strong_convergence_implies_matrix_convergence():
     for name, family in _family_corpus():
-        cond_i = check_condition_I(family, GRID).passed
-        cond_ii = check_condition_II(family, GRID).passed
-        if cond_i and cond_ii:
-            trend = convergence_experiment(family, GRID).characteristic_trend
-            assert trend.passed, name
+        report = convergence_experiment(family, GRID)
+        if report.condition_I.passed and report.condition_II.passed:
+            assert report.characteristic_trend.passed, name
 
 
 def test_strong_convergence_implies_semicontinuity():
     for name, family in _family_corpus():
-        cond_i = check_condition_I(family, GRID).passed
-        cond_ii = check_condition_II(family, GRID).passed
-        if cond_i and cond_ii:
-            report = family_semicontinuity(family, GRID)
-            assert not report.violations, name
+        report = convergence_experiment(family, GRID)
+        if report.condition_I.passed and report.condition_II.passed:
+            assert not report.semicontinuity.violations, name
 
 
 def test_default_probes_column_order():
@@ -772,6 +766,6 @@ def test_condition_II_tables_one_per_default_probe():
                                     PointTerm(0.5, 1, eps * np.ones((2, 2)))))
 
     family = boundary_family(make_boundary, epsilons=(1e-1, 1e-2))
-    report = check_condition_II(family, GRID)
+    report = convergence_experiment(family, GRID).condition_II
     assert default_probes(GRID, 2, 2).samples.shape[-1] == len(report.tables) == 10
     assert [table.label for table in report.tables] == [f"probe {i}" for i in range(10)]
