@@ -194,7 +194,7 @@ class BoundaryOperator:
             # the trapezoid rule summed node after node at any width, where a
             # plain sum would reorder a one-column sum pairwise
             trapezoids = stack.grid.step * (integrand[1:] + integrand[:-1]) / 2.0
-            result += np.cumsum(trapezoids, axis=0)[-1]
+            result += np.cumsum(trapezoids, axis=0, out=trapezoids)[-1]
         return result
 
 

@@ -81,10 +81,10 @@ class ProblemSpec:
         bad = (boundary.orders > top - 1) | ~inside
         if bad.any():
             i = int(np.argmax(bad))
-            term = boundary.point_terms[i]  # as given, for the message
-            if term.order > top - 1:
-                raise ValueError(f"point term {i}: order {term.order} out of range 0..{top - 1}")
-            raise ValueError(f"point term {i}: point {term.point} outside "
+            if boundary.orders[i] > top - 1:
+                raise ValueError(f"point term {i}: order {boundary.orders[i]} out of range "
+                                 f"0..{top - 1}")
+            raise ValueError(f"point term {i}: point {boundary.points[i]} outside "
                              f"[{interval.a}, {interval.b}]")
         integral = boundary.integral_term
         if integral is not None and integral.kernel.shape[1] != self.coefficients.m:

@@ -254,12 +254,8 @@ def _run_family(args) -> int:
 
 
 def _run_oracle_check(args) -> int:
-    if args.document in _BUILTINS:
-        problem = _BUILTINS[args.document]()
-        name = _EXAMPLE_ALIASES.get(args.document, args.document)
-    else:
-        problem = document_problem(load_document(args.document))
-        name = "constant-coefficient"
+    name, problem = (_builtin(args.document)
+                     or ("constant-coefficient", document_problem(load_document(args.document))))
     oracle = exact_characteristic_matrix(problem)
     grid = Grid.uniform(problem.interval, args.nodes)
     matrix = build_characteristic_matrix(problem, grid, args.rank_tol)
@@ -291,87 +287,45 @@ def _run_oracle_check(args) -> int:
 # oracle-check builtins
 
 
-def _builtin_rng() -> np.random.Generator:
-    return np.random.default_rng(20240611)
-
-
-def _random_complex(rng, rows, cols):
-    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-
-
-def _builtin_ex1():
-    rng = _builtin_rng()
-    m = 2
-    a = _random_complex(rng, m, m)
-    a *= 1.5 / np.abs(a).sum()
-    alphas = [_random_complex(rng, m, m) for _ in range(3)]
-    coeffs = CoefficientSet(1, m, 2, (a,))
-    boundary = BoundaryOperator(
-        m, tuple(PointTerm(0.0, k, alphas[k]) for k in range(3))
-    )
-    return ProblemSpec(Interval(0.0, 1.0), coeffs, boundary, LebesgueExponent(2.0))
-
-
-def _builtin_ex2():
-    rng = _builtin_rng()
-    m = 2
-    points = [0.0, 0.3, 0.7, 1.0]
-    alphas0 = [_random_complex(rng, m, m) for _ in points]
-    higher = [_random_complex(rng, m, m) for _ in points]
-    coeffs = CoefficientSet(1, m, 2, (np.zeros((m, m)),))
-    terms = [PointTerm(p, 0, mat) for p, mat in zip(points, alphas0)]
-    terms += [PointTerm(p, 2, mat) for p, mat in zip(points, higher)]
-    boundary = BoundaryOperator(m, tuple(terms))
-    return ProblemSpec(Interval(0.0, 1.0), coeffs, boundary, LebesgueExponent(2.0))
-
-
-def _builtin_second_order(damped: bool):
-    rng = _builtin_rng()
-    m, n = 2, 1
-    q = 2 * m
-    a = _random_complex(rng, m, m)
-    a *= 1.5 / np.abs(a).sum()
-    alphas = [_random_complex(rng, q, m) for _ in range(n + 2)]
-    betas = [_random_complex(rng, q, m) for _ in range(n + 2)]
-    zero = np.zeros((m, m))
-    coeffs = CoefficientSet(2, m, n, (zero, a) if damped else (a, zero))
-    terms = tuple(PointTerm(0.0, k, alphas[k]) for k in range(n + 2))
-    terms += tuple(PointTerm(1.0, k, betas[k]) for k in range(n + 2))
-    boundary = BoundaryOperator(q, terms)
-    return ProblemSpec(Interval(0.0, 1.0), coeffs, boundary, LebesgueExponent(2.0))
-
-
-def _builtin_ex5():
-    rng = _builtin_rng()
-    m, n = 2, 1
-    alpha0 = _random_complex(rng, m, m)
-    alpha1 = _random_complex(rng, m, m)
-    kernel = ConstantFunction(_random_complex(rng, m, m))
-    coeffs = CoefficientSet(1, m, n, (np.zeros((m, m)),))
-    boundary = BoundaryOperator(
-        m,
-        (PointTerm(0.0, 0, alpha0), PointTerm(0.0, 1, alpha1)),
-        IntegralTerm(kernel),
-    )
-    return ProblemSpec(Interval(0.0, 1.0), coeffs, boundary, LebesgueExponent(2.0))
-
-
+# key: (configuration name, r, n, q, the d of the one random A_d or None,
+#       point terms (t, order) in draw order, constant kernel)
 _BUILTINS = {
-    "ex1": _builtin_ex1,
-    "ex2": _builtin_ex2,
-    "ex3": lambda: _builtin_second_order(True),
-    "ex4": lambda: _builtin_second_order(False),
-    "ex5": _builtin_ex5,
+    "ex1": ("one-point-first-order", 1, 2, 2, 0, [(0.0, k) for k in range(3)], False),
+    "ex2": ("multipoint-zero-coefficient", 1, 2, 2, None,
+            [(t, k) for k in (0, 2) for t in (0.0, 0.3, 0.7, 1.0)], False),
+    "ex3": ("two-point-damped", 2, 1, 4, 1, [(t, k) for t in (0.0, 1.0) for k in range(3)], False),
+    "ex4": ("two-point-oscillatory", 2, 1, 4, 0, [(t, k) for t in (0.0, 1.0) for k in range(3)],
+            False),
+    "ex5": ("canonical-first-order", 1, 1, 2, None, [(0.0, 0), (0.0, 1)], True),
 }
-# each builtin also answers to the configuration name oracle-check reports for it
-_EXAMPLE_ALIASES = {
-    "ex1": "one-point-first-order",
-    "ex2": "multipoint-zero-coefficient",
-    "ex3": "two-point-damped",
-    "ex4": "two-point-oscillatory",
-    "ex5": "canonical-first-order",
-}
-_BUILTINS.update({name: _BUILTINS[short] for short, name in _EXAMPLE_ALIASES.items()})
+
+
+def _builtin(key: str) -> tuple[str, ProblemSpec] | None:
+    """The builtin a key or configuration name names, with that name; else None.
+
+    Every builtin has m = 2 on [0, 1] with p = 2 and draws from one seed:
+    its random A_d, scaled to an entrywise sum of 1.5, then the q x m
+    matrix of each point term in order, then the constant kernel's.
+    """
+    for short, (name, r, n, q, random_d, terms, kernel) in _BUILTINS.items():
+        if key in (short, name):
+            break
+    else:
+        return None
+    rng, m = np.random.default_rng(20240611), 2
+
+    def draw(rows):
+        return rng.normal(size=(rows, m)) + 1j * rng.normal(size=(rows, m))
+
+    coefficients = [np.zeros((m, m))] * r
+    if random_d is not None:
+        a = draw(m)
+        a *= 1.5 / np.abs(a).sum()
+        coefficients[random_d] = a
+    points = tuple(PointTerm(t, k, draw(q)) for t, k in terms)
+    integral = IntegralTerm(ConstantFunction(draw(m))) if kernel else None
+    return name, ProblemSpec(Interval(0.0, 1.0), CoefficientSet(r, m, n, tuple(coefficients)),
+                             BoundaryOperator(q, points, integral), LebesgueExponent(2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser(
         "oracle-check",
         help="compare the numerical matrix with the exact one "
-             f"(builtins: {', '.join(sorted(k for k in _BUILTINS if k.startswith('ex')))})",
+             f"(builtins: {', '.join(_BUILTINS)})",
     )
     oracle.add_argument("document", help="problem document or builtin name")
     add_common(oracle)
@@ -445,7 +399,8 @@ def main(argv=None) -> int:
     except NotWellPosedError as err:
         print(f"not well posed: {err}", file=sys.stderr)
         return EXIT_NOT_WELL_POSED
-    except (CliError, ValueError, OSError, FloatingPointError, OverflowError) as err:
+    except (CliError, ValueError, OSError, FloatingPointError, OverflowError,
+            MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -103,11 +103,10 @@ def exact_characteristic_matrix(problem) -> np.ndarray:
     if integral is not None and not isinstance(integral.kernel, ConstantFunction):
         raise ValueError("no exact characteristic matrix: the integral kernel varies with t")
     rows = order_rows(coeffs)
-    companion = np.vstack(rows[1 : coeffs.r + 1])  # block row d of C is R_(d+1)
     points = set(boundary.points.tolist())
     if integral is not None:
         points.add(interval.b)
-    exponentials = {t: matrix_exp(companion, t - interval.a).value for t in points}
+    exponentials = {t: matrix_exp(coeffs.companion, t - interval.a).value for t in points}
     entries = np.zeros((problem.q, problem.state_size), dtype=complex)
     for point, order, matrix in zip(boundary.points.tolist(), boundary.orders.tolist(),
                                     boundary.matrices):

@@ -452,6 +452,36 @@ def _parse_rhs(raw, path: str, m: int, q: int, eps_ok: bool) -> RhsDoc:
     return RhsDoc(f, c)
 
 
+def _parse_sections(raw: dict, path: str, r: int, m: int, n: int,
+                    top: BoundaryDoc | None = None) -> tuple:
+    """(coefficients, boundary, rhs) of the document root, or with ``top``,
+    the root's boundary, of the family section at ``path``.
+
+    At the root the coefficients and the boundary are required.  In the
+    family section expressions may use eps, each section may be absent
+    (None), and the boundary keeps the root's condition count.
+    """
+    family = top is not None
+    coefficients = boundary = rhs = None
+    if not family or raw.get("coefficients") is not None:
+        items = _require(raw, "coefficients", path)
+        if not isinstance(items, list) or len(items) != r:
+            raise DocumentError(
+                f"expected {r} coefficient functions (index d multiplies the order-d derivative)",
+                f"{path}.coefficients")
+        coefficients = tuple(_parse_function(item, f"{path}.coefficients[{d}]", (m, m), family)
+                             for d, item in enumerate(items))
+    if not family or raw.get("boundary") is not None:
+        boundary = _parse_boundary(_require(raw, "boundary", path), f"{path}.boundary",
+                                   m, n + r, family)
+        if family and boundary.conditions != top.conditions:
+            raise DocumentError("family boundary must keep the same condition count",
+                                f"{path}.boundary.conditions")
+    if raw.get("rhs") is not None:
+        rhs = _parse_rhs(raw["rhs"], f"{path}.rhs", m, (top or boundary).conditions, family)
+    return coefficients, boundary, rhs
+
+
 def load_document(source) -> ProblemDocument:
     """Parse and validate a document from a dict, JSON text or file path."""
     if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
@@ -496,22 +526,7 @@ def load_document(source) -> ProblemDocument:
     except ValueError as err:
         raise DocumentError(str(err), "$.exponent") from None
 
-    coeff_raw = _require(raw, "coefficients", "$")
-    if not isinstance(coeff_raw, list) or len(coeff_raw) != r:
-        raise DocumentError(
-            f"expected {r} coefficient functions (index d multiplies the order-d derivative)",
-            "$.coefficients")
-    coefficients = tuple(
-        _parse_function(item, f"$.coefficients[{d}]", (m, m), eps_ok=False)
-        for d, item in enumerate(coeff_raw)
-    )
-
-    boundary = _parse_boundary(_require(raw, "boundary", "$"), "$.boundary",
-                               m, n + r, eps_ok=False)
-
-    rhs = None
-    if raw.get("rhs") is not None:
-        rhs = _parse_rhs(raw["rhs"], "$.rhs", m, boundary.conditions, eps_ok=False)
+    coefficients, boundary, rhs = _parse_sections(raw, "$", r, m, n)
 
     family = None
     if raw.get("family") is not None:
@@ -526,28 +541,7 @@ def load_document(source) -> ProblemDocument:
             schedule = ProblemFamily.checked_schedule(entries)
         except ValueError as err:
             raise DocumentError(str(err), "$.family.schedule") from None
-        fam_coeffs = None
-        if fam_raw.get("coefficients") is not None:
-            fc = fam_raw["coefficients"]
-            if not isinstance(fc, list) or len(fc) != r:
-                raise DocumentError(f"expected {r} coefficient functions",
-                                    "$.family.coefficients")
-            fam_coeffs = tuple(
-                _parse_function(item, f"$.family.coefficients[{d}]", (m, m), eps_ok=True)
-                for d, item in enumerate(fc)
-            )
-        fam_boundary = None
-        if fam_raw.get("boundary") is not None:
-            fam_boundary = _parse_boundary(fam_raw["boundary"], "$.family.boundary",
-                                           m, n + r, eps_ok=True)
-            if fam_boundary.conditions != boundary.conditions:
-                raise DocumentError("family boundary must keep the same condition count",
-                                    "$.family.boundary.conditions")
-        fam_rhs = None
-        if fam_raw.get("rhs") is not None:
-            fam_rhs = _parse_rhs(fam_raw["rhs"], "$.family.rhs", m,
-                                 boundary.conditions, eps_ok=True)
-        family = FamilyDoc(schedule, fam_coeffs, fam_boundary, fam_rhs)
+        family = FamilyDoc(schedule, *_parse_sections(fam_raw, "$.family", r, m, n, boundary))
 
     return ProblemDocument(interval, r, m, n, exponent, coefficients, boundary, rhs, family)
 

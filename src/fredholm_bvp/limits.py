@@ -28,14 +28,15 @@ depending on whether p is finite.
 
 The experiment is one pass over the schedule.  Each member is built when
 the pass reaches it and measured by one function (``member_row``), so
-nothing of it outlives its row but its boundary operator, which the
-condition (II) and multipoint tables read after the pass.  Every function
-keeps its samples on the grid (``ArrayFunction.tabulate``): a member's
-coefficients and forcing are evaluated once for its integration,
-condition (I) and discrepancy, and the limit's once for the whole pass.
-Each series of a member is read off the boundary operator's term arrays
-as one magnitude table and one matrix sum, and each multipoint table
-entry is one reduction of those over the terms, added in term order.
+nothing of it outlives its row: conditions (I) and (II) and the
+multipoint tables are columns of the values each member's row holds.
+Every function keeps its samples on the grid (``ArrayFunction.tabulate``):
+a member's coefficients and forcing are evaluated once for its
+integration, condition (I) and discrepancy, and the limit's once for the
+whole pass.  Each series of a member is read off the boundary operator's
+term arrays as one magnitude table and one matrix sum, and each
+multipoint table entry is one reduction of those over the terms, added
+in term order.
 """
 
 from __future__ import annotations
@@ -230,26 +231,7 @@ def default_probes(grid: Grid, dimension: int, max_order: int) -> DerivativeStac
     samples = np.zeros((max_order + 1, grid.count, dimension, 5, dimension), dtype=complex)
     for j in range(dimension):
         samples[:, :, j, :, j] = profiles
-    return DerivativeStack(grid, samples.reshape(max_order + 1, grid.count, dimension, -1))
-
-
-def _condition_II(family: ProblemFamily, grid: Grid,
-                  boundaries: Iterable[BoundaryOperator]) -> ConditionReport:
-    """Condition (II) from the members' boundary operators, in schedule order.
-
-    The polynomial/trigonometric probes form one block, which each
-    operator is applied to once.
-    """
-    zero = family.at_zero
-    probes = default_probes(grid, zero.m, zero.coefficients.max_order)
-    reference = zero.boundary.apply(probes)
-    rows = [[vector_magnitude(column) for column in (boundary.apply(probes) - reference).T]
-            for boundary in boundaries]
-    tables = tuple(
-        TrendTable.vanishing(f"probe {i}", family.epsilons, column)
-        for i, column in enumerate(zip(*rows))
-    )
-    return ConditionReport("condition-II", tables)
+    return DerivativeStack._adopt(grid, samples.reshape(max_order + 1, grid.count, dimension, -1))
 
 
 @dataclass(frozen=True)
@@ -333,23 +315,17 @@ def _series_table(boundary: BoundaryOperator, tags: np.ndarray, tag: int,
     return points, magnitudes, _term_sum(by_order)
 
 
-def _multipoint_assumptions(family: ProblemFamily,
-                            boundaries: Iterable[BoundaryOperator]) -> MultipointAssumptionReport:
-    """The assumptions read off the members' boundary operators, in schedule order.
+def _series_reader(family: ProblemFamily) -> Callable[[BoundaryOperator], list]:
+    """The reader of one member's multipoint table entries, (table, label, value).
 
-    The point terms of each member are grouped by their series tags;
+    The point terms of a member are grouped by their series tags;
     converging series are measured against the point and the summed
-    matrices of their terms in the limit problem.  For p = inf the
-    required set is {point-clustering, coefficient-sum, weighted-decay,
-    zero-series}; for finite p the weighted-decay requirement splits into
-    a boundedness condition on the top derivative order (with the
-    conjugate-exponent weight) and a decay condition on the lower orders.
-
-    Each member's series is read as one magnitude table |M_k^(d)| and
-    one sum of its matrices (``_series_table``); every table entry is a
-    reduction of those over the terms k, in term order (``_term_sum``).
-    The limit's sums are reduced the same way, so a series whose
-    matrices do not depend on eps has beta exactly 0.
+    matrices of their terms in the limit problem, which are read here,
+    before any member.  Each member's series is read as one magnitude
+    table |M_k^(d)| and one sum of its matrices (``_series_table``);
+    every entry is a reduction of those over the terms k, in term order
+    (``_term_sum``).  The limit's sums are reduced the same way, so a
+    series whose matrices do not depend on eps has beta exactly 0.
     """
     stray = family.stray_limit_term()
     if stray is not None:
@@ -364,22 +340,17 @@ def _multipoint_assumptions(family: ProblemFamily,
         if tag != 0:
             points, _, sums = _series_table(zero.boundary, tags, tag, orders)
             limits[tag] = (points[0], sums)
-    columns: dict[str, dict[str, list[float]]] = {
-        key: {} for key in ("alpha", "beta", "gamma", "delta", "gamma_p", "gamma_prime")
-    }
-
-    def put(table: str, label: str, value: float):
-        columns[table].setdefault(label, []).append(value)
-
     conj = zero.exponent.conjugate
     weight_exponent = 0.0 if np.isinf(conj) else 1.0 / conj
-    for boundary in boundaries:
+
+    def entries(boundary: BoundaryOperator) -> list:
+        out = []
         for j in present:
             points, magnitudes, sums = _series_table(boundary, tags, j, orders)
             labels = [f"series {j} order {d}" for d in range(orders)]
             if j == 0:
-                for label, value in zip(labels, _term_sum(magnitudes).tolist()):
-                    put("delta", label, value)
+                out += [("delta", label, value)
+                        for label, value in zip(labels, _term_sum(magnitudes).tolist())]
                 continue
             limit_point, limit_sums = limits[j]
             offsets = np.abs(points - limit_point)
@@ -387,22 +358,41 @@ def _multipoint_assumptions(family: ProblemFamily,
             weights = np.array([offset ** weight_exponent for offset in offsets.tolist()])
             beta = np.abs(sums - limit_sums).sum(axis=(1, 2)).tolist()
             weighted = _term_sum(magnitudes * offsets[:, None]).tolist()
-            put("alpha", f"series {j}", float(offsets.max()))
+            out.append(("alpha", f"series {j}", float(offsets.max())))
             for d, label in enumerate(labels):
-                put("beta", label, beta[d])
-                put("gamma", label, weighted[d])
+                out += [("beta", label, beta[d]), ("gamma", label, weighted[d])]
                 if d == orders - 1:
-                    put("gamma_p", label, float(_term_sum(magnitudes[:, d] * weights)))
+                    out.append(("gamma_p", label, float(_term_sum(magnitudes[:, d] * weights))))
                 else:
-                    put("gamma_prime", label, weighted[d])
+                    out.append(("gamma_prime", label, weighted[d]))
+        return out
 
+    return entries
+
+
+def _multipoint_assumptions(family: ProblemFamily,
+                            members: Iterable[list]) -> MultipointAssumptionReport:
+    """The assumptions from each member's entries (``_series_reader``), in schedule order.
+
+    For p = inf the required set is {point-clustering, coefficient-sum,
+    weighted-decay, zero-series}; for finite p the weighted-decay
+    requirement splits into a boundedness condition on the top derivative
+    order (with the conjugate-exponent weight) and a decay condition on
+    the lower orders.
+    """
+    columns: dict[str, dict[str, list[float]]] = {
+        key: {} for key in ("alpha", "beta", "gamma", "delta", "gamma_p", "gamma_prime")
+    }
+    for entries in members:
+        for table, label, value in entries:
+            columns[table].setdefault(label, []).append(value)
     tables = {}
     for name, rows in columns.items():
         trend = TrendTable.bounded if name in BOUNDED_TABLES else TrendTable.vanishing
         tables[name] = ConditionReport(name, tuple(
             trend(label, family.epsilons, values) for label, values in rows.items()))
 
-    if zero.exponent.is_infinite:
+    if family.at_zero.exponent.is_infinite:
         required = ("alpha", "beta", "gamma", "delta")
     else:
         required = ("alpha", "beta", "gamma_p", "gamma_prime", "delta")
@@ -559,13 +549,22 @@ def convergence_experiment(family: ProblemFamily, grid: Grid,
     zero = family.at_zero
     if zero.rhs is None:
         raise ValueError("the limit problem needs a right-hand side for the experiment")
+    read_series = None if family.series is None else _series_reader(family)
     limit = analyze(zero, grid, rank_tolerance)
     y_zero, _ = superpose(zero, limit)
     ratio_floor = grid.count * MACHINE_EPSILON * sobolev_norm(y_zero, zero.exponent)
+    # condition (II): the polynomial/trigonometric probes form one block
+    probes = default_probes(grid, zero.m, zero.coefficients.max_order)
+    reference = zero.boundary.apply(probes)
 
-    def member_row(eps: float) -> tuple[LimitRow, SolvabilityReport, BoundaryOperator]:
-        """The row of the member at eps, its report and its boundary operator."""
+    def member_row(eps: float) -> tuple[LimitRow, SolvabilityReport, list, list | None]:
+        """The row of the member at eps, its report, its probe magnitudes
+        and its multipoint entries."""
         member = family.at(eps)
+        # applied ahead of the analysis, whose arrays are not yet alive
+        probed = [vector_magnitude(column) for column in (member.boundary.apply(probes)
+                                                          - reference).T]
+        series = None if read_series is None else read_series(member.boundary)
         analysis = analyze(member, grid, rank_tolerance)
         report = analysis.report
         distances = coefficient_distances(member.coefficients, zero.coefficients, grid,
@@ -594,9 +593,9 @@ def convergence_experiment(family: ProblemFamily, grid: Grid,
             ratio=ratio,
             flags=tuple(flags),
         )
-        return row, report, member.boundary
+        return row, report, probed, series
 
-    rows, reports, boundaries = zip(*(member_row(eps) for eps in family.epsilons))
+    rows, reports, probed, series = zip(*(member_row(eps) for eps in family.epsilons))
     errors = [row.solution_error for row in rows if row.solution_error is not None]
     ratios = [row.ratio for row in rows if row.ratio is not None]
     characteristic_trend = TrendTable.vanishing(
@@ -611,11 +610,12 @@ def convergence_experiment(family: ProblemFamily, grid: Grid,
         condition_I=ConditionReport("condition-I", tuple(
             TrendTable.vanishing(f"coefficient of y^({d})", family.epsilons, column)
             for d, column in enumerate(zip(*(row.coefficient_distances for row in rows))))),
-        condition_II=_condition_II(family, grid, boundaries),
+        condition_II=ConditionReport("condition-II", tuple(
+            TrendTable.vanishing(f"probe {i}", family.epsilons, column)
+            for i, column in enumerate(zip(*probed)))),
         characteristic_trend=characteristic_trend,
         semicontinuity=semicontinuity(family.epsilons, limit.report, reports),
         error_trend_passed=error_trend_passed,
         ratio_bracket=bracket,
-        multipoint=(None if family.series is None
-                    else _multipoint_assumptions(family, boundaries)),
+        multipoint=None if read_series is None else _multipoint_assumptions(family, series),
     )

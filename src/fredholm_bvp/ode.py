@@ -406,20 +406,17 @@ def _lower_order_part(a_tables, y_orders: np.ndarray, s: int) -> np.ndarray:
     return side_by_side @ np.concatenate([y for _, y in terms], axis=1)
 
 
-def _extend_orders(coeffs: CoefficientSet, a_tables, low_orders: np.ndarray,
-                   f_tables: list[np.ndarray] | None = None) -> np.ndarray:
-    """Append orders r..n+r to samples of orders 0..r-1 via the recurrence.
+def _extend_orders(coeffs: CoefficientSet, a_tables, samples: np.ndarray,
+                   f_tables: list[np.ndarray] | None = None) -> None:
+    """Fill orders r..n+r of ``samples`` from its orders 0..r-1 via the recurrence.
 
     ``f_tables[s]`` holds f^{(s)}; it enters the last column, y_p, only.
     """
-    r, n = coeffs.r, coeffs.n
-    orders = [low_orders[k] for k in range(r)]
-    for s in range(n + 1):
-        value = -_lower_order_part(a_tables, orders, s)
+    r = coeffs.r
+    for s in range(coeffs.n + 1):
+        np.negative(_lower_order_part(a_tables, samples, s), out=samples[r + s])
         if f_tables is not None:
-            value[..., -1] += f_tables[s]
-        orders.append(value)
-    return np.stack(orders)
+            samples[r + s, ..., -1] += f_tables[s]
 
 
 def order_rows(coeffs: CoefficientSet) -> np.ndarray:
@@ -438,9 +435,9 @@ def order_rows(coeffs: CoefficientSet) -> np.ndarray:
     return rows
 
 
-def _companion_orders(coeffs: CoefficientSet, low: np.ndarray,
-                      f_tables: list[np.ndarray] | None = None) -> np.ndarray:
-    """Orders 0..n+r from samples of orders 0..r-1 when every A_d is constant.
+def _companion_orders(coeffs: CoefficientSet, samples: np.ndarray,
+                      f_tables: list[np.ndarray] | None = None) -> None:
+    """Fill orders r..n+r of ``samples`` from its orders 0..r-1 when every A_d is constant.
 
     x = [y; ...; y^(r-1)] solves x' = C x + L^T f with one companion
     matrix C, L = [0 ... 0 I], so order r-1+s is R_s x plus
@@ -450,10 +447,8 @@ def _companion_orders(coeffs: CoefficientSet, low: np.ndarray,
     (w, N * width).  ``f_tables[s]`` holds f^{(s)}.
     """
     m, r, n = coeffs.m, coeffs.r, coeffs.n
-    w, (_, count, _, width) = r * m, low.shape
-    samples = np.empty((n + r + 1, count, m, width), dtype=complex)
-    samples[:r] = low
-    x = low.transpose(0, 2, 1, 3).reshape(w, count * width)
+    w, (_, count, _, width) = r * m, samples.shape
+    x = samples[:r].transpose(0, 2, 1, 3).reshape(w, count * width)
     rows = order_rows(coeffs)[r - 1 :]  # rows[s] = L C^s
     products = (rows[1:].reshape(-1, w) @ x).reshape(n + 1, m, count, width)
     samples[r:] = products.transpose(0, 2, 1, 3)
@@ -461,7 +456,6 @@ def _companion_orders(coeffs: CoefficientSet, low: np.ndarray,
         for s in range(1, n + 2):
             for i in range(s):
                 samples[r - 1 + s, ..., -1] += f_tables[i] @ rows[s - 1 - i][:, w - m :].T
-    return samples
 
 
 def fundamental_set(coeffs: CoefficientSet, grid: Grid, f=None) -> DerivativeStack:
@@ -477,17 +471,19 @@ def fundamental_set(coeffs: CoefficientSet, grid: Grid, f=None) -> DerivativeSta
     m, r, count = coeffs.m, coeffs.r, grid.count
     w = r * m
     f = None if f is None else as_array_function(f, (m,))
+    # the stack first: a size that cannot fit fails before any work
+    samples = np.empty((coeffs.max_order + 1, count, m, w + (f is not None)), dtype=complex)
     # every function is evaluated before integrating, so a value that is
     # not finite is reported ahead of any blow-up
     a_tables = None if coeffs.constant else coefficient_samples(coeffs, grid)
     f_tables = None if f is None else [f.tabulate(grid, s) for s in range(coeffs.n + 1)]
     states = _integrate(coeffs, grid, f)
     # rows below w are the companion state; the forced row w is the constant 1
-    low = states[:, :w].reshape(count, r, m, states.shape[2]).transpose(1, 0, 2, 3)
+    samples[:r] = states[:, :w].reshape(count, r, m, -1).transpose(1, 0, 2, 3)
     if coeffs.constant:
-        samples = _companion_orders(coeffs, low, f_tables)
+        _companion_orders(coeffs, samples, f_tables)
     else:
-        samples = _extend_orders(coeffs, a_tables, low, f_tables)
+        _extend_orders(coeffs, a_tables, samples, f_tables)
     return DerivativeStack._adopt(grid, samples)
 
 

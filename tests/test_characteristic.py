@@ -302,10 +302,10 @@ def _column_by_column(problem, fset):
 
 
 def _reference_problems():
-    from fredholm_bvp.cli import _BUILTINS
+    from fredholm_bvp.cli import _BUILTINS, _builtin
     from fredholm_bvp.document import document_family, document_problem, load_document
 
-    problems = [(name, _BUILTINS[name]()) for name in ("ex1", "ex2", "ex3", "ex4", "ex5")]
+    problems = [(name, _builtin(name)[1]) for name in _BUILTINS]
     for path in sorted(SAMPLES.glob("*.json")):
         doc = load_document(path)
         problems.append((path.stem, document_problem(doc)))

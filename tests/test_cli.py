@@ -514,3 +514,36 @@ def test_repeated_commands_in_one_process_match_fresh_processes(capsys):
     code, _, err = results[0]
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("command, sample, extra", [
+    ("analyze", "two-point-damped", ()),
+    ("solve", "two-point-damped", ()),
+    ("family", "splitting-family", ()),
+    ("analyze", "two-point-damped", ("--nodes", "100000000000")),
+])
+def test_sizes_that_cannot_fit_fail_at_once_with_one_error_line(tmp_path, command, sample, extra):
+    # n = 10**15 asks for a derivative stack of 10**15 orders; 10**11 nodes
+    # for a grid of 745 GiB.  Under a 2 GiB address space each must exit 1
+    # with one error line, before any of that work is attempted.
+    path = SAMPLES / f"{sample}.json"
+    if not extra:
+        raw = json.loads(path.read_text())
+        raw["orders"]["n"] = 10**15
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(raw))
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "fredholm_bvp.cli", command, str(path), *extra],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        preexec_fn=_limit_address_space, timeout=60)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -89,11 +89,29 @@ def test_missing_field_path():
         load_document(raw)
 
 
+@pytest.mark.parametrize("section", ["coefficients", "boundary"])
+def test_null_required_section_is_an_error_at_its_path(section):
+    # null is not absence at the root: the section is required
+    with pytest.raises(DocumentError, match=rf"^\$\.{section}: "):
+        load_document(minimal_document(**{section: None}))
+
+
 def test_wrong_coefficient_count():
     raw = minimal_document()
     raw["orders"]["r"] = 2
     with pytest.raises(DocumentError, match="coefficient"):
         load_document(raw)
+
+
+def test_family_sections_are_checked_as_the_root_is():
+    raw = minimal_document(family={"coefficients": minimal_document()["coefficients"] * 2})
+    with pytest.raises(DocumentError, match=r"^\$\.family\.coefficients: expected 1 coefficient "
+                       r"functions \(index d multiplies the order-d derivative\)"):
+        load_document(raw)
+    boundary = dict(minimal_document()["boundary"], conditions=1)
+    boundary["points"] = [dict(boundary["points"][0], matrix=[[1, 0]])]
+    with pytest.raises(DocumentError, match=r"^\$\.family\.boundary\.conditions: .*same"):
+        load_document(minimal_document(family={"boundary": boundary}))
 
 
 def test_bad_kind():

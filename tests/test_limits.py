@@ -590,6 +590,38 @@ def test_no_member_outlives_the_experiment():
     assert [ref() for ref in alive] == [None] * 3
 
 
+def test_no_earlier_member_is_alive_when_the_next_is_built():
+    # condition (II) and the multipoint tables are read off each member in
+    # its row: when the pass builds a member, no earlier member's boundary
+    # operator, nor its kernel function with the samples it keeps, is alive
+    import gc
+    import weakref
+
+    from fredholm_bvp import IntegralTerm
+    from fredholm_bvp.expressions import parse_expression
+    from fredholm_bvp.functions import ExpressionFunction
+
+    kernel_entries = np.array([[parse_expression(e) for e in row]
+                               for row in (["eps*t", "0"], ["0", "eps*t"])], dtype=object)
+    alive = []
+
+    def make(eps):
+        gc.collect()
+        assert [ref() for ref in alive] == [None] * len(alive)
+        kernel = ExpressionFunction(kernel_entries, eps=eps)
+        terms = tuple(PointTerm(t, 0, BETA1[0] / 2) for t in (0.3 - eps, 0.3 + eps))
+        boundary = BoundaryOperator(2, terms, IntegralTerm(kernel))
+        if eps:
+            alive.extend([weakref.ref(boundary), weakref.ref(kernel)])
+        return ProblemSpec(UNIT, CoefficientSet(1, 2, 1, (0.3 * np.eye(2),)), boundary, P2,
+                           RightHandSide(np.array([1.0, 0.5]), np.array([1.0, -1.0])))
+
+    family = ProblemFamily(make(0.0), make, epsilons=(1e-2, 1e-4, 1e-6), series=(1, 1))
+    report = convergence_experiment(family, GRID)
+    assert len(alive) == 6 and len(report.condition_II.tables) == 10
+    assert report.multipoint.tables["alpha"].passed
+
+
 def _splitting_problem_family(extra_series=None, epsilons=(1e-2, 1e-4, 1e-7)):
     series = {1: split_series(0.3, BETA1), 2: split_series(0.8, BETA2), **(extra_series or {})}
     return tagged_family(series, epsilons)

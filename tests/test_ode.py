@@ -530,10 +530,12 @@ def _recurrence_samples(coeffs, grid, f):
     """The Leibniz recurrence ``_extend_orders`` on the states that ``fundamental_set`` reads."""
     w = coeffs.r * coeffs.m
     states = ode._integrate(coeffs, grid, f)
-    low = states[:, :w].reshape(grid.count, coeffs.r, coeffs.m, -1).transpose(1, 0, 2, 3)
+    samples = np.empty((coeffs.max_order + 1, grid.count, coeffs.m, states.shape[2]), dtype=complex)
+    samples[: coeffs.r] = states[:, :w].reshape(grid.count, coeffs.r, coeffs.m, -1).transpose(
+        1, 0, 2, 3)
     f_tables = None if f is None else [f.eval(grid.nodes, order=s) for s in range(coeffs.n + 1)]
-    tables = ode.coefficient_samples(coeffs, grid)
-    return ode._extend_orders(coeffs, tables, low, f_tables)
+    ode._extend_orders(coeffs, ode.coefficient_samples(coeffs, grid), samples, f_tables)
+    return samples
 
 
 @settings(max_examples=60, deadline=None)
